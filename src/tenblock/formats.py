@@ -17,19 +17,13 @@ import tempfile
 import numpy as np
 
 from .partition import BlockIndex
-from .pipeline import BlockRecord, CompressedArchive, leftover_cells
-from .tensor_core import GappyTensor4
-from .tt import QttFactorization, TTFactorization
-from .tucker import TuckerFactorization
+from .pipeline import KINDS, BlockRecord, CompressedArchive, leftover_cells
+from .tensor_core import FormatError, GappyTensor4
 
 GST_MAGIC = b"GSTT"
 GSA_MAGIC = b"GSAR"
 FORMAT_VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")
-
-
-class FormatError(ValueError):
-    pass
 
 
 def _atomic_write(path: str, blob: bytes) -> None:
@@ -133,34 +127,18 @@ def _decode_rle(runs, shape) -> np.ndarray:
     return flat.reshape(shape, order="F")
 
 
-def _fac_arrays(fac) -> list[np.ndarray]:
-    if isinstance(fac, TuckerFactorization):
-        return [fac.core, *fac.factors]
-    if isinstance(fac, QttFactorization):
-        return list(fac.tt.carriages)
-    return list(fac.carriages)
-
-
 def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None) -> None:
     chunks = []
     blocks = []
     offset = 0
     for rec in archive.blocks:
         arrays = []
-        for a in _fac_arrays(rec.fac):
+        for a in rec.fac.arrays():
             arrays.append({"shape": list(a.shape), "offset": offset})
             chunks.append(np.asarray(a, dtype="<f4").ravel(order="F"))
             offset += a.size
-        entry = {
-            "rect": list(rec.rect),
-            "interval": rec.interval,
-            "kind": "tucker" if isinstance(rec.fac, TuckerFactorization)
-                    else "qtt" if isinstance(rec.fac, QttFactorization) else "tt",
-            "arrays": arrays,
-        }
-        if isinstance(rec.fac, QttFactorization):
-            entry["mode_factors"] = [list(f) for f in rec.fac.mode_factors]
-        blocks.append(entry)
+        blocks.append({"rect": list(rec.rect), "interval": rec.interval,
+                       "kind": rec.fac.kind, "arrays": arrays, **rec.fac.header_fields()})
     leftover = archive.leftover_values
     chunks.append(np.asarray(leftover, dtype="<f4").ravel(order="F"))
     header = {
@@ -182,9 +160,9 @@ def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None
     _atomic_write(path, _assemble(GSA_MAGIC, header, payload))
 
 
-def _check_block_entry(entry, mask, dims, splits, expected_offset: int):
-    """Validate one manifest block and return (rect, interval, kind,
-    array shapes, mode_factors, next offset)."""
+def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
+    """Validate one manifest block of kind ``cls`` and return (rect,
+    interval, block dims, array shapes, next offset)."""
     nx, ny, nl, nt = dims
     rect = entry.get("rect")
     if (not isinstance(rect, list) or len(rect) != 4
@@ -201,7 +179,8 @@ def _check_block_entry(entry, mask, dims, splits, expected_offset: int):
     t0, t1 = splits[iv]
     block_dims = (x1 - x0, y1 - y0, nl, t1 - t0)
 
-    kind = entry.get("kind")
+    if entry.get("kind") != cls.kind:
+        raise FormatError(f"block kind {entry.get('kind')!r} in a {cls.kind} archive")
     arrays = entry.get("arrays")
     if not isinstance(arrays, list) or not arrays:
         raise FormatError("block without arrays")
@@ -216,42 +195,8 @@ def _check_block_entry(entry, mask, dims, splits, expected_offset: int):
         shapes.append(tuple(shape))
         expected_offset += int(np.prod(shape, dtype=np.int64))
 
-    mode_factors = None
-    if kind == "tucker":
-        if len(shapes) != 5 or len(shapes[0]) != 4:
-            raise FormatError("tucker block needs a 4-D core and 4 factors")
-        for k, (fshape, n, r) in enumerate(zip(shapes[1:], block_dims, shapes[0])):
-            if fshape != (n, r):
-                raise FormatError(f"factor {k} shape {fshape} does not match "
-                                  f"extent {n} and rank {r}")
-    elif kind in ("tt", "qtt"):
-        if kind == "qtt":
-            mode_factors = entry.get("mode_factors")
-            if (not isinstance(mode_factors, list) or len(mode_factors) != 4
-                    or any(not isinstance(f, list) or not f for f in mode_factors)):
-                raise FormatError("qtt block needs mode_factors for each mode")
-            for f, n in zip(mode_factors, block_dims):
-                if any(not isinstance(p, int) or p < 1 for p in f):
-                    raise FormatError(f"bad mode factors {f!r}")
-                if int(np.prod(f, dtype=np.int64)) != n:
-                    raise FormatError(f"mode factors {f} do not multiply to {n}")
-            fine_dims = [p for f in mode_factors for p in f]
-        else:
-            fine_dims = list(block_dims)
-        if len(shapes) != len(fine_dims):
-            raise FormatError(f"{len(shapes)} carriages for {len(fine_dims)} modes")
-        if any(len(s) != 3 for s in shapes):
-            raise FormatError("carriages must be 3-D")
-        if shapes[0][0] != 1 or shapes[-1][2] != 1:
-            raise FormatError("boundary carriage ranks must be 1")
-        for k, (s, n) in enumerate(zip(shapes, fine_dims)):
-            if s[1] != n:
-                raise FormatError(f"carriage {k} extent {s[1]}, expected {n}")
-            if k and shapes[k - 1][2] != s[0]:
-                raise FormatError(f"carriage {k} rank mismatch")
-    else:
-        raise FormatError(f"unknown block kind {kind!r}")
-    return BlockIndex(*rect), iv, kind, shapes, mode_factors, expected_offset
+    cls.check_header(shapes, block_dims, entry)
+    return BlockIndex(*rect), iv, block_dims, shapes, expected_offset
 
 
 def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
@@ -261,7 +206,8 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     header, payload = _split_file(blob, GSA_MAGIC, "GSA")
 
     method = header.get("method")
-    if method not in ("tucker", "tt", "qtt"):
+    cls = KINDS.get(method) if isinstance(method, str) else None
+    if cls is None:
         raise FormatError(f"unknown method {method!r}")
     eps_max = header.get("eps_max")
     if not isinstance(eps_max, (int, float)) or eps_max <= 0:
@@ -292,12 +238,12 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     rects = []
     seen = set()
     for entry in entries:
-        rect, iv, kind, shapes, mode_factors, offset = _check_block_entry(
-            entry, mask, dims, clean_splits, offset)
+        rect, iv, block_dims, shapes, offset = _check_block_entry(
+            entry, cls, mask, dims, clean_splits, offset)
         if (rect, iv) in seen:
             raise FormatError(f"duplicate block {rect} interval {iv}")
         seen.add((rect, iv))
-        parsed.append((rect, iv, kind, shapes, mode_factors))
+        parsed.append((rect, iv, block_dims, shapes, entry))
         if rect not in rects:
             rects.append(rect)
     if len(parsed) != len(rects) * len(clean_splits):
@@ -322,24 +268,13 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     flat = np.frombuffer(payload, dtype="<f4")
     records = []
     pos = 0
-    for rect, iv, kind, shapes, mode_factors in parsed:
+    for rect, iv, block_dims, shapes, entry in parsed:
         arrays = []
         for shape in shapes:
             size = int(np.prod(shape, dtype=np.int64))
             arrays.append(flat[pos:pos + size].astype(np.float64).reshape(shape, order="F"))
             pos += size
-        if kind == "tucker":
-            fac = TuckerFactorization(arrays[0], tuple(arrays[1:]))
-        else:
-            tt = TTFactorization(tuple(arrays))
-            if kind == "qtt":
-                x0, x1, y0, y1 = rect
-                t0, t1 = clean_splits[iv]
-                fac = QttFactorization(tt, (x1 - x0, y1 - y0, nl, t1 - t0),
-                                       tuple(tuple(f) for f in mode_factors))
-            else:
-                fac = tt
-        records.append(BlockRecord(rect, iv, fac))
+        records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, block_dims, entry)))
     leftover = flat[pos:].reshape((n_cells, nl, nt), order="F").copy()
 
     archive = CompressedArchive(

@@ -17,19 +17,13 @@ from .partition import (
     pow2_partition,
     temporal_split,
 )
-from .tensor_core import GappyTensor4, chebyshev_norm, frobenius_norm
-from .tt import (
-    QttFactorization,
-    TTFactorization,
-    qtt_reconstruct,
-    tt_compress_abs,
-    tt_reconstruct,
-)
-from .tucker import TuckerFactorization, tucker_compress_abs, tucker_reconstruct
+from .tensor_core import Factorization, GappyTensor4, budgeted_search
+from .tt import QttFactorization, TTFactorization
+from .tucker import TuckerFactorization
 
-METHODS = ("tucker", "tt", "qtt")
-
-Factorization = TuckerFactorization | TTFactorization | QttFactorization
+# block factorization classes by kind; a method compresses into its kind
+KINDS = {cls.kind: cls for cls in (TuckerFactorization, TTFactorization, QttFactorization)}
+METHODS = tuple(KINDS)
 
 
 def _quantize_f32(a: np.ndarray) -> np.ndarray:
@@ -125,20 +119,6 @@ def leftover_cells(domain_mask: np.ndarray, blocks: Sequence[BlockIndex]) -> np.
     return np.argwhere(uncovered)
 
 
-def _compress_block(sub: np.ndarray, method: str, eps_max: float) -> Factorization:
-    if method == "tucker":
-        return tucker_compress_abs(sub, eps_max, quantize=_quantize_f32)
-    return tt_compress_abs(sub, eps_max, quantize=_quantize_f32, qtt=method == "qtt")
-
-
-def _reconstruct(fac: Factorization) -> np.ndarray:
-    if isinstance(fac, TuckerFactorization):
-        return tucker_reconstruct(fac)
-    if isinstance(fac, QttFactorization):
-        return qtt_reconstruct(fac)
-    return tt_reconstruct(fac)
-
-
 def compress_dataset(
     data: GappyTensor4,
     method: str,
@@ -150,7 +130,8 @@ def compress_dataset(
     sides for qtt), split time into n_splits intervals, compress every
     block x interval subtensor to within eps_max in the Chebyshev norm,
     and store the uncovered defined cells raw."""
-    if method not in METHODS:
+    cls = KINDS.get(method)
+    if cls is None:
         raise ValueError(f"unknown method {method!r}")
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
@@ -159,7 +140,7 @@ def compress_dataset(
         raise ValueError("empty domain")
     nx, ny, nl, nt = data.dims
 
-    part = pow2_partition(mask, s_min) if method == "qtt" else greedy_partition(mask, s_min)
+    part = (pow2_partition if cls.pow2_blocks else greedy_partition)(mask, s_min)
     splits = temporal_split(nt, n_splits)
 
     records = []
@@ -169,14 +150,9 @@ def compress_dataset(
         block_vals = data.values[rect.x_start:rect.x_end, rect.y_start:rect.y_end]
         for iv, (t0, t1) in enumerate(splits):
             sub = block_vals[:, :, :, t0:t1]
-            fac = _compress_block(sub, method, eps_max)
-            diff = _reconstruct(fac) - sub
-            cheb = chebyshev_norm(diff)
+            fac, cheb, rel_frob = budgeted_search(cls, sub, eps_max, _quantize_f32)
             max_cheb = max(max_cheb, cheb)
-            stats.append(BlockStats(
-                rect, iv, sub.size, fac.n_elements,
-                frobenius_norm(diff) / frobenius_norm(sub), cheb,
-            ))
+            stats.append(BlockStats(rect, iv, sub.size, fac.n_elements, rel_frob, cheb))
             records.append(BlockRecord(rect, iv, fac))
 
     cells = leftover_cells(mask, part.blocks)
@@ -216,7 +192,7 @@ def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
     for rec in archive.blocks:
         t0, t1 = archive.splits[rec.interval]
         r = rec.rect
-        values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1] = _reconstruct(rec.fac)
+        values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1] = rec.fac.reconstruct()
     covered = [rec.rect for rec in archive.blocks]
     cells = leftover_cells(archive.domain_mask, covered)
     if cells.shape[0] != archive.leftover_values.shape[0]:

@@ -1,5 +1,6 @@
 """Dense multiway-array primitives: unfoldings, mode products, norms,
-masked projection and a deterministic truncated SVD.
+masked projection, a deterministic truncated SVD, and the interface and
+error-budgeted search shared by the block factorizations.
 
 Tensors are plain ``numpy.ndarray`` objects in float64.  Whenever a linear
 (flat) ordering of entries matters -- unfolding columns, serialization --
@@ -10,7 +11,7 @@ second, and so on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,50 @@ class GappyTensor4:
     @property
     def defined_count(self) -> int:
         return int(self.domain_mask.sum()) * self.values.shape[2] * self.values.shape[3]
+
+
+class FormatError(ValueError):
+    """Malformed file input (also raised by a factorization's record checks)."""
+
+
+QuantizeFn = Callable[[np.ndarray], np.ndarray]
+
+
+class Factorization:
+    """A block factorization kind (``kind`` names its method and archive
+    records): ``dims``, ``ranks``, ``arrays()`` in archive order and
+    ``reconstruct()``; per class ``candidates(x)`` (smallest first),
+    ``check_header`` and ``from_arrays``, the inverse of ``arrays()``."""
+
+    kind: ClassVar[str]
+    pow2_blocks: ClassVar[bool] = False  # wants power-of-two block sides
+
+    @property
+    def n_elements(self) -> int:
+        return int(sum(a.size for a in self.arrays()))
+
+    def header_fields(self) -> dict:
+        return {}
+
+
+def budgeted_search(cls: type[Factorization], x: np.ndarray, eps_max: float,
+                    quantize: QuantizeFn | None = None) -> tuple[Factorization, float, float]:
+    """First of ``cls.candidates(x)`` within ``eps_max`` of ``x`` in the
+    Chebyshev norm (else the last) as ``(fac, cheb_error, rel_frob_error)``,
+    measured after ``quantize`` (e.g. a float32 round trip) of its arrays.
+    The Frobenius error is absolute for an all-zero ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    if eps_max <= 0:
+        raise ValueError("eps_max must be positive")
+    for fac in cls.candidates(x):
+        if quantize is not None:
+            fac = cls.from_arrays([quantize(a) for a in fac.arrays()],
+                                  fac.dims, fac.header_fields())
+        diff = fac.reconstruct() - x
+        cheb = chebyshev_norm(diff)
+        if cheb <= eps_max:
+            break
+    return fac, cheb, frobenius_norm(diff) / (frobenius_norm(x) or 1.0)
 
 
 class SvdResult(NamedTuple):

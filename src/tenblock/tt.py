@@ -5,17 +5,19 @@ quantized variant (QTT) that first splits every mode into prime factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import chebyshev_norm, frobenius_norm, truncated_svd
+from .tensor_core import (Factorization, FormatError, QuantizeFn, budgeted_search,
+                          frobenius_norm, truncated_svd)
 
-QuantizeFn = Callable[[np.ndarray], np.ndarray]
+TOL0 = 1e-2  # first sweep tolerance of tt_compress_abs
+TOL_FLOOR = 1e-16  # the search stops at the first tolerance below this
 
 
 @dataclass(frozen=True)
-class TTFactorization:
+class TTFactorization(Factorization):
     """Chain of order-3 carriages G_k of shape (r_{k-1}, n_k, r_k).
 
     Boundary ranks are 1, so the first carriage has shape (1, n_1, r_1)
@@ -23,6 +25,7 @@ class TTFactorization:
     """
 
     carriages: tuple[np.ndarray, ...]
+    kind = "tt"
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -33,22 +36,96 @@ class TTFactorization:
         """Internal ranks r_1 .. r_{d-1} (empty for a single carriage)."""
         return tuple(g.shape[2] for g in self.carriages[:-1])
 
-    @property
-    def n_elements(self) -> int:
-        return int(sum(g.size for g in self.carriages))
+    def arrays(self) -> list[np.ndarray]:
+        return list(self.carriages)
+
+    def reconstruct(self) -> np.ndarray:
+        dims = self.dims
+        x = self.carriages[0].reshape(dims[0], -1)
+        for g in self.carriages[1:]:
+            r_prev, n, r = g.shape
+            x = x @ g.reshape(r_prev, n * r, order="F")
+            x = x.reshape(-1, r, order="F")
+        return x.reshape(dims, order="F")
+
+    @classmethod
+    def from_arrays(cls, arrays, dims, fields) -> TTFactorization:
+        return cls(tuple(arrays))
+
+    @staticmethod
+    def check_header(shapes, dims, fields) -> None:
+        if len(shapes) != len(dims):
+            raise FormatError(f"{len(shapes)} carriages for {len(dims)} modes")
+        if any(len(s) != 3 for s in shapes):
+            raise FormatError("carriages must be 3-D")
+        if shapes[0][0] != 1 or shapes[-1][2] != 1:
+            raise FormatError("boundary carriage ranks must be 1")
+        for k, (s, n) in enumerate(zip(shapes, dims)):
+            if s[1] != n:
+                raise FormatError(f"carriage {k} extent {s[1]}, expected {n}")
+            if k and shapes[k - 1][2] != s[0]:
+                raise FormatError(f"carriage {k} rank mismatch")
+
+    @staticmethod
+    def candidates(x: np.ndarray):
+        return _halving_sweeps(ttsvd, x)
 
 
 @dataclass(frozen=True)
-class QttFactorization:
+class QttFactorization(Factorization):
     """TT factorization of the reshaped tensor plus the mode split used."""
 
     tt: TTFactorization
     dims: tuple[int, ...]
     mode_factors: tuple[tuple[int, ...], ...]
+    kind = "qtt"
+    pow2_blocks = True
 
     @property
-    def n_elements(self) -> int:
-        return self.tt.n_elements
+    def ranks(self) -> tuple[int, ...]:
+        return self.tt.ranks
+
+    def arrays(self) -> list[np.ndarray]:
+        return self.tt.arrays()
+
+    def reconstruct(self) -> np.ndarray:
+        return np.reshape(self.tt.reconstruct(), self.dims, order="F")
+
+    def header_fields(self) -> dict:
+        return {"mode_factors": [list(f) for f in self.mode_factors]}
+
+    @classmethod
+    def from_arrays(cls, arrays, dims, fields) -> QttFactorization:
+        return cls(TTFactorization(tuple(arrays)), tuple(dims),
+                   tuple(tuple(f) for f in fields["mode_factors"]))
+
+    @staticmethod
+    def check_header(shapes, dims, fields) -> None:
+        mode_factors = fields.get("mode_factors")
+        if (not isinstance(mode_factors, list) or len(mode_factors) != len(dims)
+                or any(not isinstance(f, list) or not f for f in mode_factors)):
+            raise FormatError("qtt block needs mode_factors for each mode")
+        for f, n in zip(mode_factors, dims):
+            if any(not isinstance(p, int) or p < 1 for p in f):
+                raise FormatError(f"bad mode factors {f!r}")
+            if int(np.prod(f, dtype=np.int64)) != n:
+                raise FormatError(f"mode factors {f} do not multiply to {n}")
+        TTFactorization.check_header(shapes, [p for f in mode_factors for p in f], fields)
+
+    @staticmethod
+    def candidates(x: np.ndarray):
+        return _halving_sweeps(qtt_compress, x)
+
+
+def _halving_sweeps(sweep, x: np.ndarray):
+    # the sweep tolerance bounds the relative Frobenius error, not the
+    # pointwise one, so it is halved until the budget holds or the floor
+    tol = TOL0
+    while True:
+        yield sweep(x, tol=tol)
+        if tol < TOL_FLOOR:
+            return
+        tol = tol / 2.0
 
 
 def _unfolding_rank_bounds(dims: Sequence[int]) -> list[int]:
@@ -122,14 +199,7 @@ def tt_element(f: TTFactorization, index: Sequence[int]) -> float:
     return float(v[0, 0])
 
 
-def tt_reconstruct(f: TTFactorization) -> np.ndarray:
-    dims = f.dims
-    x = f.carriages[0].reshape(dims[0], -1)
-    for g in f.carriages[1:]:
-        r_prev, n, r = g.shape
-        x = x @ g.reshape(r_prev, n * r, order="F")
-        x = x.reshape(-1, r, order="F")
-    return x.reshape(dims, order="F")
+tt_reconstruct = TTFactorization.reconstruct
 
 
 def tt_storage_count(ranks: Sequence[int], dims: Sequence[int]) -> int:
@@ -184,14 +254,7 @@ def qtt_compress(
     )
 
 
-def qtt_reconstruct(f: QttFactorization) -> np.ndarray:
-    return np.reshape(tt_reconstruct(f.tt), f.dims, order="F")
-
-
-def _quantized_tt(f: TTFactorization, quantize: QuantizeFn | None) -> TTFactorization:
-    if quantize is None:
-        return f
-    return TTFactorization(tuple(quantize(g) for g in f.carriages))
+qtt_reconstruct = QttFactorization.reconstruct
 
 
 def tt_compress_abs(
@@ -199,29 +262,7 @@ def tt_compress_abs(
     eps_max: float,
     quantize: QuantizeFn | None = None,
     qtt: bool = False,
-    tol0: float = 1e-2,
-    tol_floor: float = 1e-16,
 ) -> TTFactorization | QttFactorization:
-    """Smallest TT (or QTT) whose reconstruction stays within ``eps_max``
-    in the Chebyshev norm, found by halving the relative tolerance.
-
-    The sweep tolerance controls relative Frobenius error, so it is halved
-    from ``tol0`` until the pointwise check passes; the floor puts the
-    sweep at effectively lossless truncation.  ``quantize`` is applied to
-    the carriages before each check, as in Tucker compression.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if eps_max <= 0:
-        raise ValueError("eps_max must be positive")
-    tol = tol0
-    while True:
-        if qtt:
-            fac = qtt_compress(x, tol=tol)
-            fac = QttFactorization(_quantized_tt(fac.tt, quantize), fac.dims, fac.mode_factors)
-            xh = qtt_reconstruct(fac)
-        else:
-            fac = _quantized_tt(ttsvd(x, tol=tol), quantize)
-            xh = tt_reconstruct(fac)
-        if chebyshev_norm(xh - x) <= eps_max or tol < tol_floor:
-            return fac
-        tol = tol / 2.0
+    """Smallest TT (or QTT) among the tolerance-halving sweeps within
+    ``eps_max`` in the Chebyshev norm (see ``budgeted_search``)."""
+    return budgeted_search(QttFactorization if qtt else TTFactorization, x, eps_max, quantize)[0]

@@ -1,33 +1,37 @@
 """Tucker decomposition built from truncated SVDs of the unfoldings,
-plus rank selection loops for tolerance and absolute-error targets.
+plus rank selection for tolerance and absolute-error targets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .tensor_core import (
+    Factorization,
+    FormatError,
+    QuantizeFn,
     SvdResult,
     _svd_deterministic,
-    chebyshev_norm,
+    budgeted_search,
     mode_product,
     rank_from_spectrum,
     unfold,
 )
 
-QuantizeFn = Callable[[np.ndarray], np.ndarray]
+TOL0 = 1e-2  # spectrum tolerance of the first ranks tucker_compress_abs tries
 
 
 @dataclass(frozen=True)
-class TuckerFactorization:
+class TuckerFactorization(Factorization):
     """Core tensor plus one column-orthonormal factor per mode."""
 
     core: np.ndarray
     factors: tuple[np.ndarray, ...]
+    kind = "tucker"
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -37,9 +41,40 @@ class TuckerFactorization:
     def ranks(self) -> tuple[int, ...]:
         return tuple(self.core.shape)
 
-    @property
-    def n_elements(self) -> int:
-        return int(self.core.size + sum(u.size for u in self.factors))
+    def arrays(self) -> list[np.ndarray]:
+        return [self.core, *self.factors]
+
+    def reconstruct(self) -> np.ndarray:
+        x = self.core
+        for k, u in enumerate(self.factors):
+            x = mode_product(x, u, k)
+        return x
+
+    @classmethod
+    def from_arrays(cls, arrays, dims, fields) -> TuckerFactorization:
+        return cls(arrays[0], tuple(arrays[1:]))
+
+    @staticmethod
+    def check_header(shapes, dims, fields) -> None:
+        d = len(dims)
+        if len(shapes) != d + 1 or len(shapes[0]) != d:
+            raise FormatError(f"tucker block needs a {d}-D core and {d} factors")
+        for k, (fshape, n, r) in enumerate(zip(shapes[1:], dims, shapes[0])):
+            if fshape != (n, r):
+                raise FormatError(f"factor {k} shape {fshape} does not match "
+                                  f"extent {n} and rank {r}")
+
+    @staticmethod
+    def candidates(x: np.ndarray):
+        """HOSVD at the ranks ``hosvd_tol(TOL0)`` keeps, then with every
+        mode rank grown by ``max(1, ceil(0.1 r))``, up to full ranks."""
+        svds = _mode_svds(x)
+        ranks = [rank_from_spectrum(svd.S, TOL0) for svd in svds]
+        while True:
+            yield _hosvd_at(x, svds, ranks)
+            if ranks == list(x.shape):
+                return
+            ranks = [min(n, r + max(1, math.ceil(0.1 * r))) for r, n in zip(ranks, x.shape)]
 
 
 def _check_ranks(dims, ranks) -> tuple[int, ...]:
@@ -56,11 +91,12 @@ def _mode_svds(x: np.ndarray) -> list[SvdResult]:
     return [_svd_deterministic(unfold(x, k)) for k in range(x.ndim)]
 
 
-def _core_from_factors(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+def _hosvd_at(x: np.ndarray, svds: Sequence[SvdResult], ranks) -> TuckerFactorization:
+    factors = tuple(np.ascontiguousarray(svd.U[:, :r]) for svd, r in zip(svds, ranks))
     core = x
     for k, u in enumerate(factors):
         core = mode_product(core, u.T, k)
-    return core
+    return TuckerFactorization(core, factors)
 
 
 def hosvd(x: np.ndarray, ranks: Sequence[int]) -> TuckerFactorization:
@@ -71,9 +107,7 @@ def hosvd(x: np.ndarray, ranks: Sequence[int]) -> TuckerFactorization:
     """
     x = np.asarray(x, dtype=np.float64)
     ranks = _check_ranks(x.shape, ranks)
-    factors = tuple(np.ascontiguousarray(svd.U[:, :r])
-                    for svd, r in zip(_mode_svds(x), ranks))
-    return TuckerFactorization(_core_from_factors(x, factors), factors)
+    return _hosvd_at(x, _mode_svds(x), ranks)
 
 
 def hosvd_tol(x: np.ndarray, tol: float) -> TuckerFactorization:
@@ -86,16 +120,10 @@ def hosvd_tol(x: np.ndarray, tol: float) -> TuckerFactorization:
     if not 0.0 < tol <= 1.0:
         raise ValueError(f"tol {tol} not in (0, 1]")
     svds = _mode_svds(x)
-    factors = tuple(np.ascontiguousarray(svd.U[:, :rank_from_spectrum(svd.S, tol)])
-                    for svd in svds)
-    return TuckerFactorization(_core_from_factors(x, factors), factors)
+    return _hosvd_at(x, svds, [rank_from_spectrum(svd.S, tol) for svd in svds])
 
 
-def tucker_reconstruct(f: TuckerFactorization) -> np.ndarray:
-    x = f.core
-    for k, u in enumerate(f.factors):
-        x = mode_product(x, u, k)
-    return x
+tucker_reconstruct = TuckerFactorization.reconstruct
 
 
 def tucker_storage_count(ranks: Sequence[int], dims: Sequence[int]) -> int:
@@ -109,37 +137,11 @@ def tucker_storage_count(ranks: Sequence[int], dims: Sequence[int]) -> int:
     return int(np.prod(ranks, dtype=np.int64)) + sum(n * r for n, r in zip(dims, ranks))
 
 
-def _quantized(f: TuckerFactorization, quantize: QuantizeFn | None) -> TuckerFactorization:
-    if quantize is None:
-        return f
-    return TuckerFactorization(quantize(f.core), tuple(quantize(u) for u in f.factors))
-
-
 def tucker_compress_abs(
     x: np.ndarray,
     eps_max: float,
     quantize: QuantizeFn | None = None,
-    tol0: float = 1e-2,
 ) -> TuckerFactorization:
-    """Smallest-effort HOSVD whose reconstruction stays within ``eps_max``
-    in the Chebyshev norm.
-
-    Starts from the ranks suggested by ``hosvd_tol(tol0)`` and grows each
-    mode rank by ``max(1, ceil(0.1 r))`` until the budget holds, stopping
-    at full ranks.  When ``quantize`` is given (e.g. a float32 round trip)
-    it is applied to core and factors before the error is measured, so the
-    accepted factorization meets the budget in its stored form.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if eps_max <= 0:
-        raise ValueError("eps_max must be positive")
-    svds = _mode_svds(x)
-    ranks = [rank_from_spectrum(svd.S, tol0) for svd in svds]
-    dims = x.shape
-    while True:
-        factors = tuple(np.ascontiguousarray(svd.U[:, :r]) for svd, r in zip(svds, ranks))
-        fac = _quantized(TuckerFactorization(_core_from_factors(x, factors), factors), quantize)
-        err = chebyshev_norm(tucker_reconstruct(fac) - x)
-        if err <= eps_max or all(r == n for r, n in zip(ranks, dims)):
-            return fac
-        ranks = [min(n, r + max(1, math.ceil(0.1 * r))) for r, n in zip(ranks, dims)]
+    """Smallest HOSVD among ``TuckerFactorization.candidates`` within
+    ``eps_max`` in the Chebyshev norm (see ``budgeted_search``)."""
+    return budgeted_search(TuckerFactorization, x, eps_max, quantize)[0]

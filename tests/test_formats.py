@@ -271,3 +271,66 @@ def test_writes_are_atomic_no_temp_litter(tmp_path):
     archive, _ = compress_dataset(g, "tucker", 0.5, s_min=4)
     write_gsa(archive, str(tmp_path / "a.gsa"))
     assert sorted(os.listdir(tmp_path)) == ["a.gsa", "a.gst"]
+
+
+def test_gsa_rejects_blocks_of_another_kind(tmp_path):
+    path, (magic, version, header, payload) = gsa_blob_parts(tmp_path, "tt")
+    header["method"] = "tucker"
+    path.write_bytes(join_blob(magic, version, header, payload))
+    with pytest.raises(FormatError, match="block kind 'tt' in a tucker archive"):
+        read_gsa(str(path))
+
+
+def set_shapes(block, shapes):
+    """Give a block record new array shapes, with offsets that stay
+    consistent within the record."""
+    offset = block["arrays"][0]["offset"]
+    block["arrays"] = []
+    for shape in shapes:
+        block["arrays"].append({"shape": list(shape), "offset": offset})
+        offset += int(np.prod(shape))
+
+
+def shapes_of(block):
+    return [list(a["shape"]) for a in block["arrays"]]
+
+
+def unknown_kind(block):
+    block["kind"] = "zip"
+
+
+def tucker_factor_extent(block):
+    shapes = shapes_of(block)
+    shapes[1][0] += 1
+    set_shapes(block, shapes)
+
+
+def tt_boundary_rank(block):
+    shapes = shapes_of(block)
+    shapes[0][0] = 2
+    set_shapes(block, shapes)
+
+
+def tt_rank_mismatch(block):
+    shapes = shapes_of(block)
+    shapes[1][0] += 1
+    set_shapes(block, shapes)
+
+
+def qtt_mode_factor_product(block):
+    block["mode_factors"][0].append(2)
+
+
+@pytest.mark.parametrize("method,tamper,message", [
+    ("tucker", unknown_kind, "block kind 'zip'"),
+    ("tucker", tucker_factor_extent, "factor 0 shape"),
+    ("tt", tt_boundary_rank, "boundary carriage ranks must be 1"),
+    ("tt", tt_rank_mismatch, "carriage 1 rank mismatch"),
+    ("qtt", qtt_mode_factor_product, "do not multiply"),
+])
+def test_gsa_rejects_bad_block_record(tmp_path, method, tamper, message):
+    path, (magic, version, header, payload) = gsa_blob_parts(tmp_path, method)
+    tamper(header["blocks"][0])
+    path.write_bytes(join_blob(magic, version, header, payload))
+    with pytest.raises(FormatError, match=message):
+        read_gsa(str(path))

@@ -5,6 +5,8 @@ import pytest
 
 from tenblock.partition import BlockIndex
 from tenblock.pipeline import (
+    KINDS,
+    METHODS,
     compress_dataset,
     cr_metrics,
     decompress_dataset,
@@ -15,7 +17,7 @@ from tenblock.pipeline import (
     sweep_splits,
 )
 from tenblock.synth import SynthSpec, synth
-from tenblock.tensor_core import GappyTensor4, chebyshev_norm
+from tenblock.tensor_core import GappyTensor4, chebyshev_norm, frobenius_norm
 
 
 def small_field(seed=42, dims=(32, 24, 4, 16)):
@@ -190,3 +192,41 @@ def test_report_to_dict_keys():
         assert key in d
     assert d["method"] == "tt"
     assert len(d["blocks"]) == len(report.block_stats)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_compress_reconstructs_each_block_once(monkeypatch, method):
+    g = small_field()
+    cls = KINDS[method]
+    calls = []
+    reconstruct = cls.reconstruct
+
+    def counting(self):
+        calls.append(self)
+        return reconstruct(self)
+
+    monkeypatch.setattr(cls, "reconstruct", counting)
+    # a budget so loose that the first candidate of every block is accepted
+    archive, report = compress_dataset(g, method, 1e6, s_min=4, n_splits=2)
+    monkeypatch.undo()
+    assert len(archive.blocks) > 2
+    assert len(calls) == len(archive.blocks)
+
+    # the reported errors are those of the archived factorizations
+    for rec, s in zip(archive.blocks, report.block_stats):
+        r = rec.rect
+        t0, t1 = archive.splits[rec.interval]
+        sub = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
+        diff = rec.fac.reconstruct() - sub
+        assert (s.rect, s.interval) == (rec.rect, rec.interval)
+        assert s.cheb_error == chebyshev_norm(diff)
+        assert s.rel_frob_error == frobenius_norm(diff) / frobenius_norm(sub)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_all_zero_field_round_trips(method):
+    g = GappyTensor4(np.zeros((16, 16, 2, 4)), np.ones((16, 16), dtype=bool))
+    archive, report = compress_dataset(g, method, 0.5)
+    assert report.max_cheb_error == 0.0
+    assert all(s.rel_frob_error == 0.0 for s in report.block_stats)
+    np.testing.assert_array_equal(decompress_dataset(archive).values, g.values)
