@@ -164,6 +164,8 @@ def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
     """Validate one manifest block of kind ``cls`` and return (rect,
     interval, block dims, array shapes, next offset)."""
     nx, ny, nl, nt = dims
+    if not isinstance(entry, dict):
+        raise FormatError(f"block entry {entry!r} is not an object")
     rect = entry.get("rect")
     if (not isinstance(rect, list) or len(rect) != 4
             or any(not isinstance(c, int) for c in rect)):

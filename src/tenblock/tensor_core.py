@@ -1,5 +1,6 @@
 """Dense multiway-array primitives: unfoldings, mode products, norms,
-masked projection, a deterministic truncated SVD, and the interface and
+masked projection, a deterministic truncated SVD, left singular bases by
+the cheaper of a Gram eigendecomposition and an SVD, and the interface and
 error-budgeted search shared by the block factorizations.
 
 Tensors are plain ``numpy.ndarray`` objects in float64.  Whenever a linear
@@ -81,7 +82,8 @@ def budgeted_search(cls: type[Factorization], x: np.ndarray, eps_max: float,
     """First of ``cls.candidates(x)`` within ``eps_max`` of ``x`` in the
     Chebyshev norm (else the last) as ``(fac, cheb_error, rel_frob_error)``,
     measured after ``quantize`` (e.g. a float32 round trip) of its arrays.
-    The Frobenius error is absolute for an all-zero ``x``."""
+    Blocks are fully defined, so a NaN in a reconstruction is an error and
+    fails the budget.  The Frobenius error is absolute for an all-zero ``x``."""
     x = np.asarray(x, dtype=np.float64)
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
@@ -90,7 +92,7 @@ def budgeted_search(cls: type[Factorization], x: np.ndarray, eps_max: float,
             fac = cls.from_arrays([quantize(a) for a in fac.arrays()],
                                   fac.dims, fac.header_fields())
         diff = fac.reconstruct() - x
-        cheb = chebyshev_norm(diff)
+        cheb = float(np.max(np.abs(diff)))
         if cheb <= eps_max:
             break
     return fac, cheb, frobenius_norm(diff) / (frobenius_norm(x) or 1.0)
@@ -195,14 +197,46 @@ def project_mask(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_signs(u: np.ndarray) -> np.ndarray:
+    # flips each column so that its largest-magnitude entry is positive
+    # (first such entry on ties)
+    pivot = np.argmax(np.abs(u), axis=0)
+    signs = np.sign(u[pivot, np.arange(u.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
+
+
 def _svd_deterministic(m: np.ndarray) -> SvdResult:
     """Thin SVD with each left singular vector flipped so that its
     largest-magnitude entry is positive (first such entry on ties)."""
     u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
-    pivot = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[pivot, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
+    signs = _column_signs(u)
     return SvdResult(u * signs, s, vt * signs[:, None])
+
+
+# Gram eigenvalues carry an absolute error of about n*eps*s_1**2, so singular
+# values below about 1e-7*s_1 are noise there; only cuts above this resolve.
+GRAM_CUT_FLOOR = 1e-6
+
+
+def left_svd(m: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors ``U`` (columns, sign rule of
+    :func:`_svd_deterministic`) and descending singular values ``S`` of ``m``,
+    for a caller that truncates at ``s_i / s_1`` no smaller than ``cut``.
+
+    A wide ``m`` with ``cut >= GRAM_CUT_FLOOR`` takes them from
+    ``eigh(m @ m.T)``, which skips the right singular vectors; values below
+    about ``1e-7 * s_1`` are then inexact, and the columns stay orthonormal.
+    Any other ``m`` takes a thin SVD.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape[0] <= m.shape[1] and cut >= GRAM_CUT_FLOOR:
+        lam, u = np.linalg.eigh(m @ m.T)
+        u = u[:, ::-1]
+        s = np.sqrt(np.clip(lam[::-1], 0.0, None))
+    else:
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u * _column_signs(u), s
 
 
 def truncated_svd(m: np.ndarray, rank: int | None = None, tol: float | None = None) -> SvdResult:

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .tensor_core import (Factorization, FormatError, QuantizeFn, budgeted_search,
-                          frobenius_norm, truncated_svd)
+                          frobenius_norm, left_svd)
 
 TOL0 = 1e-2  # first sweep tolerance of tt_compress_abs
 TOL_FLOOR = 1e-16  # the search stops at the first tolerance below this
@@ -163,25 +163,29 @@ def ttsvd(
         if any(r < 1 for r in ranks):
             raise ValueError("ranks must be positive")
         ranks = [min(r, b) for r, b in zip(ranks, _unfolding_rank_bounds(dims))]
-        delta = None
+        delta, cut = None, 0.0
     else:
         if tol < 0:
             raise ValueError("tol must be nonnegative")
-        delta = tol * frobenius_norm(x) / np.sqrt(d - 1)
+        # delta is at least cut * s_1 of every step's matrix, whose
+        # Frobenius norm is at most ||x||_F
+        cut = tol / np.sqrt(d - 1)
+        delta = cut * frobenius_norm(x)
 
     carriages = []
     r_prev = 1
     c = np.reshape(x, (r_prev * dims[0], -1), order="F")
     for k in range(d - 1):
-        svd = truncated_svd(c, rank=min(c.shape))
+        u, s = left_svd(c, cut)
         if delta is not None:
-            tail = np.cumsum(svd.S[::-1] ** 2)[::-1]
+            tail = np.cumsum(s[::-1] ** 2)[::-1]
             keep = int(np.sum(tail > delta**2))
             r = max(1, keep)
         else:
-            r = min(ranks[k], svd.S.size)
-        carriages.append(np.reshape(svd.U[:, :r], (r_prev, dims[k], r), order="F"))
-        c = svd.S[:r, None] * svd.Vt[:r]
+            r = min(ranks[k], s.size)
+        u = u[:, :r]
+        carriages.append(np.reshape(u, (r_prev, dims[k], r), order="F"))
+        c = u.T @ c
         r_prev = r
         c = np.reshape(c, (r_prev * dims[k + 1], -1), order="F")
     carriages.append(np.reshape(c, (r_prev, dims[-1], 1), order="F"))

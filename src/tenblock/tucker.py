@@ -14,9 +14,8 @@ from .tensor_core import (
     Factorization,
     FormatError,
     QuantizeFn,
-    SvdResult,
-    _svd_deterministic,
     budgeted_search,
+    left_svd,
     mode_product,
     rank_from_spectrum,
     unfold,
@@ -68,10 +67,10 @@ class TuckerFactorization(Factorization):
     def candidates(x: np.ndarray):
         """HOSVD at the ranks ``hosvd_tol(TOL0)`` keeps, then with every
         mode rank grown by ``max(1, ceil(0.1 r))``, up to full ranks."""
-        svds = _mode_svds(x)
-        ranks = [rank_from_spectrum(svd.S, TOL0) for svd in svds]
+        bases = _mode_bases(x, TOL0)
+        ranks = [rank_from_spectrum(s, TOL0) for _, s in bases]
         while True:
-            yield _hosvd_at(x, svds, ranks)
+            yield _hosvd_at(x, bases, ranks)
             if ranks == list(x.shape):
                 return
             ranks = [min(n, r + max(1, math.ceil(0.1 * r))) for r, n in zip(ranks, x.shape)]
@@ -87,12 +86,13 @@ def _check_ranks(dims, ranks) -> tuple[int, ...]:
     return ranks
 
 
-def _mode_svds(x: np.ndarray) -> list[SvdResult]:
-    return [_svd_deterministic(unfold(x, k)) for k in range(x.ndim)]
+def _mode_bases(x: np.ndarray, cut: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    # (U, S) of every unfolding for ranks cut at s_i / s_1 >= cut (see left_svd)
+    return [left_svd(unfold(x, k), cut) for k in range(x.ndim)]
 
 
-def _hosvd_at(x: np.ndarray, svds: Sequence[SvdResult], ranks) -> TuckerFactorization:
-    factors = tuple(np.ascontiguousarray(svd.U[:, :r]) for svd, r in zip(svds, ranks))
+def _hosvd_at(x: np.ndarray, bases, ranks) -> TuckerFactorization:
+    factors = tuple(np.ascontiguousarray(u[:, :r]) for (u, _), r in zip(bases, ranks))
     core = x
     for k, u in enumerate(factors):
         core = mode_product(core, u.T, k)
@@ -107,7 +107,7 @@ def hosvd(x: np.ndarray, ranks: Sequence[int]) -> TuckerFactorization:
     """
     x = np.asarray(x, dtype=np.float64)
     ranks = _check_ranks(x.shape, ranks)
-    return _hosvd_at(x, _mode_svds(x), ranks)
+    return _hosvd_at(x, _mode_bases(x, 0.0), ranks)
 
 
 def hosvd_tol(x: np.ndarray, tol: float) -> TuckerFactorization:
@@ -119,8 +119,8 @@ def hosvd_tol(x: np.ndarray, tol: float) -> TuckerFactorization:
     x = np.asarray(x, dtype=np.float64)
     if not 0.0 < tol <= 1.0:
         raise ValueError(f"tol {tol} not in (0, 1]")
-    svds = _mode_svds(x)
-    return _hosvd_at(x, svds, [rank_from_spectrum(svd.S, tol) for svd in svds])
+    bases = _mode_bases(x, tol)
+    return _hosvd_at(x, bases, [rank_from_spectrum(s, tol) for _, s in bases])
 
 
 tucker_reconstruct = TuckerFactorization.reconstruct

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from tenblock.partition import greedy_partition
+from tenblock.synth import SynthSpec, synth
 from tenblock.tensor_core import mode_product
 from tenblock.tt import TTFactorization, tt_reconstruct
 
@@ -29,3 +31,11 @@ def exact_tt_tensor(shape, ranks, seed=0, scale=1.0):
         for k, n in enumerate(shape)
     )
     return tt_reconstruct(TTFactorization(carriages))
+
+
+def synth_block(dims=(32, 24, 8, 32), seed=7):
+    """Largest fully defined block of a small synthetic field, the kind of
+    subtensor the compressor factorizes."""
+    g = synth(SynthSpec(dims=dims, seed=seed))
+    b = max(greedy_partition(g.domain_mask, 8).blocks, key=lambda b: b.area)
+    return g.values[b.x_start:b.x_end, b.y_start:b.y_end]

@@ -321,16 +321,23 @@ def qtt_mode_factor_product(block):
     block["mode_factors"][0].append(2)
 
 
+def non_object_entry(block):
+    return 1  # replaces the whole entry
+
+
 @pytest.mark.parametrize("method,tamper,message", [
     ("tucker", unknown_kind, "block kind 'zip'"),
     ("tucker", tucker_factor_extent, "factor 0 shape"),
     ("tt", tt_boundary_rank, "boundary carriage ranks must be 1"),
     ("tt", tt_rank_mismatch, "carriage 1 rank mismatch"),
     ("qtt", qtt_mode_factor_product, "do not multiply"),
+    ("tt", non_object_entry, "block entry 1 is not an object"),
 ])
 def test_gsa_rejects_bad_block_record(tmp_path, method, tamper, message):
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path, method)
-    tamper(header["blocks"][0])
+    replacement = tamper(header["blocks"][0])
+    if replacement is not None:
+        header["blocks"][0] = replacement
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError, match=message):
         read_gsa(str(path))

@@ -1,8 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tenblock.cli import main
+from tenblock.formats import read_gst
 from tenblock.partition import BlockIndex
 from tenblock.pipeline import (
     KINDS,
@@ -230,3 +234,25 @@ def test_all_zero_field_round_trips(method):
     assert report.max_cheb_error == 0.0
     assert all(s.rel_frob_error == 0.0 for s in report.block_stats)
     np.testing.assert_array_equal(decompress_dataset(archive).values, g.values)
+
+
+README_RANKS = json.loads(Path(__file__).with_name("readme_ranks.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def readme_field(tmp_path_factory):
+    path = tmp_path_factory.mktemp("readme") / "field.gst"
+    assert main(["synth", "--dims", "64x48x8x64", "--seed", "7", "--out", str(path)]) == 0
+    return read_gst(str(path))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_readme_config_ranks_pinned(readme_field, method):
+    # per-block ranks and CR_all of the README walkthrough, frozen when the
+    # mode bases came from full thin SVDs: a change to how bases are
+    # computed that moves a rank fails here
+    archive, report = compress_dataset(readme_field, method, 0.5, 8, 4)
+    got = [{"rect": list(b.rect), "interval": b.interval, "ranks": list(b.fac.ranks)}
+           for b in archive.blocks]
+    assert got == README_RANKS[method]["blocks"]
+    assert report.cr_all == README_RANKS[method]["cr_all"]

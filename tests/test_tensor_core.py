@@ -1,11 +1,19 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from helpers import random_orthonormal
 from tenblock.tensor_core import (
+    GRAM_CUT_FLOOR,
+    Factorization,
     GappyTensor4,
+    _svd_deterministic,
+    budgeted_search,
     chebyshev_norm,
     fold,
     frobenius_norm,
+    left_svd,
     mode_product,
     project_mask,
     rank_from_spectrum,
@@ -212,6 +220,88 @@ def test_truncation_error_matches_tail_spectrum():
     svd = truncated_svd(m, rank=r)
     err = np.linalg.norm(m - svd.U * svd.S @ svd.Vt)
     assert err == pytest.approx(np.sqrt(np.sum(full[r:] ** 2)), rel=1e-10)
+
+
+def _reference_left_svd(m):
+    # NumPy's thin SVD under the sign rule: largest-magnitude entry positive
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    for j in range(u.shape[1]):
+        if u[np.argmax(np.abs(u[:, j])), j] < 0:
+            u[:, j] *= -1.0
+    return u, s
+
+
+def test_left_svd_gram_route_matches_svd_reference():
+    # separated leading spectrum over a tail that reaches below the floor
+    rng = np.random.default_rng(12)
+    rows, cols = 20, 300
+    spectrum = np.concatenate([[10.0, 7.0, 5.0, 3.0, 2.0], np.logspace(-2, -9, rows - 5)])
+    m = random_orthonormal(rng, rows, rows) * spectrum @ random_orthonormal(rng, cols, rows).T
+    u, s = left_svd(m, 1e-3)
+    ref_u, ref_s = _reference_left_svd(m)
+    above = ref_s >= GRAM_CUT_FLOOR * ref_s[0]
+    assert 5 < above.sum() < rows
+    np.testing.assert_allclose(s[above], ref_s[above], rtol=0, atol=1e-8 * ref_s[0])
+    np.testing.assert_allclose(u[:, :5], ref_u[:, :5], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(u.T @ u, np.eye(rows), atol=1e-12)
+    assert np.all(np.diff(s) <= 0)
+    for j in range(rows):
+        assert u[np.argmax(np.abs(u[:, j])), j] > 0
+
+
+@pytest.mark.parametrize("shape,cut,gram", [
+    ((20, 300), 1e-2, True),
+    ((20, 20), GRAM_CUT_FLOOR, True),
+    ((20, 300), GRAM_CUT_FLOOR / 10, False),
+    ((20, 300), 0.0, False),
+    ((300, 20), 1e-2, False),
+])
+def test_left_svd_route(monkeypatch, shape, cut, gram):
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    m = np.random.default_rng(13).standard_normal(shape)
+    u, s = left_svd(m, cut)
+    assert calls == ([(shape[0], shape[0])] if gram else [])
+    if not gram:
+        ref = _svd_deterministic(m)
+        assert np.array_equal(u, ref.U) and np.array_equal(s, ref.S)
+
+
+@dataclass(frozen=True)
+class _Values(Factorization):
+    """Stub factorization that stores its reconstruction."""
+
+    values: np.ndarray
+    kind = "values"
+
+    @property
+    def dims(self):
+        return self.values.shape
+
+    def arrays(self):
+        return [self.values]
+
+    def reconstruct(self):
+        return self.values
+
+    @classmethod
+    def from_arrays(cls, arrays, dims, fields):
+        return cls(arrays[0])
+
+    @staticmethod
+    def candidates(x):
+        with_nan = x.copy()
+        with_nan[1, 2, 0] = np.nan
+        yield _Values(with_nan)
+        yield _Values(x + 0.25)
+
+
+def test_budgeted_search_rejects_nan_reconstruction():
+    x = np.random.default_rng(14).standard_normal((3, 4, 2))
+    fac, cheb, _ = budgeted_search(_Values, x, 0.5)
+    assert not np.isnan(fac.values).any()
+    assert cheb == pytest.approx(0.25)
 
 
 def test_rank_from_spectrum():

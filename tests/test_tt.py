@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import exact_tt_tensor
+from helpers import exact_tt_tensor, synth_block
 from tenblock.tensor_core import frobenius_norm
 from tenblock.tt import (
     _prime_factors,
@@ -25,6 +25,28 @@ def test_ttsvd_separable_is_rank_one():
     f = ttsvd(x, tol=1e-12)
     assert f.ranks == (1, 1)
     np.testing.assert_allclose(tt_reconstruct(f), x, atol=1e-12)
+
+
+def _reference_tt_ranks(x, tol):
+    # the TT-SVD sweep with NumPy's SVD, carrying S * Vt to the next step
+    delta = tol * np.linalg.norm(x) / np.sqrt(x.ndim - 1)
+    ranks = []
+    c, r = x, 1
+    for n in x.shape[:-1]:
+        _, s, vt = np.linalg.svd(c.reshape(r * n, -1, order="F"), full_matrices=False)
+        tail = np.cumsum(s[::-1] ** 2)[::-1]
+        r = max(1, int(np.sum(tail > delta**2)))
+        ranks.append(r)
+        c = s[:r, None] * vt[:r]
+    return tuple(ranks)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_ttsvd_tol_ranks_match_svd_reference(quantized):
+    x = synth_block()
+    if quantized:
+        x = qtt_reshape(x)[0]
+    assert ttsvd(x, tol=1e-2).ranks == _reference_tt_ranks(x, 1e-2)
 
 
 def test_ttsvd_exact_at_construction_ranks():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import exact_tucker_tensor
+from helpers import exact_tucker_tensor, synth_block
 from tenblock.tensor_core import frobenius_norm, unfold
 from tenblock.tucker import (
+    TOL0,
+    TuckerFactorization,
     hosvd,
     hosvd_tol,
     tucker_compress_abs,
@@ -91,6 +93,15 @@ def test_hosvd_tol_keeps_dominant_rank():
     x = exact_tucker_tensor((10, 12, 8), (2, 2, 2), seed=6, scale=5.0)
     f = hosvd_tol(x, 1e-10)
     assert f.ranks == (2, 2, 2)
+
+
+def test_first_candidate_ranks_match_svd_reference():
+    x = synth_block()
+    ref = []
+    for k in range(x.ndim):
+        s = np.linalg.svd(unfold(x, k), compute_uv=False)
+        ref.append(int(np.count_nonzero(s >= TOL0 * s[0])))
+    assert next(TuckerFactorization.candidates(x)).ranks == tuple(ref)
 
 
 def test_hosvd_tol_tau_one_collapses_to_rank_one():
