@@ -1,8 +1,7 @@
-"""Compare the compiled block-scan kernel against the numpy fallback.
+"""Time the greedy and power-of-two partitions on coastline masks.
 
-Runs the full greedy cover on synthetic coastline masks of growing size
-with each kernel and reports wall time and the speedup.  Both paths must
-return identical block lists; this doubles as a parity check at scale.
+Runs both covers on synthetic coastline masks of growing size and reports
+the best wall time of three runs with the block counts.
 
 Usage: python3 benchmarks/bench_partition.py [--sizes 128x96,306x200]
 """
@@ -12,41 +11,17 @@ import time
 
 import numpy as np
 
-from tenblock import partition
-from tenblock.partition import BlockIndex, _find_largest_numpy
+from tenblock.partition import greedy_partition, pow2_partition
 from tenblock.synth import coastline_mask
 
-try:
-    from tenblock import _speedups
-except ImportError:
-    _speedups = None
 
-
-def _compiled_kernel(free, s_min):
-    return _speedups.find_largest_block(
-        np.ascontiguousarray(free, dtype=np.uint8), s_min)
-
-
-def greedy_with(kernel, mask, s_min):
-    free = mask.copy()
-    blocks = []
-    while True:
-        found = kernel(free, s_min)
-        if found is None:
-            return blocks
-        b = BlockIndex(*found)
-        blocks.append(b)
-        free[b.x_start:b.x_end, b.y_start:b.y_end] = False
-
-
-def bench(kernel, mask, s_min, repeats=3):
+def bench(partition, mask, s_min, repeats=3):
     best = np.inf
-    blocks = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        blocks = greedy_with(kernel, mask, s_min)
+        result = partition(mask, s_min)
         best = min(best, time.perf_counter() - t0)
-    return best, blocks
+    return best, result
 
 
 def main():
@@ -61,21 +36,15 @@ def main():
         nx, ny = tok.lower().split("x")
         sizes.append((int(nx), int(ny)))
 
-    print(f"default backend: {partition.kernel_backend()}")
-    print(f"{'size':>10} {'blocks':>7} {'numpy':>10} {'compiled':>10} {'speedup':>8}")
+    print(f"{'size':>10} {'greedy':>10} {'blocks':>7} {'pow2':>10} {'blocks':>7}")
     rng = np.random.default_rng(args.seed)
     for nx, ny in sizes:
         mask = coastline_mask(nx, ny, 0.15, rng)
+        t_g, greedy = bench(greedy_partition, mask, args.s_min)
+        t_p, pow2 = bench(pow2_partition, mask, args.s_min)
         label = f"{nx}x{ny}"
-        t_np, blocks_np = bench(_find_largest_numpy, mask, args.s_min)
-        if _speedups is None:
-            print(f"{label:>10} {len(blocks_np):>7} {t_np:>9.4f}s {'n/a':>10} {'n/a':>8}")
-            continue
-        t_c, blocks_c = bench(_compiled_kernel, mask, args.s_min)
-        if blocks_np != blocks_c:
-            raise SystemExit(f"kernel mismatch at {label}")
-        print(f"{label:>10} {len(blocks_np):>7} {t_np:>9.4f}s {t_c:>9.4f}s "
-              f"{t_np / t_c:>7.1f}x")
+        print(f"{label:>10} {t_g:>9.4f}s {len(greedy.blocks):>7} "
+              f"{t_p:>9.4f}s {len(pow2.blocks):>7}")
 
 
 if __name__ == "__main__":

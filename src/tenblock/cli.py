@@ -12,7 +12,7 @@ import numpy as np
 
 from . import formats, pipeline
 from .completion import ObservationMask, SvpParams, svp_complete
-from .partition import greedy_partition, kernel_backend, pow2_partition
+from .partition import greedy_partition, pow2_partition
 from .synth import SynthSpec, synth
 from .tensor_core import chebyshev_norm
 
@@ -59,8 +59,7 @@ def _cmd_partition(args) -> int:
     data = formats.read_gst(args.infile)
     part = (pow2_partition if args.pow2 else greedy_partition)(data.domain_mask, args.s_min)
     print(f"{len(part.blocks)} blocks, {part.leftover_cells} leftover cells "
-          f"(s_min={args.s_min}, {'pow2' if args.pow2 else 'greedy'}, "
-          f"kernel={kernel_backend()})")
+          f"(s_min={args.s_min}, {'pow2' if args.pow2 else 'greedy'})")
     for b in part.blocks:
         print(f"  [{b.x_start}:{b.x_end}) x [{b.y_start}:{b.y_end})  area {b.area}")
     if args.out:

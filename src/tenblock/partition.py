@@ -3,10 +3,10 @@ power-of-two variant, and temporal interval splitting.
 
 The greedy scan visits seeds in row-major order, expands each seed first
 down the x axis and then along y (never revisiting x), and keeps the
-first rectangle of strictly largest area.  The inner scan runs through a
-compiled kernel when the extension built, with a vectorized numpy
-fallback otherwise; both lanes are exact and kept in lockstep by the
-parity tests.
+first rectangle of strictly largest area.  One vectorized NumPy scan
+does this exactly: run lengths bound every seed's area from above, and
+only the seeds whose bound reaches an area already found get their exact
+width.  The tests hold it to a literal cell-by-cell transliteration.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-try:
-    from . import _speedups
-except ImportError:
-    _speedups = None
+# read by the traced runs of perfbench/run.py; there is no compiled lane
+_speedups = None
 
 
 class BlockIndex(NamedTuple):
@@ -42,7 +40,8 @@ class PartitionResult:
 
 
 def kernel_backend() -> str:
-    return "numpy" if _speedups is None else "compiled"
+    # recorded in the run environment by perfbench/run.py
+    return "numpy"
 
 
 def is_valid_block(domain_mask, used_mask, rect, s_min: int) -> bool:
@@ -61,61 +60,66 @@ def is_valid_block(domain_mask, used_mask, rect, s_min: int) -> bool:
     return not used_mask[x0:x1, y0:y1].any()
 
 
-def _run_arrays(free: np.ndarray, s_min: int):
-    # h[i, j] = free-run length rightward from (i, j)
-    # d[i, j] = consecutive rows below i with h >= s_min (x-expansion depth)
-    # v[i, j] = free-run length downward from (i, j)
-    nx, ny = free.shape
-    h = np.zeros((nx, ny + 1), dtype=np.int32)
-    for j in range(ny - 1, -1, -1):
-        h[:, j] = np.where(free[:, j], h[:, j + 1] + 1, 0)
-    w = h[:, :ny] >= s_min
-    d = np.zeros((nx + 1, ny), dtype=np.int32)
-    v = np.zeros((nx + 1, ny), dtype=np.int32)
-    for i in range(nx - 1, -1, -1):
-        d[i] = np.where(w[i], d[i + 1] + 1, 0)
-        v[i] = np.where(free[i], v[i + 1] + 1, 0)
-    return d[:nx], v[:nx]
+def _runs(cells: np.ndarray, axis: int) -> np.ndarray:
+    """Length of the run of True cells that starts at each cell and goes
+    forward along ``axis`` (down for 0, right for 1)."""
+    n = cells.shape[axis]
+    pos = np.arange(n, dtype=np.int32).reshape((n, 1) if axis == 0 else (1, n))
+    # stop: the first blocked position at or after each cell, or n
+    stop = np.where(cells, np.int32(n), pos)
+    backward = np.flip(stop, axis)
+    np.minimum.accumulate(backward, axis=axis, out=backward)
+    stop -= pos
+    return stop
 
 
-def _find_largest_numpy(free: np.ndarray, s_min: int):
-    nx, ny = free.shape
-    if s_min < 1 or nx < s_min or ny < s_min:
-        return None
-    d, v = _run_arrays(free, s_min)
-    n_seed = ny - s_min + 1
-    seeds = np.arange(n_seed)
-    ys = np.arange(ny)
-    best_area = 0
-    best = None
-    for i in range(nx - s_min + 1):
-        drow = d[i, :n_seed]
-        valid = drow >= s_min
-        if not valid.any():
-            continue
-        vrow = v[i]
-        areas = np.zeros(n_seed, dtype=np.int64)
-        for hh in np.unique(drow[valid]):
-            group = valid & (drow == hh)
-            # nf[y] = first column >= y where the free run is shorter than hh
-            nf = np.where(vrow < hh, ys, ny)
-            nf = np.append(np.minimum.accumulate(nf[::-1])[::-1], ny)
-            y_end = nf[seeds[group] + s_min]
-            areas[group] = int(hh) * (y_end - seeds[group])
-        j = int(np.argmax(areas))
-        area = int(areas[j])
-        if area > best_area:
-            best_area = area
-            hh = int(d[i, j])
-            best = (i, i + hh, j, j + area // hh)
-    return best
+def _areas(v: np.ndarray, d: np.ndarray, s_min: int, seeds: np.ndarray) -> np.ndarray:
+    """Exact block area of each flat seed index: depth d, width up to the
+    first column past the seed square whose downward run v is shorter than
+    d.  That column is found by binary lifting over a sparse table of
+    windowed minima of v, built for the seed rows only."""
+    ny = v.shape[1]
+    i, j = np.divmod(seeds, ny)
+    depth = d[i, j]
+    rows, row_of = np.unique(i, return_inverse=True)
+    # level k holds min(v[row, y:y + 2**k]), or -1 where that runs past ny
+    level = np.full((len(rows), ny + 1), -1, dtype=v.dtype)
+    level[:, :ny] = v[rows]
+    levels = [level]
+    while 2 ** len(levels) <= ny:
+        step = 2 ** (len(levels) - 1)
+        level = level.copy()
+        level[:, :ny + 1 - step] = np.minimum(level[:, :ny + 1 - step], level[:, step:])
+        levels.append(level)
+    end = j + s_min
+    for k in range(len(levels) - 1, -1, -1):
+        end = end + np.where(levels[k][row_of, end] >= depth, 2 ** k, 0)
+    return depth * (end - j)
 
 
 def _find_largest(free: np.ndarray, s_min: int):
-    if _speedups is not None:
-        return _speedups.find_largest_block(
-            np.ascontiguousarray(free, dtype=np.uint8), s_min)
-    return _find_largest_numpy(free, s_min)
+    nx, ny = free.shape
+    if s_min < 1 or nx < s_min or ny < s_min:
+        return None
+    h = _runs(free, 1)
+    d = _runs(h >= s_min, 0)   # x-expansion depth of each seed
+    v = _runs(free, 0)
+    # a seed's block is d deep and at most its own row's run h wide
+    bound = (np.multiply(d, h, dtype=np.int64) * (d >= s_min)).ravel()
+    top = int(np.argmax(bound))
+    if bound[top] == 0:
+        return None
+    # the top seed's exact area is a floor on the largest one; only seeds
+    # whose bound reaches it can hold the first maximum
+    i, j = divmod(top, ny)
+    short = np.flatnonzero(v[i, j + s_min:] < d[i, j])
+    width = s_min + (int(short[0]) if short.size else ny - j - s_min)
+    seeds = np.flatnonzero(bound >= int(d[i, j]) * width)
+    areas = _areas(v, d, s_min, seeds)
+    k = int(np.argmax(areas))
+    i, j = divmod(int(seeds[k]), ny)
+    depth = int(d[i, j])
+    return i, i + depth, j, j + int(areas[k]) // depth
 
 
 def find_largest_block(domain_mask, used_mask, s_min: int) -> BlockIndex | None:
@@ -163,18 +167,6 @@ def _pow2_shapes(nx: int, ny: int, s_min: int) -> list[tuple[int, int]]:
     return shapes
 
 
-def _first_fit(free: np.ndarray, w: int, h: int):
-    nx, ny = free.shape
-    ii = np.zeros((nx + 1, ny + 1), dtype=np.int64)
-    ii[1:, 1:] = free.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-    s = ii[w:, h:] - ii[:-w, h:] - ii[w:, :-h] + ii[:-w, :-h]
-    hits = s == w * h
-    if not hits.any():
-        return None
-    i, j = divmod(int(np.argmax(hits)), hits.shape[1])
-    return i, j
-
-
 def pow2_partition(domain_mask, s_min: int) -> PartitionResult:
     """Greedy cover by rectangles whose sides are powers of two >= s_min.
 
@@ -193,17 +185,20 @@ def pow2_partition(domain_mask, s_min: int) -> PartitionResult:
     shapes = _pow2_shapes(nx, ny, s_min)
     free = domain_mask.copy()
     blocks = []
-    placed = True
-    while placed:
-        placed = False
-        for w, h in shapes:
-            pos = _first_fit(free, w, h)
-            if pos is not None:
-                i, j = pos
-                blocks.append(BlockIndex(i, i + w, j, j + h))
-                free[i:i + w, j:j + h] = False
-                placed = True
-                break
+    ii = np.zeros((nx + 1, ny + 1), dtype=np.int64)   # integral image of free
+    ii[1:, 1:] = free.cumsum(axis=0).cumsum(axis=1)
+    k = 0
+    while k < len(shapes):
+        w, h = shapes[k]
+        fits = ii[w:, h:] - ii[:-w, h:] - ii[w:, :-h] + ii[:-w, :-h] == w * h
+        if not fits.any():
+            # free cells only shrink, so this shape never fits again
+            k += 1
+            continue
+        i, j = divmod(int(np.argmax(fits)), fits.shape[1])
+        blocks.append(BlockIndex(i, i + w, j, j + h))
+        free[i:i + w, j:j + h] = False
+        ii[1:, 1:] = free.cumsum(axis=0).cumsum(axis=1)
     return PartitionResult(tuple(blocks), int(free.sum()))
 
 

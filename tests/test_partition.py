@@ -1,9 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tenblock.partition import (
     BlockIndex,
-    _find_largest_numpy,
+    _pow2_shapes,
     find_largest_block,
     greedy_partition,
     is_valid_block,
@@ -107,42 +110,42 @@ def test_greedy_partition_disjoint_and_in_domain():
     assert res.leftover_cells == int((mask & ~covered).sum())
 
 
-def test_find_largest_matches_reference_scan():
+@pytest.mark.parametrize("shape, s_mins, density", [
+    ((18, 15), (2, 5), (0.4, 0.95)),
+    ((18, 15), (1, 3), (0.4, 0.95)),
+    ((1, 15), (1, 3), (0.4, 1.0)),
+    ((18, 1), (1, 3), (0.4, 1.0)),
+    ((18, 15), (1, 6), (1.0, 1.0)),
+], ids=["s_min2-4", "s_min1-2", "one-row", "one-column", "all-free"])
+def test_find_largest_matches_reference_scan(shape, s_mins, density):
     rng = np.random.default_rng(1)
     for trial in range(30):
-        mask = rng.random((18, 15)) < rng.uniform(0.4, 0.95)
+        mask = rng.random(shape) < rng.uniform(*density)
         used = np.zeros_like(mask)
-        s_min = int(rng.integers(2, 5))
+        s_min = int(rng.integers(*s_mins))
         want = reference_find_largest(mask, used, s_min)
         got = find_largest_block(mask, used, s_min)
         assert (got is None and want is None) or tuple(got) == want
 
 
-def test_greedy_matches_reference_scan_with_used_cells():
+@pytest.mark.parametrize("shape, s_min, density", [
+    ((16, 14), 3, 0.85),
+    ((16, 14), 1, 0.85),
+    ((16, 14), 2, 0.85),
+    ((1, 14), 1, 0.85),
+    ((16, 1), 2, 0.85),
+    ((16, 14), 3, 1.0),
+], ids=["s_min3", "s_min1", "s_min2", "one-row", "one-column", "all-free"])
+def test_greedy_matches_reference_scan_with_used_cells(shape, s_min, density):
     rng = np.random.default_rng(2)
     for trial in range(8):
-        mask = rng.random((16, 14)) < 0.85
-        s_min = 3
+        mask = rng.random(shape) < density
         res = greedy_partition(mask, s_min)
         used = np.zeros_like(mask)
         for b in res.blocks:
             want = reference_find_largest(mask, used, s_min)
             assert tuple(b) == want
             used[b.x_start:b.x_end, b.y_start:b.y_end] = True
-
-
-def test_numpy_kernel_matches_public_result():
-    rng = np.random.default_rng(3)
-    for trial in range(20):
-        mask = rng.random((25, 20)) < rng.uniform(0.5, 0.95)
-        s_min = int(rng.integers(2, 6))
-        free = mask.copy()
-        got = find_largest_block(mask, np.zeros_like(mask), s_min)
-        ref = _find_largest_numpy(free, s_min)
-        if got is None:
-            assert ref is None
-        else:
-            assert tuple(got) == ref
 
 
 def test_kernel_backend_reports_a_known_name():
@@ -210,6 +213,54 @@ def test_pow2_partition_prefers_squarer_shape_of_equal_area():
     mask[10:26, 0:8] = True
     res = pow2_partition(mask, 4)
     assert tuple(res.blocks[0]) == (10, 26, 0, 8)
+
+
+def reference_pow2_partition(domain_mask, s_min):
+    """The cover loop as first written: every round restarts at the
+    largest shape and builds a fresh integral image per shape tried."""
+    free = np.asarray(domain_mask, dtype=bool).copy()
+    nx, ny = free.shape
+    shapes = _pow2_shapes(nx, ny, s_min)
+    blocks = []
+    placed = True
+    while placed:
+        placed = False
+        for w, h in shapes:
+            ii = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+            ii[1:, 1:] = free.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+            hits = ii[w:, h:] - ii[:-w, h:] - ii[w:, :-h] + ii[:-w, :-h] == w * h
+            if hits.any():
+                i, j = divmod(int(np.argmax(hits)), hits.shape[1])
+                blocks.append(BlockIndex(i, i + w, j, j + h))
+                free[i:i + w, j:j + h] = False
+                placed = True
+                break
+    return tuple(blocks), int(free.sum())
+
+
+@pytest.mark.parametrize("s_min", [1, 2, 4, 8])
+def test_pow2_partition_matches_restarting_loop(s_min):
+    rng = np.random.default_rng(7)
+    for trial in range(12):
+        nx, ny = (int(n) for n in rng.integers(1, 64, size=2))
+        if trial % 2:
+            mask = rng.random((nx, ny)) < rng.uniform(0.7, 1.0)
+        else:
+            mask = coastline_mask(nx, ny, rng.uniform(0.05, 0.3), rng)
+        res = pow2_partition(mask, s_min)
+        assert (res.blocks, res.leftover_cells) == reference_pow2_partition(mask, s_min)
+
+
+def test_partitions_pinned_at_scale():
+    # block lists written by the row-loop scan this one replaced
+    pinned = json.loads((Path(__file__).parent / "partition_pinned.json").read_text())
+    mask = coastline_mask(128, 96, 0.15, np.random.default_rng(0))
+    for name, partition in [("greedy", greedy_partition), ("pow2", pow2_partition)]:
+        res = partition(mask, pinned["s_min"])
+        assert [list(b) for b in res.blocks] == pinned[name]["blocks"], name
+        assert res.leftover_cells == pinned[name]["leftover_cells"], name
+        areas = np.array([b.area for b in res.blocks], dtype=np.int64)
+        assert areas.sum() + res.leftover_cells == np.count_nonzero(mask)
 
 
 def test_pow2_partition_requires_power_of_two_s_min():
