@@ -1,0 +1,97 @@
+"""Time the factorization layers on the blocks of the benchmark field.
+
+Builds the 72x54x16x128 synthetic field of the `deep` and `split16`
+workloads (``SynthSpec(dims=(72, 54, 16, 128), seed=0, noise=0.02)``),
+partitions it at ``s_min=8`` (greedy blocks; power-of-two blocks for QTT)
+and cuts time into 1 and 16 intervals.  For each split count it times every
+layer summed over all block x interval subtensors, at the first candidate a
+budgeted search tries (Tucker ranks and TT/QTT sweep tolerance ``TOL0``):
+
+- Tucker mode bases, core projection and reconstruct;
+- ``ttsvd`` and ``qtt_compress``;
+- TT and QTT reconstruct;
+
+plus the ``GappyTensor4`` validation of the whole field.  Each figure is
+the median wall time of ``--repeats`` runs in one process, BLAS pinned to
+one thread.
+
+Usage: python3 benchmarks/bench_layers.py [--repeats 15] [--splits 1,16]
+"""
+
+import argparse
+import os
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from tenblock.partition import greedy_partition, pow2_partition, temporal_split  # noqa: E402
+from tenblock.synth import SynthSpec, synth  # noqa: E402
+from tenblock.tensor_core import GappyTensor4, rank_from_spectrum  # noqa: E402
+from tenblock.tt import TOL0 as TT_TOL0, qtt_compress, ttsvd  # noqa: E402
+from tenblock.tucker import TOL0, _hosvd_at, _mode_bases  # noqa: E402
+
+DIMS = (72, 54, 16, 128)
+
+
+def median_ms(fn, items, repeats):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for item in items:
+            fn(item)
+        times.append(time.perf_counter() - t0)
+    return 1e3 * float(np.median(times))
+
+
+def subtensors(values, blocks, splits):
+    return [values[b.x_start:b.x_end, b.y_start:b.y_end, :, t0:t1]
+            for b in blocks for t0, t1 in splits]
+
+
+def layer_times(g, n_splits, repeats):
+    splits = temporal_split(g.dims[3], n_splits)
+    subs = subtensors(g.values, greedy_partition(g.domain_mask, 8).blocks, splits)
+    pow2_subs = subtensors(g.values, pow2_partition(g.domain_mask, 8).blocks, splits)
+
+    bases = [_mode_bases(x, TOL0) for x in subs]
+    tucker = [(x, b, [rank_from_spectrum(s, TOL0) for _, s in b]) for x, b in zip(subs, bases)]
+    tuckers = [_hosvd_at(*args) for args in tucker]
+    tts = [ttsvd(x, tol=TT_TOL0) for x in subs]
+    qtts = [qtt_compress(x, tol=TT_TOL0) for x in pow2_subs]
+    return {
+        "tucker mode bases": median_ms(lambda x: _mode_bases(x, TOL0), subs, repeats),
+        "tucker core": median_ms(lambda a: _hosvd_at(*a), tucker, repeats),
+        "tucker reconstruct": median_ms(lambda f: f.reconstruct(), tuckers, repeats),
+        "ttsvd": median_ms(lambda x: ttsvd(x, tol=TT_TOL0), subs, repeats),
+        "qtt_compress": median_ms(lambda x: qtt_compress(x, tol=TT_TOL0), pow2_subs, repeats),
+        "tt reconstruct": median_ms(lambda f: f.reconstruct(), tts, repeats),
+        "qtt reconstruct": median_ms(lambda f: f.reconstruct(), qtts, repeats),
+    }, len(subs), len(pow2_subs)
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repeats", type=int, default=15)
+    ap.add_argument("--splits", default="1,16")
+    args = ap.parse_args()
+
+    g = synth(SynthSpec(dims=DIMS, seed=0, noise=0.02))
+    split_counts = [int(s) for s in args.splits.split(",")]
+    columns = []
+    for n in split_counts:
+        times, n_greedy, n_pow2 = layer_times(g, n, args.repeats)
+        columns.append(times)
+        print(f"splits={n}: {n_greedy} greedy and {n_pow2} pow2 subtensors")
+    validate = median_ms(lambda _: GappyTensor4(g.values, g.domain_mask), [None], args.repeats)
+
+    print(f"{'layer (ms)':<22}" + "".join(f"{f'splits={n}':>12}" for n in split_counts))
+    for layer in columns[0]:
+        print(f"{layer:<22}" + "".join(f"{c[layer]:>12.2f}" for c in columns))
+    print(f"{'GappyTensor4 check':<22}{validate:>12.2f}")
+
+
+if __name__ == "__main__":
+    main()

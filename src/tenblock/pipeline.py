@@ -197,7 +197,7 @@ def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
     cells = leftover_cells(archive.domain_mask, covered)
     if cells.shape[0] != archive.leftover_values.shape[0]:
         raise ValueError("leftover store does not match mask and block list")
-    values[cells[:, 0], cells[:, 1]] = archive.leftover_values.astype(np.float64)
+    values[cells[:, 0], cells[:, 1]] = archive.leftover_values
     return GappyTensor4(values, archive.domain_mask)
 
 

@@ -1,7 +1,8 @@
 """Dense multiway-array primitives: unfoldings, mode products, norms,
 masked projection, a deterministic truncated SVD, left singular bases by
-the cheaper of a Gram eigendecomposition and an SVD, and the interface and
-error-budgeted search shared by the block factorizations.
+the cheaper of a Gram eigendecomposition and an SVD (mode Grams formed from
+views, without an unfolding), and the interface and error-budgeted search
+shared by the block factorizations.
 
 Tensors are plain ``numpy.ndarray`` objects in float64.  Whenever a linear
 (flat) ordering of entries matters -- unfolding columns, serialization --
@@ -11,6 +12,7 @@ second, and so on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
@@ -36,10 +38,14 @@ class GappyTensor4:
             raise ValueError(f"values must be 4-D, got {v.ndim}-D")
         if m.shape != v.shape[:2]:
             raise ValueError(f"mask shape {m.shape} does not match grid {v.shape[:2]}")
-        nan_cols = np.isnan(v)
-        if np.any(nan_cols != ~m[:, :, None, None]):
-            raise ValueError("NaN pattern inconsistent with domain mask")
-        if not np.all(np.isfinite(v[m])):
+        defined = m[:, :, None, None]
+        # valid exactly when the finite cells are the defined ones and every
+        # other cell is NaN (not inf); on failure the slower checks name it
+        n_undefined = v.size - int(np.count_nonzero(m)) * v.shape[2] * v.shape[3]
+        if not (np.all(np.isfinite(v) == defined)
+                and np.count_nonzero(np.isnan(v)) == n_undefined):
+            if np.any(np.isnan(v) != ~defined):
+                raise ValueError("NaN pattern inconsistent with domain mask")
             raise ValueError("defined values must be finite")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "domain_mask", m)
@@ -219,6 +225,25 @@ def _svd_deterministic(m: np.ndarray) -> SvdResult:
 GRAM_CUT_FLOOR = 1e-6
 
 
+# below this many entries per (n, trail) slice, one GEMM call per slice
+# costs more than copying the block into its unfolding (about 1 us a call
+# against 2 ns an entry on a 2-core x86 VM)
+GRAM_SLICE_MIN = 512
+
+
+def _takes_gram(rows: int, cols: int, cut: float) -> bool:
+    # the Gram route of left_svd: a wide matrix cut no finer than the floor
+    return rows <= cols and cut >= GRAM_CUT_FLOOR
+
+
+def _gram_left_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (U, S) of M from its Gram g = M M^T: eigenpairs in descending order,
+    # rounding-negative eigenvalues clipped to 0, S = sqrt(lambda)
+    lam, u = np.linalg.eigh(g)
+    u = u[:, ::-1]
+    return u * _column_signs(u), np.sqrt(np.clip(lam[::-1], 0.0, None))
+
+
 def left_svd(m: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors ``U`` (columns, sign rule of
     :func:`_svd_deterministic`) and descending singular values ``S`` of ``m``,
@@ -230,13 +255,47 @@ def left_svd(m: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
     Any other ``m`` takes a thin SVD.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.shape[0] <= m.shape[1] and cut >= GRAM_CUT_FLOOR:
-        lam, u = np.linalg.eigh(m @ m.T)
-        u = u[:, ::-1]
-        s = np.sqrt(np.clip(lam[::-1], 0.0, None))
-    else:
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
+    if _takes_gram(*m.shape, cut):
+        return _gram_left_svd(m @ m.T)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u * _column_signs(u), s
+
+
+def mode_gram(x: np.ndarray, mode: int) -> np.ndarray:
+    """``unfold(x, mode) @ unfold(x, mode).T`` without the unfolding.
+
+    The Gram does not depend on the order of the unfolding's columns, so it
+    is formed from reshaped views of the C-contiguous ``x`` (a copy is made
+    only if ``x`` is not C-contiguous): ``x`` as ``(lead, n, trail)`` gives
+    the sum over ``lead`` of its ``(n, trail)`` slices times their
+    transposes.  A middle mode whose slices hold fewer than
+    ``GRAM_SLICE_MIN`` entries unfolds instead.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    _check_mode(x, mode)
+    n = x.shape[mode]
+    if mode == 0:
+        m = x.reshape(n, -1)
+        return m @ m.T
+    if mode == x.ndim - 1:
+        m = x.reshape(-1, n)
+        return m.T @ m
+    v = x.reshape(math.prod(x.shape[:mode]), n, -1)
+    if v[0].size < GRAM_SLICE_MIN:
+        m = unfold(x, mode)
+        return m @ m.T
+    return np.matmul(v, v.transpose(0, 2, 1)).sum(axis=0)
+
+
+def mode_left_svd(x: np.ndarray, mode: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """``left_svd(unfold(x, mode), cut)``, with the Gram route's Gram formed
+    by :func:`mode_gram`; pass a C-contiguous ``x`` to spare the copy."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_mode(x, mode)
+    n = x.shape[mode]
+    if _takes_gram(n, x.size // n, cut):
+        return _gram_left_svd(mode_gram(x, mode))
+    return left_svd(unfold(x, mode), cut)
 
 
 def truncated_svd(m: np.ndarray, rank: int | None = None, tol: float | None = None) -> SvdResult:

@@ -40,13 +40,14 @@ class TTFactorization(Factorization):
         return list(self.carriages)
 
     def reconstruct(self) -> np.ndarray:
-        dims = self.dims
-        x = self.carriages[0].reshape(dims[0], -1)
-        for g in self.carriages[1:]:
+        # carries the transposed partial product: C-contiguous
+        # (r_k, n_1*..*n_k), first index fastest along a row, so each step
+        # is one matmul and every reshape, the last one too, is a view
+        y = np.ones((1, 1))
+        for g in self.carriages:
             r_prev, n, r = g.shape
-            x = x @ g.reshape(r_prev, n * r, order="F")
-            x = x.reshape(-1, r, order="F")
-        return x.reshape(dims, order="F")
+            y = (g.transpose(2, 1, 0).reshape(r * n, r_prev) @ y).reshape(r, -1)
+        return y.reshape(self.dims, order="F")
 
     @classmethod
     def from_arrays(cls, arrays, dims, fields) -> TTFactorization:

@@ -15,10 +15,9 @@ from .tensor_core import (
     FormatError,
     QuantizeFn,
     budgeted_search,
-    left_svd,
+    mode_left_svd,
     mode_product,
     rank_from_spectrum,
-    unfold,
 )
 
 TOL0 = 1e-2  # spectrum tolerance of the first ranks tucker_compress_abs tries
@@ -44,10 +43,13 @@ class TuckerFactorization(Factorization):
         return [self.core, *self.factors]
 
     def reconstruct(self) -> np.ndarray:
-        x = self.core
-        for k, u in enumerate(self.factors):
-            x = mode_product(x, u, k)
-        return x
+        # last mode first on C-order reshapes, so each step is one matmul
+        # over views: (lead, r_k, trail) -> (lead, n_k, trail)
+        ranks = self.core.shape
+        x = self.core.reshape(-1, ranks[-1]) @ self.factors[-1].T
+        for k in range(len(ranks) - 2, -1, -1):
+            x = np.matmul(self.factors[k], x.reshape(math.prod(ranks[:k]), ranks[k], -1))
+        return x.reshape(self.dims)
 
     @classmethod
     def from_arrays(cls, arrays, dims, fields) -> TuckerFactorization:
@@ -87,8 +89,10 @@ def _check_ranks(dims, ranks) -> tuple[int, ...]:
 
 
 def _mode_bases(x: np.ndarray, cut: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    # (U, S) of every unfolding for ranks cut at s_i / s_1 >= cut (see left_svd)
-    return [left_svd(unfold(x, k), cut) for k in range(x.ndim)]
+    # (U, S) of every unfolding for ranks cut at s_i / s_1 >= cut (see
+    # left_svd); one C-contiguous copy of the block serves every mode's Gram
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return [mode_left_svd(x, k, cut) for k in range(x.ndim)]
 
 
 def _hosvd_at(x: np.ndarray, bases, ranks) -> TuckerFactorization:

@@ -256,3 +256,16 @@ def test_readme_config_ranks_pinned(readme_field, method):
            for b in archive.blocks]
     assert got == README_RANKS[method]["blocks"]
     assert report.cr_all == README_RANKS[method]["cr_all"]
+
+
+def test_compress_is_layout_independent():
+    # blocks are views of the field; a Fortran-ordered field must give the
+    # same factorizations as the C-ordered one
+    g = small_field(dims=(32, 24, 8, 32))
+    f = GappyTensor4(np.asfortranarray(g.values), g.domain_mask)
+    for method in METHODS:
+        a, ra = compress_dataset(g, method, 0.5, n_splits=2)
+        b, rb = compress_dataset(f, method, 0.5, n_splits=2)
+        assert ([(r.rect, r.interval, r.fac.ranks) for r in a.blocks]
+                == [(r.rect, r.interval, r.fac.ranks) for r in b.blocks])
+        assert ra.cr_all == rb.cr_all

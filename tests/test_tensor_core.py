@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import random_orthonormal
+from tenblock import tensor_core
 from tenblock.tensor_core import (
     GRAM_CUT_FLOOR,
+    GRAM_SLICE_MIN,
     Factorization,
     GappyTensor4,
     _svd_deterministic,
@@ -14,6 +16,7 @@ from tenblock.tensor_core import (
     fold,
     frobenius_norm,
     left_svd,
+    mode_gram,
     mode_product,
     project_mask,
     rank_from_spectrum,
@@ -268,6 +271,33 @@ def test_left_svd_route(monkeypatch, shape, cut, gram):
         assert np.array_equal(u, ref.U) and np.array_equal(s, ref.S)
 
 
+def _block_view(field_shape, rect, interval, seed=15):
+    # a block x interval subtensor sliced the way compress_dataset slices it
+    field = np.random.default_rng(seed).standard_normal(field_shape)
+    (x0, x1), (y0, y1), (t0, t1) = rect[0], rect[1], interval
+    return field[x0:x1, y0:y1][..., t0:t1]
+
+
+@pytest.mark.parametrize("slice_min", [0, GRAM_SLICE_MIN, 10**9])
+@pytest.mark.parametrize("x", [
+    _block_view((9, 8, 3, 20), ((2, 7), (1, 6)), (5, 13)),
+    _block_view((6, 40, 8, 70), ((1, 5), (2, 38)), (3, 67)),
+    _block_view((9, 8, 1, 20), ((3, 4), (1, 6)), (5, 6)),
+    _block_view((9, 8, 3, 20), ((0, 9), (7, 8)), (0, 20)),
+    _block_view((9, 80, 12), ((1, 6), (2, 75)), (3, 10)),
+], ids=["4d", "4d-wide-slices", "4d-extent1", "4d-one-column", "3d"])
+def test_mode_gram_of_view_matches_unfolding(monkeypatch, x, slice_min):
+    # every middle mode both as a sum over slices and through the unfolding
+    monkeypatch.setattr(tensor_core, "GRAM_SLICE_MIN", slice_min)
+    assert not x.flags.c_contiguous
+    for k in range(x.ndim):
+        m = unfold(x, k)
+        ref = m @ m.T
+        g = mode_gram(x, k)
+        assert g.shape == ref.shape
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @dataclass(frozen=True)
 class _Values(Factorization):
     """Stub factorization that stores its reconstruction."""
@@ -355,3 +385,19 @@ def test_gappy_tensor_rejects_bad_shapes():
         GappyTensor4(np.zeros((2, 2, 2)), np.ones((2, 2), bool))
     with pytest.raises(ValueError):
         GappyTensor4(np.zeros((2, 2, 2, 2)), np.ones((2, 3), bool))
+
+
+@pytest.mark.parametrize("cell,value,message", [
+    ((1, 1, 0, 0), np.nan, "NaN pattern"),
+    ((0, 0, 1, 2), 0.0, "NaN pattern"),
+    ((0, 0, 1, 2), np.inf, "NaN pattern"),
+    ((2, 2, 1, 1), -np.inf, "finite"),
+])
+def test_gappy_tensor_names_the_fault(cell, value, message):
+    # (0, 0) is a land column; an inf there is neither NaN nor defined
+    values, mask = _square_field()
+    values[cell] = value
+    with pytest.raises(ValueError, match=message):
+        GappyTensor4(values, mask)
+    with pytest.raises(ValueError, match=message):
+        GappyTensor4(np.asfortranarray(values), mask)

@@ -4,6 +4,8 @@ import pytest
 from helpers import exact_tt_tensor, synth_block
 from tenblock.tensor_core import frobenius_norm
 from tenblock.tt import (
+    QttFactorization,
+    TTFactorization,
     _prime_factors,
     qtt_compress,
     qtt_factorize_modes,
@@ -228,3 +230,48 @@ def test_tt_compress_abs_quantized_budget():
 def test_tt_compress_abs_validation():
     with pytest.raises(ValueError):
         tt_compress_abs(np.ones((2, 2)), 0.0)
+
+
+def _reference_tt_reconstruct(carriages):
+    # the row-major partial-product loop that TTFactorization.reconstruct replaced
+    dims = [g.shape[1] for g in carriages]
+    x = carriages[0].reshape(dims[0], -1)
+    for g in carriages[1:]:
+        r_prev, n, r = g.shape
+        x = x @ g.reshape(r_prev, n * r, order="F")
+        x = x.reshape(-1, r, order="F")
+    return x.reshape(dims, order="F")
+
+
+def _random_carriages(dims, ranks, seed=21):
+    rng = np.random.default_rng(seed)
+    bounds = (1,) + tuple(ranks) + (1,)
+    return tuple(rng.standard_normal((bounds[k], n, bounds[k + 1]))
+                 for k, n in enumerate(dims))
+
+
+@pytest.mark.parametrize("dims,ranks", [
+    ((4, 3, 5, 2), (2, 3, 2)),
+    ((7,), ()),
+    ((1, 4, 1, 3), (2, 3, 2)),
+    ((6, 5), (4,)),
+    ((3, 1, 2, 2, 3), (3, 2, 4, 2)),
+])
+def test_tt_reconstruct_matches_reference_loop(dims, ranks):
+    carriages = _random_carriages(dims, ranks)
+    ref = _reference_tt_reconstruct(carriages)
+    y = TTFactorization(carriages).reconstruct()
+    assert y.shape == tuple(dims)
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dims", [(4, 6, 1, 8), (8, 8, 2, 4), (5, 3)])
+def test_qtt_reconstruct_matches_reference_loop(dims):
+    factors = qtt_factorize_modes(dims)
+    fine = [p for f in factors for p in f]
+    carriages = _random_carriages(fine, [min(3, 1 + k) for k in range(len(fine) - 1)])
+    ref = np.reshape(_reference_tt_reconstruct(carriages), dims, order="F")
+    f = QttFactorization(TTFactorization(carriages), dims, tuple(tuple(p) for p in factors))
+    y = f.reconstruct()
+    assert y.shape == dims
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import exact_tucker_tensor, synth_block
-from tenblock.tensor_core import frobenius_norm, unfold
+from tenblock.tensor_core import GRAM_CUT_FLOOR, frobenius_norm, left_svd, mode_product, unfold
 from tenblock.tucker import (
     TOL0,
     TuckerFactorization,
+    _mode_bases,
     hosvd,
     hosvd_tol,
     tucker_compress_abs,
@@ -182,3 +183,55 @@ def test_compress_abs_validation():
         tucker_compress_abs(x, 0.0)
     with pytest.raises(ValueError):
         tucker_compress_abs(x, -1.0)
+
+
+def _reference_tucker_reconstruct(core, factors):
+    # the mode_product chain that TuckerFactorization.reconstruct replaced
+    x = core
+    for k, u in enumerate(factors):
+        x = mode_product(x, u, k)
+    return x
+
+
+@pytest.mark.parametrize("dims,ranks", [
+    ((6, 5, 4, 7), (3, 2, 4, 2)),
+    ((1, 5, 1, 7), (1, 3, 1, 2)),
+    ((6, 5, 4), (2, 3, 2)),
+    ((9,), (3,)),
+    ((4, 3, 2, 5), (4, 3, 2, 5)),
+])
+def test_tucker_reconstruct_matches_mode_product_chain(dims, ranks):
+    rng = np.random.default_rng(22)
+    core = rng.standard_normal(ranks)
+    factors = tuple(rng.standard_normal((n, r)) for n, r in zip(dims, ranks))
+    ref = _reference_tucker_reconstruct(core, factors)
+    y = TuckerFactorization(core, factors).reconstruct()
+    assert y.shape == dims
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("field_shape,block,cut,gram", [
+    # one tall mode: 40 * 40 > 40 * 3 * 2 * 5
+    ((50, 6, 2, 9), np.s_[5:45, 1:4, :, 2:7], TOL0, [False, True, True, True]),
+    ((50, 6, 2, 9), np.s_[5:45, 1:4, :, 2:7], GRAM_CUT_FLOOR / 10, [False] * 4),
+    ((6, 5, 4, 9), np.s_[1:6, 2:3, :, 2:8], GRAM_CUT_FLOOR, [True] * 4),
+    ((6, 5, 4, 9), np.s_[1:6, 2:3, :, 2:8], 0.0, [False] * 4),
+    ((4, 50, 5), np.s_[1:3, 5:45, 1:4], TOL0, [True, False, True]),
+])
+def test_mode_bases_of_block_view(monkeypatch, field_shape, block, cut, gram):
+    # wide modes cut at or above the floor take eigh of the Gram; tall modes
+    # and finer cuts take the SVD of the unfolding, bit for bit
+    x = np.random.default_rng(23).standard_normal(field_shape)[block]
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[0]) or eigh(a))
+    bases = _mode_bases(x, cut)
+    assert calls == [n for n, g in zip(x.shape, gram) if g]
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for k, (u, s) in enumerate(bases):
+        ref_u, ref_s = left_svd(unfold(x, k), cut)
+        if gram[k]:
+            np.testing.assert_allclose(s, ref_s, rtol=0, atol=1e-12 * ref_s[0])
+            np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-10)
+        else:
+            assert np.array_equal(u, ref_u) and np.array_equal(s, ref_s)
