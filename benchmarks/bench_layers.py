@@ -7,7 +7,8 @@ and cuts time into 1 and 16 intervals.  For each split count it times every
 layer summed over all block x interval subtensors, at the first candidate a
 budgeted search tries (Tucker ranks and TT/QTT sweep tolerance ``TOL0``):
 
-- Tucker mode bases, core projection and reconstruct;
+- the Tucker search's truncated pass (mode bases and the one core that
+  every candidate slices) and reconstruct;
 - ``ttsvd`` and ``qtt_compress``;
 - TT and QTT reconstruct;
 
@@ -29,9 +30,9 @@ import numpy as np  # noqa: E402
 
 from tenblock.partition import greedy_partition, pow2_partition, temporal_split  # noqa: E402
 from tenblock.synth import SynthSpec, synth  # noqa: E402
-from tenblock.tensor_core import GappyTensor4, rank_from_spectrum  # noqa: E402
+from tenblock.tensor_core import GappyTensor4  # noqa: E402
 from tenblock.tt import TOL0 as TT_TOL0, qtt_compress, ttsvd  # noqa: E402
-from tenblock.tucker import TOL0, _hosvd_at, _mode_bases  # noqa: E402
+from tenblock.tucker import TuckerFactorization, _truncated_pass  # noqa: E402
 
 DIMS = (72, 54, 16, 128)
 
@@ -56,14 +57,13 @@ def layer_times(g, n_splits, repeats):
     subs = subtensors(g.values, greedy_partition(g.domain_mask, 8).blocks, splits)
     pow2_subs = subtensors(g.values, pow2_partition(g.domain_mask, 8).blocks, splits)
 
-    bases = [_mode_bases(x, TOL0) for x in subs]
-    tucker = [(x, b, [rank_from_spectrum(s, TOL0) for _, s in b]) for x, b in zip(subs, bases)]
-    tuckers = [_hosvd_at(*args) for args in tucker]
+    tuckers = [next(TuckerFactorization.candidates(x)) for x in subs]
     tts = [ttsvd(x, tol=TT_TOL0) for x in subs]
     qtts = [qtt_compress(x, tol=TT_TOL0) for x in pow2_subs]
     return {
-        "tucker mode bases": median_ms(lambda x: _mode_bases(x, TOL0), subs, repeats),
-        "tucker core": median_ms(lambda a: _hosvd_at(*a), tucker, repeats),
+        # the block copy included, as the search makes it
+        "tucker bases+core": median_ms(
+            lambda x: _truncated_pass(np.ascontiguousarray(x)), subs, repeats),
         "tucker reconstruct": median_ms(lambda f: f.reconstruct(), tuckers, repeats),
         "ttsvd": median_ms(lambda x: ttsvd(x, tol=TT_TOL0), subs, repeats),
         "qtt_compress": median_ms(lambda x: qtt_compress(x, tol=TT_TOL0), pow2_subs, repeats),

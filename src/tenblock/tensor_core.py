@@ -98,7 +98,7 @@ def budgeted_search(cls: type[Factorization], x: np.ndarray, eps_max: float,
             fac = cls.from_arrays([quantize(a) for a in fac.arrays()],
                                   fac.dims, fac.header_fields())
         diff = fac.reconstruct() - x
-        cheb = float(np.max(np.abs(diff)))
+        cheb = float(np.max(np.abs(diff, out=diff)))
         if cheb <= eps_max:
             break
     return fac, cheb, frobenius_norm(diff) / (frobenius_norm(x) or 1.0)
@@ -156,7 +156,8 @@ def mode_product(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
 
 
 def frobenius_norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel()))
+    # memory order, so a C- or F-contiguous x is not copied
+    return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel(order="K")))
 
 
 def chebyshev_norm(x: np.ndarray, mask: np.ndarray | None = None) -> float:

@@ -1,5 +1,13 @@
-"""Tucker decomposition built from truncated SVDs of the unfoldings,
-plus rank selection for tolerance and absolute-error targets.
+"""Tucker decompositions: the HOSVD at given ranks or at a spectrum
+tolerance, and the error-budgeted search, which escalates the ranks of one
+sequentially truncated HOSVD (ST-HOSVD; Vannieuwenhoven, Vandebril &
+Meerbergen, SISC 2012).
+
+The search visits the modes in ascending extent.  Each mode's basis comes
+from the block already projected onto the modes before it, so the large
+(time) mode's basis is taken from a shrunk tensor.  Each projection keeps
+``HEADROOM_STEPS`` escalation steps of columns past the first rank, and
+every candidate slices the one core that results.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ from .tensor_core import (
 )
 
 TOL0 = 1e-2  # spectrum tolerance of the first ranks tucker_compress_abs tries
+# escalation steps of columns the search keeps past the ranks its pass
+# starts from; most blocks need at most two, so one pass serves the search
+HEADROOM_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -67,15 +78,57 @@ class TuckerFactorization(Factorization):
 
     @staticmethod
     def candidates(x: np.ndarray):
-        """HOSVD at the ranks ``hosvd_tol(TOL0)`` keeps, then with every
-        mode rank grown by ``max(1, ceil(0.1 r))``, up to full ranks."""
-        bases = _mode_bases(x, TOL0)
-        ranks = [rank_from_spectrum(s, TOL0) for _, s in bases]
+        """Slices of one ST-HOSVD core: first at the ranks each mode's
+        spectrum keeps at ``TOL0``, then with every mode rank grown by
+        ``max(1, ceil(0.1 r))``, up to full ranks.  When the ranks pass the
+        pass's headroom, the pass runs again from them."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        core, factors, ranks, heads = _truncated_pass(x)
         while True:
-            yield _hosvd_at(x, bases, ranks)
+            yield TuckerFactorization(
+                np.ascontiguousarray(core[tuple(slice(r) for r in ranks)]),
+                tuple(np.ascontiguousarray(u[:, :r]) for u, r in zip(factors, ranks)))
             if ranks == list(x.shape):
                 return
-            ranks = [min(n, r + max(1, math.ceil(0.1 * r))) for r, n in zip(ranks, x.shape)]
+            ranks = [_grow(r, n) for r, n in zip(ranks, x.shape)]
+            if any(r > h for r, h in zip(ranks, heads)):
+                core, factors, ranks, heads = _truncated_pass(x, ranks)
+
+
+def _grow(r: int, n: int) -> int:
+    # one escalation step of a mode rank, capped by the extent
+    return min(n, r + max(1, math.ceil(0.1 * r)))
+
+
+def _truncated_pass(x: np.ndarray, ranks=None):
+    """ST-HOSVD of the C-contiguous ``x`` at ``HEADROOM_STEPS`` escalation
+    steps past ``ranks`` (default: each mode's ``TOL0`` rank of the block
+    projected so far), modes in ascending extent.  Returns the core at the
+    kept columns, the factors, the ranks and the headrooms (column counts
+    asked for; a factor holds fewer when the unfolding has fewer)."""
+    y = x
+    factors = [None] * x.ndim
+    ranks = list(ranks) if ranks is not None else [None] * x.ndim
+    heads = [0] * x.ndim
+    for k in sorted(range(x.ndim), key=lambda k: x.shape[k]):
+        u, s = mode_left_svd(y, k, TOL0)
+        if ranks[k] is None:
+            ranks[k] = rank_from_spectrum(s, TOL0)
+        heads[k] = ranks[k]
+        for _ in range(HEADROOM_STEPS):
+            heads[k] = _grow(heads[k], x.shape[k])
+        factors[k] = u[:, :heads[k]]
+        y = _project(y, factors[k], k)
+    return y, factors, ranks, heads
+
+
+def _project(y: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+    # y times u^T along mode k as one (batched) matmul on the C-order
+    # (lead, n_k, trail) view; the result is C-contiguous again
+    shape = y.shape[:k] + (u.shape[1],) + y.shape[k + 1:]
+    if k == y.ndim - 1:
+        return (y.reshape(-1, y.shape[k]) @ u).reshape(shape)
+    return np.matmul(u.T, y.reshape(math.prod(y.shape[:k]), y.shape[k], -1)).reshape(shape)
 
 
 def _check_ranks(dims, ranks) -> tuple[int, ...]:
@@ -146,6 +199,6 @@ def tucker_compress_abs(
     eps_max: float,
     quantize: QuantizeFn | None = None,
 ) -> TuckerFactorization:
-    """Smallest HOSVD among ``TuckerFactorization.candidates`` within
-    ``eps_max`` in the Chebyshev norm (see ``budgeted_search``)."""
+    """First of ``TuckerFactorization.candidates`` (slices of one ST-HOSVD
+    core) within ``eps_max`` in the Chebyshev norm (see ``budgeted_search``)."""
     return budgeted_search(TuckerFactorization, x, eps_max, quantize)[0]

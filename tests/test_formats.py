@@ -7,8 +7,10 @@ import pytest
 
 from tenblock.formats import (
     FormatError,
+    _RAVEL_CELLS,
     _decode_rle,
     _encode_rle,
+    _ravel_cells_f,
     read_gsa,
     read_gst,
     write_gsa,
@@ -341,3 +343,14 @@ def test_gsa_rejects_bad_block_record(tmp_path, method, tamper, message):
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError, match=message):
         read_gsa(str(path))
+
+
+@pytest.mark.parametrize("n_cells", [0, 1, _RAVEL_CELLS, 2 * _RAVEL_CELLS + 5])
+def test_ravel_cells_matches_fortran_ravel(n_cells):
+    # the slab-wise copy of the leftover store writes the bytes of
+    # ravel(order="F"), also for a partial last slab and no cells at all
+    values = np.random.default_rng(3).standard_normal((n_cells, 3, 7)).astype(np.float32)
+    for a in (values, values.astype(np.float64), np.asfortranarray(values)):
+        flat = _ravel_cells_f(a)
+        assert flat.dtype == np.dtype("<f4")
+        assert flat.tobytes() == np.asarray(a, dtype="<f4").ravel(order="F").tobytes()

@@ -107,11 +107,15 @@ def test_frobenius_norm_all_ones():
 
 
 def test_frobenius_norm_equals_unfolding_norm():
+    # C-ordered, F-ordered and strided inputs: the norm must not depend on
+    # the layout it reads in memory order
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 4, 5))
-    for mode in range(3):
-        assert frobenius_norm(x) == pytest.approx(
-            np.linalg.norm(unfold(x, mode)), rel=1e-13)
+    base = rng.standard_normal((7, 9, 11))
+    for x in (base[:3, :4, :5].copy(), np.asfortranarray(base[:3, :4, :5]),
+              base[1:7:2, ::-2, 3:8]):
+        for mode in range(3):
+            assert frobenius_norm(x) == pytest.approx(
+                np.linalg.norm(unfold(x, mode)), rel=1e-14)
 
 
 def test_chebyshev_norm_ignores_nan():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import exact_tucker_tensor, synth_block
+from tenblock import tucker
 from tenblock.tensor_core import GRAM_CUT_FLOOR, frobenius_norm, left_svd, mode_product, unfold
 from tenblock.tucker import (
+    HEADROOM_STEPS,
     TOL0,
     TuckerFactorization,
     _mode_bases,
@@ -235,3 +237,63 @@ def test_mode_bases_of_block_view(monkeypatch, field_shape, block, cut, gram):
             np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-10)
         else:
             assert np.array_equal(u, ref_u) and np.array_equal(s, ref_s)
+
+
+def _projected_core(x, factors):
+    core = x
+    for k, u in enumerate(factors):
+        core = mode_product(core, u.T, k)
+    return core
+
+
+def _escalated(ranks, dims):
+    return tuple(min(n, r + max(1, int(np.ceil(0.1 * r)))) for r, n in zip(ranks, dims))
+
+
+def _rank_one_plus_noise(dims, seed):
+    # one dominant rank-one term, so the first ranks are 1, over white
+    # noise below the TOL0 cut, so every escalation step is needed
+    rng = np.random.default_rng(seed)
+    x = np.ones(())
+    for n in dims:
+        x = np.multiply.outer(x, rng.standard_normal(n))
+    return 10.0 * x / np.max(np.abs(x)) + 1e-3 * rng.standard_normal(dims)
+
+
+@pytest.mark.parametrize("x", [
+    synth_block(),
+    synth_block()[:, :, :, 5:13],
+    np.random.default_rng(24).standard_normal((7, 3, 9, 5)),
+    _rank_one_plus_noise((9, 8, 6, 12), 25),
+], ids=["block", "interval", "noise", "rank1+noise"])
+def test_candidate_cores_are_projections(x):
+    # a candidate slices the core of one truncated pass; the slice must equal
+    # the block projected onto that candidate's own (prefix) factors
+    scale = np.max(np.abs(x))
+    for fac in TuckerFactorization.candidates(x):
+        for u in fac.factors:
+            np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
+        ref = _projected_core(x, fac.factors)
+        assert fac.core.shape == ref.shape
+        assert np.max(np.abs(fac.core - ref)) <= 1e-12 * scale
+
+
+def test_noise_block_escalates_past_headroom_to_full_ranks(monkeypatch):
+    x = _rank_one_plus_noise((9, 8, 6, 12), 26)
+    passes = []
+    run = tucker._truncated_pass
+    monkeypatch.setattr(tucker, "_truncated_pass",
+                        lambda *a: passes.append(a) or run(*a))
+    cands = list(TuckerFactorization.candidates(x))
+    ranks = [f.ranks for f in cands]
+    assert ranks[0] == (1, 1, 1, 1)
+    for a, b in zip(ranks, ranks[1:]):
+        assert b == _escalated(a, x.shape)
+    assert ranks[-1] == x.shape
+    # the first pass keeps HEADROOM_STEPS steps past rank 1, so the search
+    # reruns the pass several times on its way to full ranks
+    assert len(ranks) > HEADROOM_STEPS + 1 and len(passes) > 1
+    assert np.max(np.abs(cands[-1].reconstruct() - x)) <= 1e-10
+    # and a budget only the full ranks meet ends the search there
+    fac = tucker_compress_abs(x, 1e-10)
+    assert fac.ranks == x.shape
