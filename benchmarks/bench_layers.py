@@ -4,15 +4,20 @@ Builds the 72x54x16x128 synthetic field of the `deep` and `split16`
 workloads (``SynthSpec(dims=(72, 54, 16, 128), seed=0, noise=0.02)``),
 partitions it at ``s_min=8`` (greedy blocks; power-of-two blocks for QTT)
 and cuts time into 1 and 16 intervals.  For each split count it times every
-layer summed over all block x interval subtensors, at the first candidate a
-budgeted search tries (Tucker ranks and TT/QTT sweep tolerance ``TOL0``):
+layer summed over all block x interval subtensors.  These layers run at the
+first candidate a budgeted search tries (Tucker ranks and TT/QTT sweep
+tolerance ``TOL0``):
 
 - the Tucker search's truncated pass (mode bases and the one core that
   every candidate slices) and reconstruct;
 - ``ttsvd`` and ``qtt_compress``;
-- TT and QTT reconstruct;
+- TT and QTT reconstruct.
 
-plus the ``GappyTensor4`` validation of the whole field.  Each figure is
+The "tt search" and "qtt search" rows time the whole search,
+``budgeted_search`` with float32 quantization at the workload's budget
+(``eps_max`` 0.5 at 1 split as in `deep`, else 0.25 as in `split16`): the
+block copies, every tolerance-halving sweep and every verify.  The last
+row is the ``GappyTensor4`` validation of the whole field.  Each figure is
 the median wall time of ``--repeats`` runs in one process, BLAS pinned to
 one thread.
 
@@ -29,9 +34,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from tenblock.partition import greedy_partition, pow2_partition, temporal_split  # noqa: E402
+from tenblock.pipeline import _quantize_f32  # noqa: E402
 from tenblock.synth import SynthSpec, synth  # noqa: E402
-from tenblock.tensor_core import GappyTensor4  # noqa: E402
-from tenblock.tt import TOL0 as TT_TOL0, qtt_compress, ttsvd  # noqa: E402
+from tenblock.tensor_core import GappyTensor4, budgeted_search  # noqa: E402
+from tenblock.tt import (TOL0 as TT_TOL0, QttFactorization, TTFactorization,  # noqa: E402
+                         qtt_compress, ttsvd)
 from tenblock.tucker import TuckerFactorization, _truncated_pass  # noqa: E402
 
 DIMS = (72, 54, 16, 128)
@@ -60,6 +67,7 @@ def layer_times(g, n_splits, repeats):
     tuckers = [next(TuckerFactorization.candidates(x)) for x in subs]
     tts = [ttsvd(x, tol=TT_TOL0) for x in subs]
     qtts = [qtt_compress(x, tol=TT_TOL0) for x in pow2_subs]
+    eps_max = 0.5 if n_splits == 1 else 0.25
     return {
         # the block copy included, as the search makes it
         "tucker bases+core": median_ms(
@@ -69,6 +77,12 @@ def layer_times(g, n_splits, repeats):
         "qtt_compress": median_ms(lambda x: qtt_compress(x, tol=TT_TOL0), pow2_subs, repeats),
         "tt reconstruct": median_ms(lambda f: f.reconstruct(), tts, repeats),
         "qtt reconstruct": median_ms(lambda f: f.reconstruct(), qtts, repeats),
+        "tt search": median_ms(
+            lambda x: budgeted_search(TTFactorization, x, eps_max, _quantize_f32),
+            subs, repeats),
+        "qtt search": median_ms(
+            lambda x: budgeted_search(QttFactorization, x, eps_max, _quantize_f32),
+            pow2_subs, repeats),
     }, len(subs), len(pow2_subs)
 
 

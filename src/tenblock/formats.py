@@ -10,6 +10,7 @@ touched; writes go to a temporary file renamed into place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -212,7 +213,7 @@ def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
         if a.get("offset") != expected_offset:
             raise FormatError(f"array offset {a.get('offset')!r}, expected {expected_offset}")
         shapes.append(tuple(shape))
-        expected_offset += int(np.prod(shape, dtype=np.int64))
+        expected_offset += math.prod(shape)
 
     cls.check_header(shapes, block_dims, entry)
     return BlockIndex(*rect), iv, block_dims, shapes, expected_offset
@@ -290,7 +291,7 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     for rect, iv, block_dims, shapes, entry in parsed:
         arrays = []
         for shape in shapes:
-            size = int(np.prod(shape, dtype=np.int64))
+            size = math.prod(shape)
             arrays.append(flat[pos:pos + size].astype(np.float64).reshape(shape, order="F"))
             pos += size
         records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, block_dims, entry)))

@@ -89,8 +89,12 @@ def budgeted_search(cls: type[Factorization], x: np.ndarray, eps_max: float,
     Chebyshev norm (else the last) as ``(fac, cheb_error, rel_frob_error)``,
     measured after ``quantize`` (e.g. a float32 round trip) of its arrays.
     Blocks are fully defined, so a NaN in a reconstruction is an error and
-    fails the budget.  The Frobenius error is absolute for an all-zero ``x``."""
-    x = np.asarray(x, dtype=np.float64)
+    fails the budget.  The Frobenius error is absolute for an all-zero ``x``.
+
+    ``x`` is copied once into C order (no copy if it already is); the
+    candidates, the verify diff and both norms use that copy, so a strided
+    block view is not copied again per candidate or per norm."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
     for fac in cls.candidates(x):

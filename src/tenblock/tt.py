@@ -4,6 +4,7 @@ quantized variant (QTT) that first splits every mode into prime factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,14 +41,19 @@ class TTFactorization(Factorization):
         return list(self.carriages)
 
     def reconstruct(self) -> np.ndarray:
-        # carries the transposed partial product: C-contiguous
-        # (r_k, n_1*..*n_k), first index fastest along a row, so each step
-        # is one matmul and every reshape, the last one too, is a view
+        """The full tensor, C-contiguous: the order of the search's block
+        copy, which the verify subtracts, and of the field's block slices.
+
+        The partial product is carried in C order, ``(n_1*..*n_k, r_k)``
+        with the last index fastest, so each step is one matmul and the
+        reshapes of the carry are views; a carriage that is not
+        C-contiguous (as archived, in F order) is copied, at
+        ``r_{k-1} * n_k * r_k`` entries."""
         y = np.ones((1, 1))
         for g in self.carriages:
             r_prev, n, r = g.shape
-            y = (g.transpose(2, 1, 0).reshape(r * n, r_prev) @ y).reshape(r, -1)
-        return y.reshape(self.dims, order="F")
+            y = (y @ g.reshape(r_prev, n * r)).reshape(-1, r)
+        return y.reshape(self.dims)
 
     @classmethod
     def from_arrays(cls, arrays, dims, fields) -> TTFactorization:
@@ -90,7 +96,18 @@ class QttFactorization(Factorization):
         return self.tt.arrays()
 
     def reconstruct(self) -> np.ndarray:
-        return np.reshape(self.tt.reconstruct(), self.dims, order="F")
+        """The full tensor, F-contiguous.
+
+        The mode split puts the first prime digit fastest, an F-order view
+        of the block, so the product is carried transposed: C-contiguous
+        ``(r_k, n_1*..*n_k)`` with the first index fastest along a row.
+        Each step is one matmul and every reshape, the last one too, is a
+        view; a C-order product would need a transposing copy at the end."""
+        y = np.ones((1, 1))
+        for g in self.tt.carriages:
+            r_prev, n, r = g.shape
+            y = (g.transpose(2, 1, 0).reshape(r * n, r_prev) @ y).reshape(r, -1)
+        return y.reshape(self.dims, order="F")
 
     def header_fields(self) -> dict:
         return {"mode_factors": [list(f) for f in self.mode_factors]}
@@ -109,7 +126,7 @@ class QttFactorization(Factorization):
         for f, n in zip(mode_factors, dims):
             if any(not isinstance(p, int) or p < 1 for p in f):
                 raise FormatError(f"bad mode factors {f!r}")
-            if int(np.prod(f, dtype=np.int64)) != n:
+            if math.prod(f) != n:
                 raise FormatError(f"mode factors {f} do not multiply to {n}")
         TTFactorization.check_header(shapes, [p for f in mode_factors for p in f], fields)
 
@@ -120,7 +137,10 @@ class QttFactorization(Factorization):
 
 def _halving_sweeps(sweep, x: np.ndarray):
     # the sweep tolerance bounds the relative Frobenius error, not the
-    # pointwise one, so it is halved until the budget holds or the floor
+    # pointwise one, so it is halved until the budget holds or the floor;
+    # every sweep reads one F-ordered copy of the block, on which its
+    # first-index-fastest reshapes are views
+    x = np.asfortranarray(x, dtype=np.float64)
     tol = TOL0
     while True:
         yield sweep(x, tol=tol)
@@ -143,6 +163,11 @@ def ttsvd(
     ranks: Sequence[int] | None = None,
 ) -> TTFactorization:
     """TT-SVD sweep in Fortran (first-index-fastest) linear order.
+
+    An F-contiguous ``x`` is read through views (any other is copied once
+    into F order by the first reshape), and each step's remainder
+    ``(U^T C)`` is formed as ``(C^T U)^T``, F-contiguous, so the reshape
+    that starts the next step is a view too.
 
     Exactly one of ``tol`` and ``ranks`` must be given.  With ``tol`` the
     per-step truncation keeps the discarded tail energy below
@@ -186,9 +211,8 @@ def ttsvd(
             r = min(ranks[k], s.size)
         u = u[:, :r]
         carriages.append(np.reshape(u, (r_prev, dims[k], r), order="F"))
-        c = u.T @ c
+        c = np.reshape((c.T @ u).T, (r * dims[k + 1], -1), order="F")
         r_prev = r
-        c = np.reshape(c, (r_prev * dims[k + 1], -1), order="F")
     carriages.append(np.reshape(c, (r_prev, dims[-1], 1), order="F"))
     return TTFactorization(tuple(carriages))
 

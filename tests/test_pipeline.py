@@ -7,10 +7,11 @@ import pytest
 
 from tenblock.cli import main
 from tenblock.formats import read_gst
-from tenblock.partition import BlockIndex
+from tenblock.partition import BlockIndex, greedy_partition
 from tenblock.pipeline import (
     KINDS,
     METHODS,
+    _quantize_f32,
     compress_dataset,
     cr_metrics,
     decompress_dataset,
@@ -21,7 +22,7 @@ from tenblock.pipeline import (
     sweep_splits,
 )
 from tenblock.synth import SynthSpec, synth
-from tenblock.tensor_core import GappyTensor4, chebyshev_norm, frobenius_norm
+from tenblock.tensor_core import GappyTensor4, budgeted_search, chebyshev_norm, frobenius_norm
 
 
 def small_field(seed=42, dims=(32, 24, 4, 16)):
@@ -225,6 +226,24 @@ def test_compress_reconstructs_each_block_once(monkeypatch, method):
         assert (s.rect, s.interval) == (rec.rect, rec.interval)
         assert s.cheb_error == chebyshev_norm(diff)
         assert s.rel_frob_error == frobenius_norm(diff) / frobenius_norm(sub)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_budgeted_search_is_layout_independent(method):
+    # the search copies the block once into C order, so a C-contiguous
+    # block, its F-ordered copy and a strided field view give the same bits;
+    # the budget takes two or three candidates for every kind
+    g = small_field(dims=(32, 24, 8, 32))
+    r = max(greedy_partition(g.domain_mask, 8).blocks, key=lambda b: b.area)
+    view = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, 8:24]
+    results = [budgeted_search(KINDS[method], x, 0.1, _quantize_f32)
+               for x in (np.ascontiguousarray(view), np.asfortranarray(view), view)]
+    (fac, cheb, rel), others = results[0], results[1:]
+    for other_fac, other_cheb, other_rel in others:
+        assert len(other_fac.arrays()) == len(fac.arrays())
+        for a, b in zip(other_fac.arrays(), fac.arrays()):
+            np.testing.assert_array_equal(a, b)
+        assert (other_cheb, other_rel) == (cheb, rel)
 
 
 @pytest.mark.parametrize("method", METHODS)

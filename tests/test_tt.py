@@ -1,11 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
 from helpers import exact_tt_tensor, synth_block
-from tenblock.tensor_core import frobenius_norm
+from tenblock.tensor_core import frobenius_norm, left_svd
 from tenblock.tt import (
     QttFactorization,
     TTFactorization,
+    _halving_sweeps,
     _prime_factors,
     qtt_compress,
     qtt_factorize_modes,
@@ -275,3 +278,123 @@ def test_qtt_reconstruct_matches_reference_loop(dims):
     y = f.reconstruct()
     assert y.shape == dims
     assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _layouts(x):
+    # the same values C-contiguous, F-contiguous and as a strided view
+    big = np.zeros(tuple(2 * n for n in x.shape))
+    view = big[tuple(slice(None, None, 2) for _ in x.shape)]
+    view[...] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "strided": view}
+
+
+def _reference_ttsvd(x, tol=None, ranks=None):
+    # the sweep as it was before the remainder was carried F-contiguous:
+    # u.T @ c, then a copying reshape into F order at every step
+    dims, d = x.shape, x.ndim
+    if d == 1:
+        return (x.reshape(1, dims[0], 1),)
+    cut = 0.0 if tol is None else tol / np.sqrt(d - 1)
+    delta = None if tol is None else cut * frobenius_norm(x)
+    carriages = []
+    r_prev = 1
+    c = np.reshape(x, (dims[0], -1), order="F")
+    for k in range(d - 1):
+        u, s = left_svd(c, cut)
+        if delta is not None:
+            tail = np.cumsum(s[::-1] ** 2)[::-1]
+            r = max(1, int(np.sum(tail > delta**2)))
+        else:
+            r = min(ranks[k], s.size)
+        u = u[:, :r]
+        carriages.append(np.reshape(u, (r_prev, dims[k], r), order="F"))
+        r_prev = r
+        c = np.reshape(u.T @ c, (r_prev * dims[k + 1], -1), order="F")
+    carriages.append(np.reshape(c, (r_prev, dims[-1], 1), order="F"))
+    return tuple(carriages)
+
+
+_SWEEP_CASES = [
+    (synth_block(), {"tol": 1e-2}),
+    (synth_block(), {"ranks": (3, 5, 4)}),
+    (np.random.default_rng(3).standard_normal(7), {"tol": 1e-2}),
+    (np.random.default_rng(3).standard_normal(7), {"ranks": ()}),
+    (np.random.default_rng(4).standard_normal((5, 1, 6)), {"tol": 1e-2}),
+    (np.random.default_rng(4).standard_normal((5, 1, 6)), {"ranks": (3, 9)}),
+    (np.random.default_rng(5).standard_normal((1, 4, 1, 3)), {"ranks": (2, 2, 2)}),
+]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("x,kw", _SWEEP_CASES)
+def test_ttsvd_matches_reference_sweep_on_every_layout(x, kw, layout):
+    v = _layouts(x)[layout]
+    f = ttsvd(v, **kw)
+    ref = _reference_ttsvd(_layouts(x)["C"], **kw)
+    assert [g.shape for g in f.carriages] == [g.shape for g in ref]
+    scale = max(1.0, float(np.max(np.abs(x))))
+    for g, h in zip(f.carriages, ref):
+        assert np.max(np.abs(g - h)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("x,kw", [
+    (synth_block()[:, :, :, :8], {"tol": 1e-2}),
+    (np.random.default_rng(6).standard_normal((4, 6, 1, 8)), {"tol": 1e-2}),
+    (np.random.default_rng(6).standard_normal((4, 6, 1, 8)), {"ranks": (2, 3, 4, 4, 2, 3, 3)}),
+    (np.random.default_rng(7).standard_normal(12), {"ranks": (2, 3)}),
+    (np.random.default_rng(7).standard_normal(7), {"tol": 1e-2}),
+])
+def test_qtt_compress_matches_reference_sweep_on_every_layout(x, kw, layout):
+    f = qtt_compress(_layouts(x)[layout], **kw)
+    ref = _reference_ttsvd(qtt_reshape(_layouts(x)["C"])[0], **kw)
+    assert [g.shape for g in f.tt.carriages] == [g.shape for g in ref]
+    scale = max(1.0, float(np.max(np.abs(x))))
+    for g, h in zip(f.tt.carriages, ref):
+        assert np.max(np.abs(g - h)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kw", [{"tol": 1e-2}, {"ranks": (3, 5, 4)}])
+def test_ttsvd_sweep_of_fortran_block_reshapes_views(monkeypatch, kw):
+    # on an F-contiguous block every step's matrix is a view: of the block
+    # first, then of the product that carries the remainder
+    x = np.asfortranarray(synth_block())
+    seen = []
+    reshape = np.reshape
+
+    def recording(a, *args, **kwargs):
+        out = reshape(a, *args, **kwargs)
+        if sys._getframe(1).f_globals.get("__name__") == "tenblock.tt" and out.ndim == 2:
+            seen.append(np.shares_memory(out, a))
+        return out
+
+    monkeypatch.setattr(np, "reshape", recording)
+    ttsvd(x, **kw)
+    monkeypatch.undo()
+    assert seen == [True] * x.ndim
+
+
+def test_halving_sweeps_share_one_fortran_copy():
+    x = synth_block()
+    seen = []
+
+    def sweep(a, tol):
+        seen.append(a)
+        return tol
+
+    tols = [t for t, _ in zip(_halving_sweeps(sweep, x), range(4))]
+    assert tols == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+    assert all(a is seen[0] for a in seen)
+    assert seen[0].flags.f_contiguous
+    np.testing.assert_array_equal(seen[0], x)
+
+
+def test_tt_reconstruct_is_c_ordered_and_qtt_f_ordered():
+    f = TTFactorization(_random_carriages((4, 3, 5, 2), (2, 3, 2)))
+    assert f.reconstruct().flags.c_contiguous
+    # as archived: carriages read back in F order
+    g = TTFactorization(tuple(np.asfortranarray(c) for c in f.carriages))
+    assert g.reconstruct().flags.c_contiguous
+    np.testing.assert_array_equal(g.reconstruct(), f.reconstruct())
+    q = qtt_compress(synth_block()[:, :, :, :8], tol=1e-2)
+    assert q.reconstruct().flags.f_contiguous
