@@ -13,10 +13,13 @@ tolerance ``TOL0``):
 - ``ttsvd`` and ``qtt_compress``;
 - TT and QTT reconstruct.
 
-The "tt search" and "qtt search" rows time the whole search,
-``budgeted_search`` with float32 quantization at the workload's budget
+The "tt search" and "qtt search" rows time the whole search as
+``compress_dataset`` runs it: one ``budgeted_search`` per rectangle and
+interval length over the stack of its same-length intervals
+(``interval_stacks``), with float32 quantization at the workload's budget
 (``eps_max`` 0.5 at 1 split as in `deep`, else 0.25 as in `split16`): the
-block copies, every tolerance-halving sweep and every verify.  The last
+stack copies, every stacked tolerance-halving sweep and every verify.  The
+last
 row is the ``GappyTensor4`` validation of the whole field.  Each figure is
 the median wall time of ``--repeats`` runs in one process, BLAS pinned to
 one thread.
@@ -34,7 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from tenblock.partition import greedy_partition, pow2_partition, temporal_split  # noqa: E402
-from tenblock.pipeline import _quantize_f32  # noqa: E402
+from tenblock.pipeline import _quantize_f32, interval_stacks  # noqa: E402
 from tenblock.synth import SynthSpec, synth  # noqa: E402
 from tenblock.tensor_core import GappyTensor4, budgeted_search  # noqa: E402
 from tenblock.tt import (TOL0 as TT_TOL0, QttFactorization, TTFactorization,  # noqa: E402
@@ -59,10 +62,18 @@ def subtensors(values, blocks, splits):
             for b in blocks for t0, t1 in splits]
 
 
+def search_stacks(values, blocks, splits):
+    # the block lists compress_dataset hands to one budgeted_search each
+    return [[values[b.x_start:b.x_end, b.y_start:b.y_end, :, splits[iv][0]:splits[iv][1]]
+             for iv in ivs] for b in blocks for ivs in interval_stacks(splits)]
+
+
 def layer_times(g, n_splits, repeats):
     splits = temporal_split(g.dims[3], n_splits)
-    subs = subtensors(g.values, greedy_partition(g.domain_mask, 8).blocks, splits)
-    pow2_subs = subtensors(g.values, pow2_partition(g.domain_mask, 8).blocks, splits)
+    greedy = greedy_partition(g.domain_mask, 8).blocks
+    pow2 = pow2_partition(g.domain_mask, 8).blocks
+    subs = subtensors(g.values, greedy, splits)
+    pow2_subs = subtensors(g.values, pow2, splits)
 
     tuckers = [next(TuckerFactorization.candidates(x)) for x in subs]
     tts = [ttsvd(x, tol=TT_TOL0) for x in subs]
@@ -78,11 +89,11 @@ def layer_times(g, n_splits, repeats):
         "tt reconstruct": median_ms(lambda f: f.reconstruct(), tts, repeats),
         "qtt reconstruct": median_ms(lambda f: f.reconstruct(), qtts, repeats),
         "tt search": median_ms(
-            lambda x: budgeted_search(TTFactorization, x, eps_max, _quantize_f32),
-            subs, repeats),
+            lambda s: budgeted_search(TTFactorization, s, eps_max, _quantize_f32),
+            search_stacks(g.values, greedy, splits), repeats),
         "qtt search": median_ms(
-            lambda x: budgeted_search(QttFactorization, x, eps_max, _quantize_f32),
-            pow2_subs, repeats),
+            lambda s: budgeted_search(QttFactorization, s, eps_max, _quantize_f32),
+            search_stacks(g.values, pow2, splits), repeats),
     }, len(subs), len(pow2_subs)
 
 

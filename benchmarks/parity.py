@@ -1,0 +1,91 @@
+"""Parity table: what a change to the compressor does to its outputs.
+
+For each case and method (tucker, tt, qtt) it compresses the field, writes
+the archive (no metrics in the header), reads it back and decompresses it,
+and prints CR_all, the largest read-back Chebyshev error over the defined
+cells, the SHA-256 of the archive bytes and the ranks of every block record
+(``rect/interval: ranks``, rect-major, interval-minor).
+
+Cases:
+
+- ``readme``: the README walkthrough field, ``tenblock synth --dims
+  64x48x8x64 --seed 7`` (float32 values, as the GST file stores them), at
+  ``eps_max`` 0.5 in 4 time intervals;
+- ``deep-<seed>`` and ``split16-<seed>``: the 72x54x16x128 field of the
+  perfbench workloads, built by its recipe (synth geometry seed 0, noise
+  0.02, the phase of the seasonal cycle drawn from the seed), at ``eps_max``
+  0.5 in 1 interval and 0.25 in 16.
+
+All at ``s_min`` 8.  Two checkouts print comparable tables; diff them.
+
+Usage: PYTHONPATH=src python3 benchmarks/parity.py [--seeds 1,2,3]
+"""
+
+import argparse
+import hashlib
+import math
+import os
+import random
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from tenblock import (SynthSpec, compress_dataset, decompress_dataset, read_gsa,  # noqa: E402
+                      read_gst, synth, write_gsa, write_gst)
+
+METHODS = ("tucker", "tt", "qtt")
+BENCH_DIMS = (72, 54, 16, 128)
+GEOMETRY_SEED = 0  # the perfbench field's mask, background and noise
+
+
+def bench_field(seed):
+    phase = random.Random(seed).uniform(0.0, 2.0 * math.pi)
+    return synth(SynthSpec(dims=BENCH_DIMS, seed=GEOMETRY_SEED, noise=0.02, phase=phase))
+
+
+def readme_field(work):
+    path = os.path.join(work, "field.gst")
+    write_gst(synth(SynthSpec(dims=(64, 48, 8, 64), seed=7)), path)
+    return read_gst(path)
+
+
+def cases(seeds, work):
+    yield "readme", readme_field(work), 0.5, 4
+    for seed in seeds:
+        g = bench_field(seed)
+        yield f"deep-{seed}", g, 0.5, 1
+        yield f"split16-{seed}", g, 0.25, 16
+
+
+def run(g, method, eps_max, n_splits, work):
+    archive, report = compress_dataset(g, method, eps_max, 8, n_splits)
+    path = os.path.join(work, "archive.gsa")
+    write_gsa(archive, path)
+    with open(path, "rb") as f:
+        sha = hashlib.sha256(f.read()).hexdigest()
+    restored = decompress_dataset(read_gsa(path)[0])
+    diff = np.abs(restored.values - g.values)
+    cheb = float(np.max(diff[g.domain_mask]))
+    ranks = [f"{'.'.join(map(str, r.rect))}/{r.interval}:{'.'.join(map(str, r.fac.ranks))}"
+             for r in archive.blocks]
+    return report.cr_all, cheb, sha, ranks
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--seeds", default="1,2,3")
+    args = ap.parse_args()
+    seeds = [int(s) for s in args.seeds.split(",")]
+    with tempfile.TemporaryDirectory() as work:
+        for name, g, eps_max, n_splits in cases(seeds, work):
+            for method in METHODS:
+                cr_all, cheb, sha, ranks = run(g, method, eps_max, n_splits, work)
+                print(f"{name:<12}{method:<8}cr_all={cr_all!r} cheb={cheb:.9g} sha256={sha}")
+                print("    ranks " + " ".join(ranks))
+
+
+if __name__ == "__main__":
+    main()

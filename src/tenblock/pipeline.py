@@ -119,6 +119,16 @@ def leftover_cells(domain_mask: np.ndarray, blocks: Sequence[BlockIndex]) -> np.
     return np.argwhere(uncovered)
 
 
+def interval_stacks(splits: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The intervals of ``splits`` grouped by length, in order: the time
+    intervals of one rectangle that ``compress_dataset`` searches as one
+    stack, so a stack never exceeds the rectangle's full-time slab."""
+    stacks = {}
+    for iv, (t0, t1) in enumerate(splits):
+        stacks.setdefault(t1 - t0, []).append(iv)
+    return list(stacks.values())
+
+
 def compress_dataset(
     data: GappyTensor4,
     method: str,
@@ -129,7 +139,8 @@ def compress_dataset(
     """Partition the horizontal domain (greedy rectangles; power-of-two
     sides for qtt), split time into n_splits intervals, compress every
     block x interval subtensor to within eps_max in the Chebyshev norm,
-    and store the uncovered defined cells raw."""
+    and store the uncovered defined cells raw.  The same-length intervals
+    of a rectangle are searched together (``interval_stacks``)."""
     cls = KINDS.get(method)
     if cls is None:
         raise ValueError(f"unknown method {method!r}")
@@ -148,9 +159,13 @@ def compress_dataset(
     max_cheb = 0.0
     for rect in part.blocks:
         block_vals = data.values[rect.x_start:rect.x_end, rect.y_start:rect.y_end]
-        for iv, (t0, t1) in enumerate(splits):
-            sub = block_vals[:, :, :, t0:t1]
-            fac, cheb, rel_frob = budgeted_search(cls, sub, eps_max, _quantize_f32)
+        subs = [block_vals[:, :, :, t0:t1] for t0, t1 in splits]
+        found = {}
+        for ivs in interval_stacks(splits):
+            found.update(zip(ivs, budgeted_search(cls, [subs[iv] for iv in ivs], eps_max,
+                                                  _quantize_f32)))
+        for iv, sub in enumerate(subs):
+            fac, cheb, rel_frob = found[iv]
             max_cheb = max(max_cheb, cheb)
             stats.append(BlockStats(rect, iv, sub.size, fac.n_elements, rel_frob, cheb))
             records.append(BlockRecord(rect, iv, fac))

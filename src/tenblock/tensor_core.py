@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,11 +69,15 @@ QuantizeFn = Callable[[np.ndarray], np.ndarray]
 class Factorization:
     """A block factorization kind (``kind`` names its method and archive
     records): ``dims``, ``ranks``, ``arrays()`` in archive order and
-    ``reconstruct()``; per class ``candidates(x)`` (smallest first),
+    ``reconstruct()``, whose output is contiguous in the class's ``order``;
+    per class ``rounds(stack)``, the candidates of the budgeted search,
     ``check_header`` and ``from_arrays``, the inverse of ``arrays()``."""
 
     kind: ClassVar[str]
     pow2_blocks: ClassVar[bool] = False  # wants power-of-two block sides
+    # memory order of reconstruct() and so of each block of a search's
+    # stack: the verify then subtracts like-ordered arrays
+    order: ClassVar[str] = "C"
 
     @property
     def n_elements(self) -> int:
@@ -82,30 +86,80 @@ class Factorization:
     def header_fields(self) -> dict:
         return {}
 
+    @classmethod
+    def rounds(cls, stack: np.ndarray):
+        """The search's candidates for the blocks ``stack[b]``, round by
+        round: yields ``{b: candidate}`` for the blocks still searched and is
+        sent the list of those whose candidate failed.  A block missing
+        from a round has no candidate left.  This default runs the class's
+        ``candidates(x)`` (smallest first) on each block."""
+        searches = [cls.candidates(x) for x in stack]
+        blocks = range(len(stack))
+        while True:
+            found = {}
+            for b in blocks:
+                fac = next(searches[b], None)
+                if fac is not None:
+                    found[b] = fac
+            if not found:
+                return
+            blocks = yield found
 
-def budgeted_search(cls: type[Factorization], x: np.ndarray, eps_max: float,
-                    quantize: QuantizeFn | None = None) -> tuple[Factorization, float, float]:
-    """First of ``cls.candidates(x)`` within ``eps_max`` of ``x`` in the
-    Chebyshev norm (else the last) as ``(fac, cheb_error, rel_frob_error)``,
+
+def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_max: float,
+                    quantize: QuantizeFn | None = None
+                    ) -> list[tuple[Factorization, float, float]]:
+    """For each of the same-shaped ``blocks``, the first of its candidates
+    within ``eps_max`` in the Chebyshev norm (else its last), as
+    ``(fac, cheb_error, rel_frob_error)`` in the order of ``blocks``,
     measured after ``quantize`` (e.g. a float32 round trip) of its arrays.
     Blocks are fully defined, so a NaN in a reconstruction is an error and
-    fails the budget.  The Frobenius error is absolute for an all-zero ``x``.
+    fails the budget.  The Frobenius error is absolute for an all-zero block.
 
-    ``x`` is copied once into C order (no copy if it already is); the
-    candidates, the verify diff and both norms use that copy, so a strided
-    block view is not copied again per candidate or per norm."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    The blocks are copied once into one stack, each block contiguous in
+    ``cls.order``; ``cls.rounds`` searches the stack (TT and QTT sweep all
+    blocks still failing at once), and each verify diff and both norms use
+    the block's slice of it, so a strided block view is not copied again
+    per candidate or per norm."""
+    if isinstance(blocks, np.ndarray):
+        raise TypeError("blocks must be a sequence of arrays, not one array")
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
-    for fac in cls.candidates(x):
-        if quantize is not None:
-            fac = cls.from_arrays([quantize(a) for a in fac.arrays()],
-                                  fac.dims, fac.header_fields())
-        diff = fac.reconstruct() - x
-        cheb = float(np.max(np.abs(diff, out=diff)))
-        if cheb <= eps_max:
+    if not blocks:
+        return []
+    shape = np.shape(blocks[0])
+    if any(np.shape(x) != shape for x in blocks):
+        raise ValueError("the blocks of one search must share one shape")
+    n = len(blocks)
+    if cls.order == "F":
+        stack = np.moveaxis(np.empty(shape + (n,), order="F"), -1, 0)
+    else:
+        stack = np.empty((n,) + shape)
+    for b, x in enumerate(blocks):
+        stack[b] = x
+    norms = [frobenius_norm(x) or 1.0 for x in stack]
+
+    results = [None] * n
+    rounds = cls.rounds(stack)
+    failing = None
+    while True:
+        try:
+            found = rounds.send(failing)
+        except StopIteration:
             break
-    return fac, cheb, frobenius_norm(diff) / (frobenius_norm(x) or 1.0)
+        failing = []
+        for b, fac in found.items():
+            if quantize is not None:
+                fac = cls.from_arrays([quantize(a) for a in fac.arrays()],
+                                      fac.dims, fac.header_fields())
+            diff = fac.reconstruct() - stack[b]
+            cheb = float(np.max(np.abs(diff, out=diff)))
+            results[b] = (fac, cheb, frobenius_norm(diff) / norms[b])
+            if not cheb <= eps_max:
+                failing.append(b)
+        if not failing:
+            break
+    return results
 
 
 class SvdResult(NamedTuple):
@@ -210,9 +264,12 @@ def project_mask(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 def _column_signs(u: np.ndarray) -> np.ndarray:
     # flips each column so that its largest-magnitude entry is positive
-    # (first such entry on ties)
-    pivot = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[pivot, np.arange(u.shape[1])])
+    # (first such entry on ties); for a stack (B, m, k) of matrices the
+    # signs are (B, k)
+    pivot = np.argmax(np.abs(u), axis=-2)
+    cols = np.arange(u.shape[-1])
+    signs = np.sign(u[pivot, cols] if u.ndim == 2
+                    else u[np.arange(len(u))[:, None], pivot, cols])
     signs[signs == 0] = 1.0
     return signs
 

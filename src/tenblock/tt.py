@@ -10,8 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import (Factorization, FormatError, QuantizeFn, budgeted_search,
-                          frobenius_norm, left_svd)
+from .tensor_core import (Factorization, FormatError, QuantizeFn, _column_signs,
+                          _takes_gram, budgeted_search, frobenius_norm)
 
 TOL0 = 1e-2  # first sweep tolerance of tt_compress_abs
 TOL_FLOOR = 1e-16  # the search stops at the first tolerance below this
@@ -74,8 +74,8 @@ class TTFactorization(Factorization):
                 raise FormatError(f"carriage {k} rank mismatch")
 
     @staticmethod
-    def candidates(x: np.ndarray):
-        return _halving_sweeps(ttsvd, x)
+    def rounds(stack: np.ndarray):
+        return _halving_sweeps(_ttsvd_stack, stack)
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,7 @@ class QttFactorization(Factorization):
     mode_factors: tuple[tuple[int, ...], ...]
     kind = "qtt"
     pow2_blocks = True
+    order = "F"
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -131,22 +132,25 @@ class QttFactorization(Factorization):
         TTFactorization.check_header(shapes, [p for f in mode_factors for p in f], fields)
 
     @staticmethod
-    def candidates(x: np.ndarray):
-        return _halving_sweeps(qtt_compress, x)
+    def rounds(stack: np.ndarray):
+        return _halving_sweeps(_qtt_stack, stack)
 
 
-def _halving_sweeps(sweep, x: np.ndarray):
+def _halving_sweeps(sweep, stack: np.ndarray):
     # the sweep tolerance bounds the relative Frobenius error, not the
     # pointwise one, so it is halved until the budget holds or the floor;
-    # every sweep reads one F-ordered copy of the block, on which its
-    # first-index-fastest reshapes are views
-    x = np.asfortranarray(x, dtype=np.float64)
+    # each round sweeps the blocks still failing at once, from one F-ordered
+    # stack (n_1, .., n_d, B) on which every block's first-index-fastest
+    # reshapes are views (a QTT search's stack already is one)
+    x = np.asfortranarray(np.moveaxis(stack, 0, -1))
+    blocks = list(range(x.shape[-1]))
     tol = TOL0
     while True:
-        yield sweep(x, tol=tol)
-        if tol < TOL_FLOOR:
+        sub = x if len(blocks) == x.shape[-1] else x[..., blocks]
+        failing = yield dict(zip(blocks, sweep(sub, tol=tol)))
+        if tol < TOL_FLOOR or not failing:
             return
-        tol = tol / 2.0
+        blocks, tol = list(failing), tol / 2.0
 
 
 def _unfolding_rank_bounds(dims: Sequence[int]) -> list[int]:
@@ -162,12 +166,11 @@ def ttsvd(
     tol: float | None = None,
     ranks: Sequence[int] | None = None,
 ) -> TTFactorization:
-    """TT-SVD sweep in Fortran (first-index-fastest) linear order.
+    """TT-SVD sweep in Fortran (first-index-fastest) linear order: the
+    stacked sweep of ``_ttsvd_stack`` on a stack of one.
 
     An F-contiguous ``x`` is read through views (any other is copied once
-    into F order by the first reshape), and each step's remainder
-    ``(U^T C)`` is formed as ``(C^T U)^T``, F-contiguous, so the reshape
-    that starts the next step is a view too.
+    into F order by the first reshape).
 
     Exactly one of ``tol`` and ``ranks`` must be given.  With ``tol`` the
     per-step truncation keeps the discarded tail energy below
@@ -176,12 +179,33 @@ def ttsvd(
     as stated, silently clipped to the attainable unfolding bound.
     """
     x = np.asarray(x, dtype=np.float64)
+    return _ttsvd_stack(x[..., np.newaxis], tol=tol, ranks=ranks)[0]
+
+
+def _ttsvd_stack(x: np.ndarray, tol: float | None = None,
+                 ranks: Sequence[int] | None = None) -> list[TTFactorization]:
+    """``ttsvd`` of every block ``x[..., b]`` of the stack ``x``, shape
+    ``(n_1, .., n_d, B)``, in one sweep.
+
+    Each step's unfoldings form one stack ``(B, m, cols)``, F-contiguous
+    per block, whose rows are padded to the largest rank ``R`` of the step
+    before: row ``i + R*j`` holds rank index ``i`` and mode index ``j``,
+    and a block's rows ``i >= r_{k-1}`` are zero.  One batched left SVD
+    (``_stack_left_svd``) sorts the padded directions after every block's
+    own, so none is ever kept; each block takes its ranks from its own
+    spectrum and its carriage, C-contiguous, from its own rows and columns.
+    The kept columns past a block's rank are zeroed, so its padded rows of
+    the next remainder ``(C^T U)^T`` are zero too; that remainder is
+    F-contiguous per block, so the reshape that starts the next step is a
+    view.
+    """
     if (tol is None) == (ranks is None):
         raise ValueError("exactly one of tol and ranks is required")
-    dims = x.shape
-    d = x.ndim
+    *dims, n_blocks = x.shape
+    d = len(dims)
     if d == 1:
-        return TTFactorization((x.reshape(1, dims[0], 1),))
+        return [TTFactorization((np.reshape(x[:, b], (1, dims[0], 1)),))
+                for b in range(n_blocks)]
     if ranks is not None:
         ranks = [int(r) for r in ranks]
         if len(ranks) != d - 1:
@@ -196,25 +220,105 @@ def ttsvd(
         # delta is at least cut * s_1 of every step's matrix, whose
         # Frobenius norm is at most ||x||_F
         cut = tol / np.sqrt(d - 1)
-        delta = cut * frobenius_norm(x)
+        delta = cut * np.array([frobenius_norm(x[..., b]) for b in range(n_blocks)])
 
-    carriages = []
-    r_prev = 1
-    c = np.reshape(x, (r_prev * dims[0], -1), order="F")
+    # per-block ranks are Python lists: a step makes few NumPy calls on
+    # them, whatever the stack's size
+    carriages = [[] for _ in range(n_blocks)]
+    r_prev = [1] * n_blocks
+    c = np.reshape(x, (dims[0], -1, n_blocks), order="F")
     for k in range(d - 1):
-        u, s = left_svd(c, cut)
+        pad = c.shape[0] // dims[k]
+        rows = [r * dims[k] for r in r_prev]
+        real = (None if min(r_prev) == pad
+                else np.arange(c.shape[0]) % pad < np.array(r_prev)[:, np.newaxis])
+        u, s = _stack_left_svd(c.transpose(2, 0, 1), rows, real, cut)
         if delta is not None:
-            tail = np.cumsum(s[::-1] ** 2)[::-1]
-            keep = int(np.sum(tail > delta**2))
-            r = max(1, keep)
+            tail = np.cumsum(s[:, ::-1] ** 2, axis=1)[:, ::-1]
+            r = [max(keep, 1) for keep in (tail > delta[:, np.newaxis] ** 2).sum(axis=1).tolist()]
         else:
-            r = min(ranks[k], s.size)
-        u = u[:, :r]
-        carriages.append(np.reshape(u, (r_prev, dims[k], r), order="F"))
-        c = np.reshape((c.T @ u).T, (r * dims[k + 1], -1), order="F")
+            r = [min(ranks[k], m, c.shape[1]) for m in rows]
+        width = max(r)
+        u = u[:, :, :width]
+        if min(r) < width:
+            u = u * (np.arange(width) < np.array(r)[:, np.newaxis])[:, np.newaxis, :]
+        g = u.reshape(n_blocks, dims[k], pad, width)
+        for b in range(n_blocks):
+            carriages[b].append(np.ascontiguousarray(
+                g[b, :, :r_prev[b], :r[b]].transpose(1, 0, 2)))
+        c = np.reshape(np.matmul(c.transpose(2, 1, 0), u).transpose(2, 1, 0),
+                       (width * dims[k + 1], -1, n_blocks), order="F")
         r_prev = r
-    carriages.append(np.reshape(c, (r_prev, dims[-1], 1), order="F"))
-    return TTFactorization(tuple(carriages))
+    last = np.reshape(c, (-1, dims[-1], n_blocks), order="F")
+    return [TTFactorization((*carriages[b], np.ascontiguousarray(
+        last[:r_prev[b], :, b, np.newaxis]))) for b in range(n_blocks)]
+
+
+def _stack_left_svd(c: np.ndarray, rows: list[int], real: np.ndarray | None, cut: float):
+    """``left_svd`` (route, sign rule) of each matrix ``c[b]`` of the stack
+    ``(B, m, n)``: its ``rows[b]`` rows in ``real[b]`` are its own, the
+    others zero padding (``real`` is None when no block is padded).
+
+    Returns ``U`` and ``S``, ``(B, m, k)`` and ``(B, k)`` with ``k`` at
+    least ``min(m, n)``: each block's own directions by descending value,
+    then padded ones with ``S = 0`` and no entry on a padded row.  A block
+    takes the route its own unfolding would, so a stack makes one batched
+    Gram ``eigh`` for its wide blocks and batched thin SVDs for the rest:
+
+    - a Gram gets the negative diagonal ``-max(diag)`` on each block's
+      padded rows, so that their directions sort strictly last;
+    - an SVD takes only each block's own rows (one call per row count),
+      because the null directions of a tall or rank-deficient matrix
+      would mix its padding in.
+
+    When a stack takes both routes, each is padded only to its own
+    largest rank.  A zero spectrum (an all-zero block) takes the unit
+    vectors of its own rows in order, so the choice does not depend on
+    the padding.
+    """
+    n_blocks, m, n = c.shape
+    routes = {}
+    for b, rw in enumerate(rows):
+        routes.setdefault(0 if _takes_gram(rw, n, cut) else rw, []).append(b)
+    if len(routes) == 1:
+        # one route for the whole stack (an SVD's blocks then share their
+        # row count, so none is padded)
+        u, s = _gram_eigh(c, real) if 0 in routes else np.linalg.svd(c, full_matrices=False)[:2]
+    else:
+        k = min(m, n)
+        u, s = np.zeros((n_blocks, m, k)), np.zeros((n_blocks, k))
+        for rw, blocks in routes.items():
+            own = np.ones((len(blocks), m), dtype=bool) if real is None else real[blocks]
+            idx = np.flatnonzero(own.any(axis=0))
+            cg, own = c[np.ix_(blocks, idx)], own[:, idx]
+            ug, sg = (_gram_eigh(cg, None if own.all() else own) if rw == 0
+                      else np.linalg.svd(cg, full_matrices=False)[:2])
+            kg = min(k, sg.shape[1])
+            u[np.ix_(blocks, idx, np.arange(kg))] = ug[:, :, :kg]
+            s[blocks, :kg] = sg[:, :kg]
+    u *= _column_signs(u)[:, np.newaxis, :]
+    for b in np.flatnonzero(s[:, 0] == 0.0):
+        own = (np.arange(m) if real is None else np.flatnonzero(real[b]))[:min(m, n)]
+        u[b] = 0.0
+        u[b, own, np.arange(len(own))] = 1.0
+    return u, s
+
+
+def _gram_eigh(c, real):
+    # (U, S) from the Grams: eigenpairs in descending order, rounding-
+    # negative eigenvalues clipped; the padded rows (outside real) get a
+    # diagonal below every eigenvalue of the block's own rows, and their
+    # entries of U are zeroed
+    g = np.matmul(c, c.transpose(0, 2, 1))
+    if real is not None:
+        blocks, rows = np.nonzero(~real)
+        top = g.diagonal(axis1=1, axis2=2).max(axis=1)
+        g[blocks, rows, rows] = -np.where(top > 0.0, top, 1.0)[blocks]
+    lam, u = np.linalg.eigh(g)
+    u = u[:, :, ::-1]
+    if real is not None:
+        u[~real] = 0.0
+    return u, np.sqrt(np.maximum(lam[:, ::-1], 0.0))
 
 
 def tt_element(f: TTFactorization, index: Sequence[int]) -> float:
@@ -275,12 +379,19 @@ def qtt_compress(
 ) -> QttFactorization:
     """TT-SVD on the prime-factor reshaping of ``x``."""
     x = np.asarray(x, dtype=np.float64)
-    fine, factors = qtt_reshape(x)
-    return QttFactorization(
-        ttsvd(fine, tol=tol, ranks=ranks),
-        tuple(x.shape),
-        tuple(tuple(fs) for fs in factors),
-    )
+    return _qtt_stack(x[..., np.newaxis], tol=tol, ranks=ranks)[0]
+
+
+def _qtt_stack(x: np.ndarray, tol: float | None = None,
+               ranks: Sequence[int] | None = None) -> list[QttFactorization]:
+    # qtt_compress of every block x[..., b]: the stacked TT sweep of the
+    # prime-factor split, an F-order view of an F-contiguous stack
+    *dims, n_blocks = x.shape
+    factors = qtt_factorize_modes(dims)
+    fine = np.reshape(x, [p for fs in factors for p in fs] + [n_blocks], order="F")
+    mode_factors = tuple(tuple(fs) for fs in factors)
+    return [QttFactorization(f, tuple(dims), mode_factors)
+            for f in _ttsvd_stack(fine, tol=tol, ranks=ranks)]
 
 
 qtt_reconstruct = QttFactorization.reconstruct
@@ -294,4 +405,5 @@ def tt_compress_abs(
 ) -> TTFactorization | QttFactorization:
     """Smallest TT (or QTT) among the tolerance-halving sweeps within
     ``eps_max`` in the Chebyshev norm (see ``budgeted_search``)."""
-    return budgeted_search(QttFactorization if qtt else TTFactorization, x, eps_max, quantize)[0]
+    return budgeted_search(QttFactorization if qtt else TTFactorization, [x], eps_max,
+                           quantize)[0][0]

@@ -201,4 +201,4 @@ def tucker_compress_abs(
 ) -> TuckerFactorization:
     """First of ``TuckerFactorization.candidates`` (slices of one ST-HOSVD
     core) within ``eps_max`` in the Chebyshev norm (see ``budgeted_search``)."""
-    return budgeted_search(TuckerFactorization, x, eps_max, quantize)[0]
+    return budgeted_search(TuckerFactorization, [x], eps_max, quantize)[0][0]

@@ -39,3 +39,16 @@ def synth_block(dims=(32, 24, 8, 32), seed=7):
     g = synth(SynthSpec(dims=dims, seed=seed))
     b = max(greedy_partition(g.domain_mask, 8).blocks, key=lambda b: b.area)
     return g.values[b.x_start:b.x_end, b.y_start:b.y_end]
+
+
+def interval_stack():
+    """16 eight-step intervals of one 8x8x4 block of a synthetic field: the
+    stack a 16-split search makes, with interval 3 all zero, interval 7
+    constant and interval 11 a rank outlier (noise added), so that the
+    other intervals are padded to its ranks."""
+    x = synth_block(dims=(32, 24, 4, 128))[:8, :8]
+    blocks = [np.array(x[..., 8 * i:8 * i + 8]) for i in range(16)]
+    blocks[3] = np.zeros_like(blocks[3])
+    blocks[7] = np.full_like(blocks[7], 2.5)
+    blocks[11] = blocks[11] + np.random.default_rng(5).standard_normal(blocks[11].shape)
+    return blocks

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import interval_stack
+from tenblock import pipeline
 from tenblock.cli import main
 from tenblock.formats import read_gst
 from tenblock.partition import BlockIndex, greedy_partition
@@ -217,11 +219,13 @@ def test_compress_reconstructs_each_block_once(monkeypatch, method):
     assert len(archive.blocks) > 2
     assert len(calls) == len(archive.blocks)
 
-    # the reported errors are those of the archived factorizations
+    # the reported errors are those of the archived factorizations, taken
+    # on the block in the kind's memory order, as the search holds it
     for rec, s in zip(archive.blocks, report.block_stats):
         r = rec.rect
         t0, t1 = archive.splits[rec.interval]
-        sub = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
+        sub = np.asarray(g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1],
+                         order=cls.order)
         diff = rec.fac.reconstruct() - sub
         assert (s.rect, s.interval) == (rec.rect, rec.interval)
         assert s.cheb_error == chebyshev_norm(diff)
@@ -230,13 +234,13 @@ def test_compress_reconstructs_each_block_once(monkeypatch, method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_budgeted_search_is_layout_independent(method):
-    # the search copies the block once into C order, so a C-contiguous
+    # the search copies the block once into its stack, so a C-contiguous
     # block, its F-ordered copy and a strided field view give the same bits;
     # the budget takes two or three candidates for every kind
     g = small_field(dims=(32, 24, 8, 32))
     r = max(greedy_partition(g.domain_mask, 8).blocks, key=lambda b: b.area)
     view = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, 8:24]
-    results = [budgeted_search(KINDS[method], x, 0.1, _quantize_f32)
+    results = [budgeted_search(KINDS[method], [x], 0.1, _quantize_f32)[0]
                for x in (np.ascontiguousarray(view), np.asfortranarray(view), view)]
     (fac, cheb, rel), others = results[0], results[1:]
     for other_fac, other_cheb, other_rel in others:
@@ -288,3 +292,60 @@ def test_compress_is_layout_independent():
         assert ([(r.rect, r.interval, r.fac.ranks) for r in a.blocks]
                 == [(r.rect, r.interval, r.fac.ranks) for r in b.blocks])
         assert ra.cr_all == rb.cr_all
+
+
+def _assert_same_search(method, x, found, alone):
+    # a stacked search's result against the block searched alone: the same
+    # ranks and Chebyshev error; TT and Tucker payloads equal, QTT float32
+    # arrays within 1e-7 relative (its padded eigh rounds differently)
+    (fac, cheb, rel), (ref, ref_cheb, ref_rel) = found, alone
+    assert fac.ranks == ref.ranks
+    if method == "qtt":
+        for a, b in zip(fac.arrays(), ref.arrays()):
+            assert np.max(np.abs(a - b)) <= 1e-7 * np.max(np.abs(b))
+        assert abs(cheb - ref_cheb) <= 1e-6 * max(1.0, float(np.max(np.abs(x))))
+    else:
+        for a, b in zip(fac.arrays(), ref.arrays()):
+            np.testing.assert_array_equal(a, b)
+        assert (cheb, rel) == (ref_cheb, ref_rel)
+
+
+@pytest.mark.parametrize("method", ["tt", "qtt"])
+@pytest.mark.parametrize("which", [[11], [3, 7, 11], list(range(16))], ids=["B1", "B3", "B16"])
+def test_stacked_search_matches_each_block_alone(method, which):
+    blocks = [interval_stack()[i] for i in which]
+    cls = KINDS[method]
+    found = budgeted_search(cls, blocks, 0.1, _quantize_f32)
+    assert len(found) == len(blocks)
+    for x, result in zip(blocks, found):
+        _assert_same_search(method, x, result, budgeted_search(cls, [x], 0.1, _quantize_f32)[0])
+        assert result[1] <= 0.1
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_compress_searches_same_length_intervals_as_one_stack(monkeypatch, method):
+    # 20 steps in 3 splits: intervals of 6, 6 and 8 steps, so each
+    # rectangle makes one search of two intervals and one of one
+    g = small_field(dims=(32, 24, 4, 20))
+    stacks = []
+    search = budgeted_search
+
+    def recording(cls, blocks, *args):
+        stacks.append(len(blocks))
+        return search(cls, blocks, *args)
+
+    monkeypatch.setattr(pipeline, "budgeted_search", recording)
+    archive, report = compress_dataset(g, method, 0.25, 8, 3)
+    monkeypatch.undo()
+    assert archive.splits == ((0, 6), (6, 12), (12, 20))
+    rects = list(dict.fromkeys(rec.rect for rec in archive.blocks))
+    assert stacks == [2, 1] * len(rects)
+    # records rect-major, interval-minor
+    assert [(rec.rect, rec.interval) for rec in archive.blocks] == [
+        (r, iv) for r in rects for iv in range(3)]
+    for rec, s in zip(archive.blocks, report.block_stats):
+        r = rec.rect
+        t0, t1 = archive.splits[rec.interval]
+        x = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
+        alone = budgeted_search(KINDS[method], [x], 0.25, _quantize_f32)[0]
+        _assert_same_search(method, x, (rec.fac, s.cheb_error, s.rel_frob_error), alone)

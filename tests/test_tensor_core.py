@@ -333,7 +333,7 @@ class _Values(Factorization):
 
 def test_budgeted_search_rejects_nan_reconstruction():
     x = np.random.default_rng(14).standard_normal((3, 4, 2))
-    fac, cheb, _ = budgeted_search(_Values, x, 0.5)
+    [(fac, cheb, _)] = budgeted_search(_Values, [x], 0.5)
     assert not np.isnan(fac.values).any()
     assert cheb == pytest.approx(0.25)
 

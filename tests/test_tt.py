@@ -3,13 +3,16 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import exact_tt_tensor, synth_block
+from helpers import exact_tt_tensor, interval_stack, synth_block
 from tenblock.tensor_core import frobenius_norm, left_svd
 from tenblock.tt import (
     QttFactorization,
     TTFactorization,
     _halving_sweeps,
     _prime_factors,
+    _qtt_stack,
+    _stack_left_svd,
+    _ttsvd_stack,
     qtt_compress,
     qtt_factorize_modes,
     qtt_reconstruct,
@@ -356,37 +359,45 @@ def test_qtt_compress_matches_reference_sweep_on_every_layout(x, kw, layout):
 
 @pytest.mark.parametrize("kw", [{"tol": 1e-2}, {"ranks": (3, 5, 4)}])
 def test_ttsvd_sweep_of_fortran_block_reshapes_views(monkeypatch, kw):
-    # on an F-contiguous block every step's matrix is a view: of the block
-    # first, then of the product that carries the remainder
+    # on an F-contiguous block every step's stack of matrices is a view: of
+    # the block first, then of the product that carries the remainder, and
+    # last the final carriage's
     x = np.asfortranarray(synth_block())
     seen = []
     reshape = np.reshape
 
     def recording(a, *args, **kwargs):
         out = reshape(a, *args, **kwargs)
-        if sys._getframe(1).f_globals.get("__name__") == "tenblock.tt" and out.ndim == 2:
+        if sys._getframe(1).f_globals.get("__name__") == "tenblock.tt" and out.ndim == 3:
             seen.append(np.shares_memory(out, a))
         return out
 
     monkeypatch.setattr(np, "reshape", recording)
     ttsvd(x, **kw)
     monkeypatch.undo()
-    assert seen == [True] * x.ndim
+    assert seen == [True] * (x.ndim + 1)
 
 
 def test_halving_sweeps_share_one_fortran_copy():
+    # one F-ordered copy of the stack serves every round: the first sweeps
+    # it whole, each later one only the blocks that failed, sliced from it
     x = synth_block()
+    stack = np.stack([x[..., 0:8], x[..., 8:16], x[..., 16:24]])
     seen = []
 
     def sweep(a, tol):
         seen.append(a)
-        return tol
+        return [tol] * a.shape[-1]
 
-    tols = [t for t, _ in zip(_halving_sweeps(sweep, x), range(4))]
-    assert tols == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
-    assert all(a is seen[0] for a in seen)
-    assert seen[0].flags.f_contiguous
-    np.testing.assert_array_equal(seen[0], x)
+    rounds = _halving_sweeps(sweep, stack)
+    assert rounds.send(None) == {0: 1e-2, 1: 1e-2, 2: 1e-2}
+    assert rounds.send([0, 2]) == {0: 5e-3, 2: 5e-3}
+    assert rounds.send([2]) == {2: 2.5e-3}
+    assert all(a.flags.f_contiguous for a in seen)
+    assert seen[0].shape == stack.shape[1:] + (3,)
+    for a, blocks in zip(seen, ([0, 1, 2], [0, 2], [2])):
+        for i, b in enumerate(blocks):
+            np.testing.assert_array_equal(a[..., i], stack[b])
 
 
 def test_tt_reconstruct_is_c_ordered_and_qtt_f_ordered():
@@ -398,3 +409,54 @@ def test_tt_reconstruct_is_c_ordered_and_qtt_f_ordered():
     np.testing.assert_array_equal(g.reconstruct(), f.reconstruct())
     q = qtt_compress(synth_block()[:, :, :, :8], tol=1e-2)
     assert q.reconstruct().flags.f_contiguous
+
+
+@pytest.mark.parametrize("cut", [1e-2, 1e-9], ids=["gram", "svd"])
+def test_stack_left_svd_sorts_padding_last(cut):
+    # rank index fastest with rank 1, 2 and 3 padded to 3: a constant
+    # (rank-deficient) block, an all-zero one and a full-rank one.  Each
+    # block's own directions come first, orthonormal on its own rows; its
+    # padded directions follow with S = 0, and no column has a padded entry
+    n_k, cols = 4, 40
+    r_prev = [1, 2, 3]
+    real = np.arange(3 * n_k) % 3 < np.array(r_prev)[:, None]
+    c = np.zeros((3, 3 * n_k, cols))
+    c[0][real[0]] = 1.0
+    c[2][real[2]] = np.random.default_rng(8).standard_normal((3 * n_k, cols))
+    rows = [r * n_k for r in r_prev]
+    u, s = _stack_left_svd(c, rows, real, cut)
+    for b, rw in enumerate(rows):
+        own = u[b][real[b]][:, :rw]
+        np.testing.assert_allclose(own.T @ own, np.eye(rw), rtol=0, atol=1e-12)
+        assert not u[b][~real[b]].any()
+        assert not s[b, rw:].any()
+    np.testing.assert_array_equal(u[1][:, 0], np.eye(3 * n_k)[0])  # zero spectrum
+
+
+@pytest.mark.parametrize("sweep", [_ttsvd_stack, _qtt_stack], ids=["tt", "qtt"])
+@pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
+def test_stacked_sweep_keeps_no_padded_direction(sweep, tol):
+    # every kept carriage is left-orthonormal on its own rows: a padded
+    # direction would show as a (near) zero column
+    x = np.asfortranarray(np.stack(interval_stack(), axis=-1))
+    facs = sweep(x, tol=tol)
+    assert len({f.ranks for f in facs}) > 1  # the stack is padded
+    for f in facs:
+        carriages = f.arrays()
+        for g in carriages[:-1]:
+            assert g.flags.c_contiguous
+            m = g.reshape(-1, g.shape[2])
+            np.testing.assert_allclose(m.T @ m, np.eye(g.shape[2]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sweep", [_ttsvd_stack, _qtt_stack], ids=["tt", "qtt"])
+def test_stacked_sweep_matches_each_block_alone(sweep):
+    # same ranks as each block swept alone, carriages within rounding
+    blocks = interval_stack()
+    x = np.asfortranarray(np.stack(blocks, axis=-1))
+    for b, f in enumerate(sweep(x, tol=1e-2)):
+        alone = sweep(np.asfortranarray(blocks[b][..., None]), tol=1e-2)[0]
+        assert f.ranks == alone.ranks
+        scale = max(1.0, float(np.max(np.abs(blocks[b]))))
+        for g, h in zip(f.arrays(), alone.arrays()):
+            assert np.max(np.abs(g - h)) <= 1e-9 * scale
