@@ -13,16 +13,16 @@ tolerance ``TOL0``):
 - ``ttsvd`` and ``qtt_compress``;
 - TT and QTT reconstruct.
 
-The "tt search" and "qtt search" rows time the whole search as
-``compress_dataset`` runs it: one ``budgeted_search`` per rectangle and
-interval length over the stack of its same-length intervals
+The "tucker search", "tt search" and "qtt search" rows time the whole
+search as ``compress_dataset`` runs it: one ``budgeted_search`` per
+rectangle and interval length over the stack of its same-length intervals
 (``interval_stacks``), with float32 quantization at the workload's budget
 (``eps_max`` 0.5 at 1 split as in `deep`, else 0.25 as in `split16`): the
-stack copies, every stacked tolerance-halving sweep and every verify.  The
-last
-row is the ``GappyTensor4`` validation of the whole field.  Each figure is
-the median wall time of ``--repeats`` runs in one process, BLAS pinned to
-one thread.
+stack copies, every candidate (Tucker's rounds of core slices, TT's and
+QTT's stacked tolerance-halving sweeps) and every verify.  The last row is
+the ``GappyTensor4`` validation of the whole field.  Each figure is the
+median wall time of ``--repeats`` runs in one process, BLAS pinned to one
+thread.
 
 Usage: python3 benchmarks/bench_layers.py [--repeats 15] [--splits 1,16]
 """
@@ -88,6 +88,9 @@ def layer_times(g, n_splits, repeats):
         "qtt_compress": median_ms(lambda x: qtt_compress(x, tol=TT_TOL0), pow2_subs, repeats),
         "tt reconstruct": median_ms(lambda f: f.reconstruct(), tts, repeats),
         "qtt reconstruct": median_ms(lambda f: f.reconstruct(), qtts, repeats),
+        "tucker search": median_ms(
+            lambda s: budgeted_search(TuckerFactorization, s, eps_max, _quantize_f32),
+            search_stacks(g.values, greedy, splits), repeats),
         "tt search": median_ms(
             lambda s: budgeted_search(TTFactorization, s, eps_max, _quantize_f32),
             search_stacks(g.values, greedy, splits), repeats),

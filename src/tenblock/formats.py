@@ -4,7 +4,9 @@ and uint64 header length, then a JSON header and a payload of
 little-endian 32-bit floats raveled first-index-fastest.
 
 Every structural claim in a header is validated before the payload is
-touched; writes go to a temporary file renamed into place.
+touched; a header integer must be a JSON integer (``type(v) is int``), since
+``true`` and ``2.0`` compare equal to ints but are not.  Writes go to a
+temporary file renamed into place.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _assemble(magic: bytes, header: dict, payload: bytes) -> bytes:
 
 def _check_dims(dims) -> tuple[int, int, int, int]:
     if (not isinstance(dims, list) or len(dims) != 4
-            or any(not isinstance(n, int) or n < 1 for n in dims)):
+            or any(type(n) is not int or n < 1 for n in dims)):
         raise FormatError(f"bad dims {dims!r}")
     return tuple(dims)
 
@@ -113,7 +115,7 @@ def _encode_rle(mask: np.ndarray) -> list[int]:
 
 
 def _decode_rle(runs, shape) -> np.ndarray:
-    if not isinstance(runs, list) or any(not isinstance(r, int) or r < 0 for r in runs):
+    if not isinstance(runs, list) or any(type(r) is not int or r < 0 for r in runs):
         raise FormatError("bad mask run-length data")
     total = int(np.prod(shape, dtype=np.int64))
     if sum(runs) != total:
@@ -186,7 +188,7 @@ def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
         raise FormatError(f"block entry {entry!r} is not an object")
     rect = entry.get("rect")
     if (not isinstance(rect, list) or len(rect) != 4
-            or any(not isinstance(c, int) for c in rect)):
+            or any(type(c) is not int for c in rect)):
         raise FormatError(f"bad block rect {rect!r}")
     x0, x1, y0, y1 = rect
     if not (0 <= x0 < x1 <= nx and 0 <= y0 < y1 <= ny):
@@ -194,7 +196,7 @@ def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
     if not mask[x0:x1, y0:y1].all():
         raise FormatError(f"block rect {rect} covers undefined cells")
     iv = entry.get("interval")
-    if not isinstance(iv, int) or not 0 <= iv < len(splits):
+    if type(iv) is not int or not 0 <= iv < len(splits):
         raise FormatError(f"bad interval id {iv!r}")
     t0, t1 = splits[iv]
     block_dims = (x1 - x0, y1 - y0, nl, t1 - t0)
@@ -208,9 +210,9 @@ def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
     for a in arrays:
         shape = a.get("shape") if isinstance(a, dict) else None
         if (not isinstance(shape, list) or not shape
-                or any(not isinstance(n, int) or n < 1 for n in shape)):
+                or any(type(n) is not int or n < 1 for n in shape)):
             raise FormatError(f"bad array shape {shape!r}")
-        if a.get("offset") != expected_offset:
+        if type(a.get("offset")) is not int or a["offset"] != expected_offset:
             raise FormatError(f"array offset {a.get('offset')!r}, expected {expected_offset}")
         shapes.append(tuple(shape))
         expected_offset += math.prod(shape)
@@ -230,7 +232,7 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     if cls is None:
         raise FormatError(f"unknown method {method!r}")
     eps_max = header.get("eps_max")
-    if not isinstance(eps_max, (int, float)) or eps_max <= 0:
+    if type(eps_max) not in (int, float) or not eps_max > 0:
         raise FormatError(f"bad eps_max {eps_max!r}")
     dims = _check_dims(header.get("dims"))
     nx, ny, nl, nt = dims
@@ -243,7 +245,7 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     clean_splits = []
     for s in splits:
         if (not isinstance(s, list) or len(s) != 2
-                or any(not isinstance(t, int) for t in s) or s[0] != pos or s[1] <= s[0]):
+                or any(type(t) is not int for t in s) or s[0] != pos or s[1] <= s[0]):
             raise FormatError(f"bad time split {s!r}")
         clean_splits.append((s[0], s[1]))
         pos = s[1]
@@ -270,11 +272,11 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
         raise FormatError("block list does not cover every rectangle x interval")
 
     lo = header.get("leftover")
-    if not isinstance(lo, dict) or lo.get("offset") != offset:
+    if not isinstance(lo, dict) or type(lo.get("offset")) is not int or lo["offset"] != offset:
         raise FormatError("bad leftover descriptor")
     n_cells = lo.get("cells")
     derived = leftover_cells(mask, rects).shape[0]
-    if n_cells != derived:
+    if type(n_cells) is not int or n_cells != derived:
         raise FormatError(f"{n_cells!r} leftover cells recorded, mask implies {derived}")
     total_elements = offset + n_cells * nl * nt
     counts = header.get("counts")

@@ -64,14 +64,16 @@ class FormatError(ValueError):
 
 
 QuantizeFn = Callable[[np.ndarray], np.ndarray]
+AcceptFn = Callable[[int, "Factorization"], bool]  # accept(b, fac): block b done?
 
 
 class Factorization:
     """A block factorization kind (``kind`` names its method and archive
     records): ``dims``, ``ranks``, ``arrays()`` in archive order and
     ``reconstruct()``, whose output is contiguous in the class's ``order``;
-    per class ``rounds(stack)``, the candidates of the budgeted search,
-    ``check_header`` and ``from_arrays``, the inverse of ``arrays()``."""
+    per class ``search(stack, accept)``, which offers the budgeted search
+    its candidates, ``check_header`` and ``from_arrays``, the inverse of
+    ``arrays()``."""
 
     kind: ClassVar[str]
     pow2_blocks: ClassVar[bool] = False  # wants power-of-two block sides
@@ -87,23 +89,18 @@ class Factorization:
         return {}
 
     @classmethod
-    def rounds(cls, stack: np.ndarray):
-        """The search's candidates for the blocks ``stack[b]``, round by
-        round: yields ``{b: candidate}`` for the blocks still searched and is
-        sent the list of those whose candidate failed.  A block missing
-        from a round has no candidate left.  This default runs the class's
-        ``candidates(x)`` (smallest first) on each block."""
-        searches = [cls.candidates(x) for x in stack]
-        blocks = range(len(stack))
-        while True:
-            found = {}
-            for b in blocks:
-                fac = next(searches[b], None)
-                if fac is not None:
-                    found[b] = fac
-            if not found:
-                return
-            blocks = yield found
+    def search(cls, stack: np.ndarray, accept: AcceptFn) -> None:
+        """Offer candidates for the blocks ``stack[b]`` to ``accept(b, fac)``,
+        smallest first, until it returns True (the block is done) or the
+        block has none left.  This default runs the class's ``candidates(x)``
+        in rounds: the next candidate of every block still searched, then
+        ``accept`` on each (a round keeps the candidates' SVDs together)."""
+        searches = {b: cls.candidates(x) for b, x in enumerate(stack)}
+        while searches:
+            found = [(b, next(s, None)) for b, s in searches.items()]
+            for b, fac in found:
+                if fac is None or accept(b, fac):
+                    del searches[b]
 
 
 def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_max: float,
@@ -117,7 +114,7 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
     fails the budget.  The Frobenius error is absolute for an all-zero block.
 
     The blocks are copied once into one stack, each block contiguous in
-    ``cls.order``; ``cls.rounds`` searches the stack (TT and QTT sweep all
+    ``cls.order``; ``cls.search`` searches the stack (TT and QTT sweep all
     blocks still failing at once), and each verify diff and both norms use
     the block's slice of it, so a strided block view is not copied again
     per candidate or per norm."""
@@ -138,27 +135,18 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
     for b, x in enumerate(blocks):
         stack[b] = x
     norms = [frobenius_norm(x) or 1.0 for x in stack]
-
     results = [None] * n
-    rounds = cls.rounds(stack)
-    failing = None
-    while True:
-        try:
-            found = rounds.send(failing)
-        except StopIteration:
-            break
-        failing = []
-        for b, fac in found.items():
-            if quantize is not None:
-                fac = cls.from_arrays([quantize(a) for a in fac.arrays()],
-                                      fac.dims, fac.header_fields())
-            diff = fac.reconstruct() - stack[b]
-            cheb = float(np.max(np.abs(diff, out=diff)))
-            results[b] = (fac, cheb, frobenius_norm(diff) / norms[b])
-            if not cheb <= eps_max:
-                failing.append(b)
-        if not failing:
-            break
+
+    def accept(b: int, fac: Factorization) -> bool:
+        if quantize is not None:
+            fac = cls.from_arrays([quantize(a) for a in fac.arrays()],
+                                  fac.dims, fac.header_fields())
+        diff = fac.reconstruct() - stack[b]
+        cheb = float(np.max(np.abs(diff, out=diff)))
+        results[b] = (fac, cheb, frobenius_norm(diff) / norms[b])
+        return cheb <= eps_max
+
+    cls.search(stack, accept)
     return results
 
 
@@ -298,12 +286,28 @@ def _takes_gram(rows: int, cols: int, cut: float) -> bool:
     return rows <= cols and cut >= GRAM_CUT_FLOOR
 
 
-def _gram_left_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (U, S) of M from its Gram g = M M^T: eigenpairs in descending order,
-    # rounding-negative eigenvalues clipped to 0, S = sqrt(lambda)
+def _gram_left_svd(g: np.ndarray, real: np.ndarray | None = None):
+    # (U, S) of M, or of each M[b] of a stack, from its Gram g = M M^T:
+    # eigenpairs in descending order, rounding-negative eigenvalues clipped
+    # to 0, S = sqrt(lambda), U signed as by _svd_deterministic.  Rows of a
+    # stack outside real (B, m) are padding: g gets -max(diag) on them, so
+    # their directions sort after all of the block's own, and their
+    # entries of U are zeroed
+    if real is not None:
+        blocks, rows = np.nonzero(~real)
+        top = g.diagonal(axis1=1, axis2=2).max(axis=1)
+        g[blocks, rows, rows] = -np.where(top > 0.0, top, 1.0)[blocks]
     lam, u = np.linalg.eigh(g)
-    u = u[:, ::-1]
-    return u * _column_signs(u), np.sqrt(np.clip(lam[::-1], 0.0, None))
+    u = u[..., ::-1]
+    if real is not None:
+        u[~real] = 0.0
+    return u * _column_signs(u)[..., np.newaxis, :], np.sqrt(np.maximum(lam[..., ::-1], 0.0))
+
+
+def _thin_left_svd(m: np.ndarray):
+    # (U, S) of the thin SVD of a matrix or of each of a stack, U signed
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u * _column_signs(u)[..., np.newaxis, :], s
 
 
 def left_svd(m: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
@@ -319,8 +323,7 @@ def left_svd(m: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=np.float64)
     if _takes_gram(*m.shape, cut):
         return _gram_left_svd(m @ m.T)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u * _column_signs(u), s
+    return _thin_left_svd(m)
 
 
 def mode_gram(x: np.ndarray, mode: int) -> np.ndarray:
@@ -357,7 +360,7 @@ def mode_left_svd(x: np.ndarray, mode: int, cut: float) -> tuple[np.ndarray, np.
     n = x.shape[mode]
     if _takes_gram(n, x.size // n, cut):
         return _gram_left_svd(mode_gram(x, mode))
-    return left_svd(unfold(x, mode), cut)
+    return _thin_left_svd(unfold(x, mode))
 
 
 def truncated_svd(m: np.ndarray, rank: int | None = None, tol: float | None = None) -> SvdResult:

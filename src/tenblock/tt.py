@@ -10,10 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import (Factorization, FormatError, QuantizeFn, _column_signs,
-                          _takes_gram, budgeted_search, frobenius_norm)
+from .tensor_core import (AcceptFn, Factorization, FormatError, QuantizeFn, _gram_left_svd,
+                          _takes_gram, _thin_left_svd, budgeted_search, frobenius_norm)
 
-TOL0 = 1e-2  # first sweep tolerance of tt_compress_abs
+TOL0 = 1e-2  # first sweep tolerance of the TT and QTT budgeted search
 TOL_FLOOR = 1e-16  # the search stops at the first tolerance below this
 
 
@@ -74,8 +74,8 @@ class TTFactorization(Factorization):
                 raise FormatError(f"carriage {k} rank mismatch")
 
     @staticmethod
-    def rounds(stack: np.ndarray):
-        return _halving_sweeps(_ttsvd_stack, stack)
+    def search(stack: np.ndarray, accept: AcceptFn) -> None:
+        _halving_search(_ttsvd_stack, stack, accept)
 
 
 @dataclass(frozen=True)
@@ -125,32 +125,31 @@ class QttFactorization(Factorization):
                 or any(not isinstance(f, list) or not f for f in mode_factors)):
             raise FormatError("qtt block needs mode_factors for each mode")
         for f, n in zip(mode_factors, dims):
-            if any(not isinstance(p, int) or p < 1 for p in f):
+            if any(type(p) is not int or p < 1 for p in f):
                 raise FormatError(f"bad mode factors {f!r}")
             if math.prod(f) != n:
                 raise FormatError(f"mode factors {f} do not multiply to {n}")
         TTFactorization.check_header(shapes, [p for f in mode_factors for p in f], fields)
 
     @staticmethod
-    def rounds(stack: np.ndarray):
-        return _halving_sweeps(_qtt_stack, stack)
+    def search(stack: np.ndarray, accept: AcceptFn) -> None:
+        _halving_search(_qtt_stack, stack, accept)
 
 
-def _halving_sweeps(sweep, stack: np.ndarray):
+def _halving_search(sweep, stack: np.ndarray, accept: AcceptFn) -> None:
     # the sweep tolerance bounds the relative Frobenius error, not the
     # pointwise one, so it is halved until the budget holds or the floor;
     # each round sweeps the blocks still failing at once, from one F-ordered
     # stack (n_1, .., n_d, B) on which every block's first-index-fastest
     # reshapes are views (a QTT search's stack already is one)
     x = np.asfortranarray(np.moveaxis(stack, 0, -1))
-    blocks = list(range(x.shape[-1]))
-    tol = TOL0
+    blocks, tol = list(range(x.shape[-1])), TOL0
     while True:
         sub = x if len(blocks) == x.shape[-1] else x[..., blocks]
-        failing = yield dict(zip(blocks, sweep(sub, tol=tol)))
-        if tol < TOL_FLOOR or not failing:
+        blocks = [b for b, fac in zip(blocks, sweep(sub, tol=tol)) if not accept(b, fac)]
+        if not blocks or tol < TOL_FLOOR:
             return
-        blocks, tol = list(failing), tol / 2.0
+        tol /= 2.0
 
 
 def _unfolding_rank_bounds(dims: Sequence[int]) -> list[int]:
@@ -265,8 +264,8 @@ def _stack_left_svd(c: np.ndarray, rows: list[int], real: np.ndarray | None, cut
     takes the route its own unfolding would, so a stack makes one batched
     Gram ``eigh`` for its wide blocks and batched thin SVDs for the rest:
 
-    - a Gram gets the negative diagonal ``-max(diag)`` on each block's
-      padded rows, so that their directions sort strictly last;
+    - a Gram sorts the directions of each block's padded rows strictly
+      last (see ``_gram_left_svd``);
     - an SVD takes only each block's own rows (one call per row count),
       because the null directions of a tall or rank-deficient matrix
       would mix its padding in.
@@ -283,7 +282,8 @@ def _stack_left_svd(c: np.ndarray, rows: list[int], real: np.ndarray | None, cut
     if len(routes) == 1:
         # one route for the whole stack (an SVD's blocks then share their
         # row count, so none is padded)
-        u, s = _gram_eigh(c, real) if 0 in routes else np.linalg.svd(c, full_matrices=False)[:2]
+        u, s = (_gram_left_svd(np.matmul(c, c.transpose(0, 2, 1)), real) if 0 in routes
+                else _thin_left_svd(c))
     else:
         k = min(m, n)
         u, s = np.zeros((n_blocks, m, k)), np.zeros((n_blocks, k))
@@ -291,34 +291,17 @@ def _stack_left_svd(c: np.ndarray, rows: list[int], real: np.ndarray | None, cut
             own = np.ones((len(blocks), m), dtype=bool) if real is None else real[blocks]
             idx = np.flatnonzero(own.any(axis=0))
             cg, own = c[np.ix_(blocks, idx)], own[:, idx]
-            ug, sg = (_gram_eigh(cg, None if own.all() else own) if rw == 0
-                      else np.linalg.svd(cg, full_matrices=False)[:2])
+            ug, sg = (_gram_left_svd(np.matmul(cg, cg.transpose(0, 2, 1)),
+                                     None if own.all() else own) if rw == 0
+                      else _thin_left_svd(cg))
             kg = min(k, sg.shape[1])
             u[np.ix_(blocks, idx, np.arange(kg))] = ug[:, :, :kg]
             s[blocks, :kg] = sg[:, :kg]
-    u *= _column_signs(u)[:, np.newaxis, :]
     for b in np.flatnonzero(s[:, 0] == 0.0):
         own = (np.arange(m) if real is None else np.flatnonzero(real[b]))[:min(m, n)]
         u[b] = 0.0
         u[b, own, np.arange(len(own))] = 1.0
     return u, s
-
-
-def _gram_eigh(c, real):
-    # (U, S) from the Grams: eigenpairs in descending order, rounding-
-    # negative eigenvalues clipped; the padded rows (outside real) get a
-    # diagonal below every eigenvalue of the block's own rows, and their
-    # entries of U are zeroed
-    g = np.matmul(c, c.transpose(0, 2, 1))
-    if real is not None:
-        blocks, rows = np.nonzero(~real)
-        top = g.diagonal(axis1=1, axis2=2).max(axis=1)
-        g[blocks, rows, rows] = -np.where(top > 0.0, top, 1.0)[blocks]
-    lam, u = np.linalg.eigh(g)
-    u = u[:, :, ::-1]
-    if real is not None:
-        u[~real] = 0.0
-    return u, np.sqrt(np.maximum(lam[:, ::-1], 0.0))
 
 
 def tt_element(f: TTFactorization, index: Sequence[int]) -> float:

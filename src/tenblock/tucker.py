@@ -28,7 +28,7 @@ from .tensor_core import (
     rank_from_spectrum,
 )
 
-TOL0 = 1e-2  # spectrum tolerance of the first ranks tucker_compress_abs tries
+TOL0 = 1e-2  # spectrum tolerance of the first ranks the Tucker budgeted search tries
 # escalation steps of columns the search keeps past the ranks its pass
 # starts from; most blocks need at most two, so one pass serves the search
 HEADROOM_STEPS = 2

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import struct
 
@@ -18,7 +20,7 @@ from tenblock.formats import (
 )
 from tenblock.pipeline import compress_dataset, decompress_dataset
 from tenblock.synth import SynthSpec, synth
-from tenblock.tensor_core import chebyshev_norm
+from tenblock.tensor_core import GappyTensor4, chebyshev_norm
 
 PREFIX = struct.Struct("<4sIQ")
 
@@ -182,9 +184,9 @@ def test_gsa_rewrite_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def gsa_blob_parts(tmp_path, method="tucker"):
+def gsa_blob_parts(tmp_path, method="tucker", n_splits=1):
     g = small_field()
-    archive, _ = compress_dataset(g, method, 0.5, s_min=4)
+    archive, _ = compress_dataset(g, method, 0.5, s_min=4, n_splits=n_splits)
     path = tmp_path / "arch.gsa"
     write_gsa(archive, str(path))
     return path, split_blob(path.read_bytes())
@@ -280,6 +282,58 @@ def test_gsa_rejects_blocks_of_another_kind(tmp_path):
     header["method"] = "tucker"
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError, match="block kind 'tt' in a tucker archive"):
+        read_gsa(str(path))
+
+
+def test_gst_rejects_bool_dims(tmp_path):
+    # a one-cell field, so that [true, true, true, true] matches the payload
+    path = tmp_path / "cell.gst"
+    write_gst(GappyTensor4(np.ones((1, 1, 1, 1)), np.ones((1, 1), dtype=bool)), str(path))
+    magic, version, header, payload = split_blob(path.read_bytes())
+    for dims in ([True] * 4, [1.0] * 4):
+        header["dims"] = dims
+        path.write_bytes(join_blob(magic, version, header, payload))
+        with pytest.raises(FormatError, match="bad dims"):
+            read_gst(str(path))
+
+
+# every integer a GSA header holds, by its path in the header of a
+# two-interval archive (block 1 is in interval 1)
+GSA_INT_FIELDS = [
+    ("tucker", ("dims", 2)),
+    ("tucker", ("mask_rle", 1)),
+    ("tucker", ("splits", 1, 0)),
+    ("tucker", ("blocks", 1, "rect", 1)),
+    ("tucker", ("blocks", 1, "interval")),
+    ("tucker", ("blocks", 1, "arrays", 0, "shape", 0)),
+    ("tucker", ("blocks", 1, "arrays", 1, "offset")),
+    ("tucker", ("leftover", "offset")),
+    ("tucker", ("leftover", "cells")),
+    ("qtt", ("blocks", 1, "mode_factors", 0, 0)),
+]
+
+
+@pytest.mark.parametrize("as_type", [bool, float])
+@pytest.mark.parametrize("method,field", GSA_INT_FIELDS,
+                         ids=[".".join(map(str, f)) for _, f in GSA_INT_FIELDS])
+def test_gsa_rejects_ill_typed_integers(tmp_path, method, field, as_type):
+    # true and a float both compare equal to an int, so only the reader's
+    # integer check stops them before a reshape or a rewrite
+    path, (magic, version, header, payload) = gsa_blob_parts(tmp_path, method, n_splits=2)
+    *outer, key = field
+    node = functools.reduce(operator.getitem, outer, header)
+    node[key] = True if as_type is bool else float(node[key])
+    path.write_bytes(join_blob(magic, version, header, payload))
+    with pytest.raises(FormatError):
+        read_gsa(str(path))
+
+
+@pytest.mark.parametrize("eps_max", [True, float("nan")])
+def test_gsa_rejects_bool_or_nan_eps_max(tmp_path, eps_max):
+    path, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
+    header["eps_max"] = eps_max
+    path.write_bytes(join_blob(magic, version, header, payload))
+    with pytest.raises(FormatError, match="bad eps_max"):
         read_gsa(str(path))
 
 

@@ -338,6 +338,16 @@ def test_budgeted_search_rejects_nan_reconstruction():
     assert cheb == pytest.approx(0.25)
 
 
+def test_budgeted_search_returns_last_candidate_when_all_fail():
+    # no candidate meets the budget: the search ends when the candidates
+    # run out, with the last one and its errors
+    x = np.random.default_rng(15).standard_normal((3, 4, 2))
+    [(fac, cheb, rel)] = budgeted_search(_Values, [x], 0.1)
+    np.testing.assert_array_equal(fac.values, x + 0.25)
+    assert cheb == pytest.approx(0.25)
+    assert rel == pytest.approx(0.25 * np.sqrt(x.size) / np.linalg.norm(x))
+
+
 def test_rank_from_spectrum():
     s = np.array([1.0, 1e-2, 1e-6])
     assert rank_from_spectrum(s, 1e-3) == 2

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import exact_tt_tensor, interval_stack, synth_block
-from tenblock.tensor_core import frobenius_norm, left_svd
+from tenblock.tensor_core import GRAM_CUT_FLOOR, frobenius_norm, left_svd
 from tenblock.tt import (
+    TOL_FLOOR,
     QttFactorization,
     TTFactorization,
-    _halving_sweeps,
+    _halving_search,
     _prime_factors,
     _qtt_stack,
     _stack_left_svd,
@@ -383,21 +384,50 @@ def test_halving_sweeps_share_one_fortran_copy():
     # it whole, each later one only the blocks that failed, sliced from it
     x = synth_block()
     stack = np.stack([x[..., 0:8], x[..., 8:16], x[..., 16:24]])
-    seen = []
+    seen, offered = [], []
 
     def sweep(a, tol):
         seen.append(a)
         return [tol] * a.shape[-1]
 
-    rounds = _halving_sweeps(sweep, stack)
-    assert rounds.send(None) == {0: 1e-2, 1: 1e-2, 2: 1e-2}
-    assert rounds.send([0, 2]) == {0: 5e-3, 2: 5e-3}
-    assert rounds.send([2]) == {2: 2.5e-3}
+    def accept(b, tol):
+        offered.append((b, tol))
+        return (b, tol) in {(1, 1e-2), (0, 5e-3), (2, 2.5e-3)}
+
+    _halving_search(sweep, stack, accept)
+    assert offered == [(0, 1e-2), (1, 1e-2), (2, 1e-2), (0, 5e-3), (2, 5e-3), (2, 2.5e-3)]
     assert all(a.flags.f_contiguous for a in seen)
     assert seen[0].shape == stack.shape[1:] + (3,)
+    assert len(seen) == 3
     for a, blocks in zip(seen, ([0, 1, 2], [0, 2], [2])):
         for i, b in enumerate(blocks):
             np.testing.assert_array_equal(a[..., i], stack[b])
+
+
+def test_halving_search_stops_below_the_floor():
+    # a block that never meets its budget is swept until the first
+    # tolerance below TOL_FLOOR: 1e-2 / 2**47, the 48th round
+    tols = []
+
+    def accept(b, tol):
+        tols.append(tol)
+        return False
+
+    _halving_search(lambda a, tol: [tol] * a.shape[-1], np.zeros((1, 2, 2)), accept)
+    assert tols == [1e-2 / 2.0**k for k in range(48)]
+    assert tols[-2] >= TOL_FLOOR > tols[-1]
+
+
+@pytest.mark.parametrize("shape,cut", [((6, 40), GRAM_CUT_FLOOR), ((40, 6), 1e-2)],
+                         ids=["gram", "svd"])
+def test_stack_left_svd_of_one_matrix_is_left_svd(shape, cut):
+    # a stack of one unpadded matrix takes the same route and sign rule as
+    # the matrix alone, bit for bit
+    m = np.random.default_rng(21).standard_normal(shape)
+    u, s = _stack_left_svd(m[np.newaxis], [shape[0]], None, cut)
+    ref_u, ref_s = left_svd(m, cut)
+    np.testing.assert_array_equal(u[0], ref_u)
+    np.testing.assert_array_equal(s[0], ref_s)
 
 
 def test_tt_reconstruct_is_c_ordered_and_qtt_f_ordered():
