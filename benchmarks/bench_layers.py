@@ -19,16 +19,21 @@ rectangle and interval length over the stack of its same-length intervals
 (``interval_stacks``), with float32 quantization at the workload's budget
 (``eps_max`` 0.5 at 1 split as in `deep`, else 0.25 as in `split16`): the
 stack copies, every candidate (Tucker's rounds of core slices, TT's and
-QTT's stacked tolerance-halving sweeps) and every verify.  The last row is
-the ``GappyTensor4`` validation of the whole field.  Each figure is the
-median wall time of ``--repeats`` runs in one process, BLAS pinned to one
-thread.
+QTT's stacked tolerance-halving sweeps) and every verify.  The
+"read_gsa" and "decompress" rows of each method time the restore of the
+workload's archive (``compress_dataset`` at that budget, written by
+``write_gsa`` to a temporary file): ``read_gsa`` of the file and
+``decompress_dataset`` of what it read.  The last row is the
+``GappyTensor4`` validation of the whole field, which decompress does not
+repeat.  Each figure is the median wall time of ``--repeats`` runs in one
+process, BLAS pinned to one thread.
 
 Usage: python3 benchmarks/bench_layers.py [--repeats 15] [--splits 1,16]
 """
 
 import argparse
 import os
+import tempfile
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -36,8 +41,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from tenblock.formats import read_gsa, write_gsa  # noqa: E402
 from tenblock.partition import greedy_partition, pow2_partition, temporal_split  # noqa: E402
-from tenblock.pipeline import _quantize_f32, interval_stacks  # noqa: E402
+from tenblock.pipeline import (KINDS, _quantize_f32, compress_dataset,  # noqa: E402
+                               decompress_dataset, interval_stacks)
 from tenblock.synth import SynthSpec, synth  # noqa: E402
 from tenblock.tensor_core import GappyTensor4, budgeted_search  # noqa: E402
 from tenblock.tt import (TOL0 as TT_TOL0, QttFactorization, TTFactorization,  # noqa: E402
@@ -79,7 +86,7 @@ def layer_times(g, n_splits, repeats):
     tts = [ttsvd(x, tol=TT_TOL0) for x in subs]
     qtts = [qtt_compress(x, tol=TT_TOL0) for x in pow2_subs]
     eps_max = 0.5 if n_splits == 1 else 0.25
-    return {
+    times = {
         # the block copy included, as the search makes it
         "tucker bases+core": median_ms(
             lambda x: _truncated_pass(np.ascontiguousarray(x)), subs, repeats),
@@ -97,7 +104,15 @@ def layer_times(g, n_splits, repeats):
         "qtt search": median_ms(
             lambda s: budgeted_search(QttFactorization, s, eps_max, _quantize_f32),
             search_stacks(g.values, pow2, splits), repeats),
-    }, len(subs), len(pow2_subs)
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for method in KINDS:
+            path = os.path.join(tmp, f"{method}.gsa")
+            write_gsa(compress_dataset(g, method, eps_max, 8, n_splits)[0], path)
+            times[f"{method} read_gsa"] = median_ms(read_gsa, [path], repeats)
+            times[f"{method} decompress"] = median_ms(
+                decompress_dataset, [read_gsa(path)[0]], repeats)
+    return times, len(subs), len(pow2_subs)
 
 
 def main():

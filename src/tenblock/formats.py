@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -29,12 +30,18 @@ FORMAT_VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")
 
 
-def _atomic_write(path: str, blob: bytes) -> None:
+def _atomic_write(path: str, magic: bytes, header: dict, payload: np.ndarray) -> None:
+    """Write the file of ``magic``, ``header`` and the 1-D contiguous
+    ``payload`` array, whose buffer is written as it is, without a bytes
+    copy."""
+    hb = json.dumps(header).encode()
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tenblock-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(blob)
+            f.write(_PREFIX.pack(magic, FORMAT_VERSION, len(hb)))
+            f.write(hb)
+            f.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -42,7 +49,8 @@ def _atomic_write(path: str, blob: bytes) -> None:
         raise
 
 
-def _split_file(blob: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
+def _split_file(blob: bytes, magic: bytes, what: str) -> tuple[dict, memoryview]:
+    """The header and, as a view of ``blob``, the payload of a file."""
     if len(blob) < _PREFIX.size:
         raise FormatError(f"truncated {what} file")
     got, version, hlen = _PREFIX.unpack_from(blob)
@@ -58,12 +66,7 @@ def _split_file(blob: bytes, magic: bytes, what: str) -> tuple[dict, bytes]:
         raise FormatError(f"unparseable {what} header: {e}") from None
     if not isinstance(header, dict):
         raise FormatError(f"{what} header is not an object")
-    return header, blob[_PREFIX.size + hlen:]
-
-
-def _assemble(magic: bytes, header: dict, payload: bytes) -> bytes:
-    hb = json.dumps(header).encode()
-    return _PREFIX.pack(magic, FORMAT_VERSION, len(hb)) + hb + payload
+    return header, memoryview(blob)[_PREFIX.size + hlen:]
 
 
 def _check_dims(dims) -> tuple[int, int, int, int]:
@@ -80,8 +83,8 @@ def write_gst(data: GappyTensor4, path: str) -> None:
         "missing": "nan",
         "order": "i1-fastest",
     }
-    payload = np.asarray(data.values, dtype="<f4").ravel(order="F").tobytes()
-    _atomic_write(path, _assemble(GST_MAGIC, header, payload))
+    payload = np.asarray(data.values, dtype="<f4").ravel(order="F")
+    _atomic_write(path, GST_MAGIC, header, payload)
 
 
 def read_gst(path: str) -> GappyTensor4:
@@ -176,8 +179,7 @@ def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None
         },
         "metrics": metrics or {},
     }
-    payload = (np.concatenate(chunks) if chunks else np.zeros(0, "<f4")).tobytes()
-    _atomic_write(path, _assemble(GSA_MAGIC, header, payload))
+    _atomic_write(path, GSA_MAGIC, header, np.concatenate(chunks))
 
 
 def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
@@ -232,7 +234,9 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     if cls is None:
         raise FormatError(f"unknown method {method!r}")
     eps_max = header.get("eps_max")
-    if type(eps_max) not in (int, float) or not eps_max > 0:
+    # finite and positive; the upper bound also rejects an integer that no
+    # float can hold
+    if type(eps_max) not in (int, float) or not 0 < eps_max <= sys.float_info.max:
         raise FormatError(f"bad eps_max {eps_max!r}")
     dims = _check_dims(header.get("dims"))
     nx, ny, nl, nt = dims
@@ -288,16 +292,18 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
                           f"{4 * total_elements}")
 
     flat = np.frombuffer(payload, dtype="<f4")
+    # one float64 copy of the factor section; every array is a view of it
+    factors = flat[:offset].astype(np.float64)
     records = []
     pos = 0
     for rect, iv, block_dims, shapes, entry in parsed:
         arrays = []
         for shape in shapes:
             size = math.prod(shape)
-            arrays.append(flat[pos:pos + size].astype(np.float64).reshape(shape, order="F"))
+            arrays.append(factors[pos:pos + size].reshape(shape, order="F"))
             pos += size
         records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, block_dims, entry)))
-    leftover = flat[pos:].reshape((n_cells, nl, nt), order="F").copy()
+    leftover = flat[offset:].reshape((n_cells, nl, nt), order="F").copy()
 
     archive = CompressedArchive(
         method, float(eps_max), dims, mask, tuple(clean_splits),

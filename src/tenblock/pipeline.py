@@ -144,8 +144,8 @@ def compress_dataset(
     cls = KINDS.get(method)
     if cls is None:
         raise ValueError(f"unknown method {method!r}")
-    if eps_max <= 0:
-        raise ValueError("eps_max must be positive")
+    if not (math.isfinite(eps_max) and eps_max > 0):
+        raise ValueError(f"eps_max must be finite and positive, got {eps_max!r}")
     mask = data.domain_mask
     if not mask.any():
         raise ValueError("empty domain")
@@ -203,19 +203,54 @@ def compress_dataset(
 
 def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
     """Rebuild the field: block cells from their factorizations, leftover
-    cells from the raw store, land cells NaN."""
+    cells from the raw store, land cells NaN.
+
+    The archive is checked on what this writes, not by a scan of the
+    rebuilt field: the time splits tile the time axis; every rectangle lies
+    on defined cells and has one record per interval; every reconstructed
+    block has its rectangle x interval shape and is finite (checked while
+    it is still in cache, since finite float32 factors can overflow); the
+    leftover store is finite and holds exactly the defined cells that no
+    rectangle covers.  Every defined cell is then written finite and every
+    other cell is NaN, so the result skips ``GappyTensor4``'s own checks.
+    An archive that fails one raises ``ValueError``."""
     nx, ny, nl, nt = archive.dims
+    mask = np.asarray(archive.domain_mask, dtype=bool)
+    if mask.shape != (nx, ny):
+        raise ValueError(f"mask shape {mask.shape} does not match grid {(nx, ny)}")
+    splits = archive.splits
+    ends = [t1 for _, t1 in splits]
+    if ends[-1:] != [nt] or any(t0 != prev or t1 <= t0
+                                for (t0, t1), prev in zip(splits, [0] + ends)):
+        raise ValueError(f"time splits {splits} do not tile [0, {nt})")
+    intervals = {}
+    for rec in archive.blocks:
+        intervals.setdefault(rec.rect, []).append(rec.interval)
+    for r, ivs in intervals.items():
+        if not mask[r.x_start:r.x_end, r.y_start:r.y_end].all():
+            raise ValueError(f"block {r} covers undefined cells")
+        if sorted(ivs) != list(range(len(splits))):
+            raise ValueError(f"block {r} has records for intervals {sorted(ivs)}, "
+                             f"expected one for each of {len(splits)}")
+
     values = np.full((nx, ny, nl, nt), np.nan)
     for rec in archive.blocks:
-        t0, t1 = archive.splits[rec.interval]
         r = rec.rect
-        values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1] = rec.fac.reconstruct()
-    covered = [rec.rect for rec in archive.blocks]
-    cells = leftover_cells(archive.domain_mask, covered)
-    if cells.shape[0] != archive.leftover_values.shape[0]:
+        t0, t1 = splits[rec.interval]
+        dst = values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
+        block = rec.fac.reconstruct()
+        if block.shape != dst.shape or not np.isfinite(block).all():
+            raise ValueError(f"block {r} interval {rec.interval} does not reconstruct "
+                             f"to finite values of shape {dst.shape}")
+        dst[...] = block
+    cells = leftover_cells(mask, list(intervals))
+    leftover = archive.leftover_values
+    if leftover.shape != (cells.shape[0], nl, nt):
         raise ValueError("leftover store does not match mask and block list")
-    values[cells[:, 0], cells[:, 1]] = archive.leftover_values
-    return GappyTensor4(values, archive.domain_mask)
+    if not np.isfinite(leftover).all():
+        raise ValueError("leftover store holds non-finite values")
+    values[cells[:, 0], cells[:, 1]] = leftover
+    return GappyTensor4._unchecked(values, mask)
 
 
 def sweep_splits(

@@ -26,6 +26,11 @@ class GappyTensor4:
     ``values`` carries NaN at every missing cell and ``domain_mask`` is the
     x-y grid of defined (ocean) positions; a cell is missing exactly when
     its horizontal position is masked out, for every depth and time.
+
+    The constructor checks all of this, three passes over the field.  One
+    caller skips them: ``pipeline.decompress_dataset`` builds its result
+    with ``_unchecked``, because it has checked every value it wrote and
+    writes each cell of the field exactly as the checks require.
     """
 
     values: np.ndarray
@@ -49,6 +54,18 @@ class GappyTensor4:
             raise ValueError("defined values must be finite")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "domain_mask", m)
+
+    @classmethod
+    def _unchecked(cls, values: np.ndarray, domain_mask: np.ndarray) -> GappyTensor4:
+        """A ``GappyTensor4`` of these arrays as they are, without the
+        constructor's checks.  The caller establishes what they check:
+        ``values`` is a 4-D float64 array, ``domain_mask`` a bool array of
+        shape ``values.shape[:2]``, and a cell of ``values`` is finite where
+        its position is defined and NaN where it is not."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "domain_mask", domain_mask)
+        return self
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -120,8 +137,8 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
     per candidate or per norm."""
     if isinstance(blocks, np.ndarray):
         raise TypeError("blocks must be a sequence of arrays, not one array")
-    if eps_max <= 0:
-        raise ValueError("eps_max must be positive")
+    if not (math.isfinite(eps_max) and eps_max > 0):
+        raise ValueError(f"eps_max must be finite and positive, got {eps_max!r}")
     if not blocks:
         return []
     shape = np.shape(blocks[0])

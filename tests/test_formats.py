@@ -328,8 +328,10 @@ def test_gsa_rejects_ill_typed_integers(tmp_path, method, field, as_type):
         read_gsa(str(path))
 
 
-@pytest.mark.parametrize("eps_max", [True, float("nan")])
-def test_gsa_rejects_bool_or_nan_eps_max(tmp_path, eps_max):
+@pytest.mark.parametrize("eps_max", [True, float("nan"), float("inf"),
+                                     pytest.param(10**400, id="int_past_float_range")])
+def test_gsa_rejects_bad_eps_max(tmp_path, eps_max):
+    # json writes inf as the token Infinity and reads it back
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
     header["eps_max"] = eps_max
     path.write_bytes(join_blob(magic, version, header, payload))

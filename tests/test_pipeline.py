@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -13,6 +14,7 @@ from tenblock.partition import BlockIndex, greedy_partition
 from tenblock.pipeline import (
     KINDS,
     METHODS,
+    BlockRecord,
     _quantize_f32,
     compress_dataset,
     cr_metrics,
@@ -148,6 +150,15 @@ def test_compress_validation():
     empty = GappyTensor4(values, np.zeros((8, 8), dtype=bool))
     with pytest.raises(ValueError):
         compress_dataset(empty, "tucker", 0.5)
+
+
+@pytest.mark.parametrize("eps_max", [math.nan, math.inf])
+def test_non_finite_eps_max_is_rejected(eps_max):
+    g = small_field(dims=(12, 10, 2, 6))
+    with pytest.raises(ValueError, match="eps_max must be finite"):
+        compress_dataset(g, "tucker", eps_max)
+    with pytest.raises(ValueError, match="eps_max must be finite"):
+        budgeted_search(KINDS["tucker"], [np.ones((4, 4, 2, 2))], eps_max)
 
 
 def test_compress_rejects_sub_f32_budget():
@@ -349,3 +360,87 @@ def test_compress_searches_same_length_intervals_as_one_stack(monkeypatch, metho
         x = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
         alone = budgeted_search(KINDS[method], [x], 0.25, _quantize_f32)[0]
         _assert_same_search(method, x, (rec.fac, s.cheb_error, s.rel_frob_error), alone)
+
+
+def _inf_factor_entry(archive):
+    rec = archive.blocks[0]
+    arrays = [np.array(a) for a in rec.fac.arrays()]
+    arrays[0].flat[0] = np.inf
+    fac = type(rec.fac).from_arrays(arrays, rec.fac.dims, rec.fac.header_fields())
+    return {"blocks": (BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:]}
+
+
+def _nan_leftover(archive):
+    leftover = archive.leftover_values.copy()
+    leftover[0, 0, 0] = np.nan
+    return {"leftover_values": leftover}
+
+
+def _missing_interval(archive):
+    # records run rectangle by rectangle; the second is the first
+    # rectangle's interval 1
+    assert archive.blocks[1].rect == archive.blocks[0].rect
+    return {"blocks": archive.blocks[:1] + archive.blocks[2:]}
+
+
+def _rect_over_undefined(archive):
+    # the leftover cells stay the same: a covered cell is never one
+    mask = archive.domain_mask.copy()
+    r = archive.blocks[0].rect
+    mask[r.x_start, r.y_start] = False
+    return {"domain_mask": mask}
+
+
+def _leftover_count_mismatch(archive):
+    # one cell, which an assignment would broadcast over all of them
+    assert archive.leftover_values.shape[0] > 1
+    return {"leftover_values": archive.leftover_values[:1]}
+
+
+def _last_step_uncovered(archive):
+    # intervals of the right lengths, overlapping, so the last step is
+    # never written
+    (t0, t1), (_, t2) = archive.splits
+    return {"splits": ((t0, t1), (t1 - 1, t2 - 1))}
+
+
+def _mask_shape(archive):
+    # an extra undefined row: the same leftover cells, a grid too large
+    mask = archive.domain_mask
+    return {"domain_mask": np.vstack([mask, np.zeros_like(mask[:1])])}
+
+
+@pytest.mark.parametrize("tamper", [
+    _inf_factor_entry, _nan_leftover, _missing_interval, _rect_over_undefined,
+    _leftover_count_mismatch, _last_step_uncovered, _mask_shape,
+], ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("method", METHODS)
+def test_decompress_rejects_inconsistent_archive(method, tamper):
+    archive, report = compress_dataset(small_field(), method, 0.5, s_min=4, n_splits=2)
+    assert report.leftover_count > 0
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        decompress_dataset(dataclasses.replace(archive, **tamper(archive)))
+
+
+def test_decompress_rejects_overflowing_factors():
+    # every carriage finite in float32, their product beyond float64
+    archive, _ = compress_dataset(small_field(), "qtt", 0.5, s_min=4)
+    rec = archive.blocks[0]
+    arrays = [a * (1e37 / np.abs(a).max()) for a in rec.fac.arrays()]
+    assert len(arrays) >= 9 and all(np.isfinite(a.astype(np.float32)).all() for a in arrays)
+    fac = type(rec.fac).from_arrays(arrays, rec.fac.dims, rec.fac.header_fields())
+    blocks = (BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        decompress_dataset(dataclasses.replace(archive, blocks=blocks))
+
+
+@pytest.mark.parametrize("n_splits", [1, 4])
+@pytest.mark.parametrize("method", METHODS)
+def test_decompressed_field_passes_the_public_checks(method, n_splits):
+    g = small_field()
+    archive, _ = compress_dataset(g, method, 0.5, s_min=4, n_splits=n_splits)
+    out = decompress_dataset(archive)
+    checked = GappyTensor4(out.values, out.domain_mask)
+    assert checked.values.dtype == np.float64 and checked.domain_mask.dtype == bool
+    np.testing.assert_array_equal(out.domain_mask, g.domain_mask)
+    np.testing.assert_array_equal(np.isnan(out.values), np.isnan(g.values))
