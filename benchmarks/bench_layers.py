@@ -23,10 +23,10 @@ QTT's stacked tolerance-halving sweeps) and every verify.  The
 "read_gsa" and "decompress" rows of each method time the restore of the
 workload's archive (``compress_dataset`` at that budget, written by
 ``write_gsa`` to a temporary file): ``read_gsa`` of the file and
-``decompress_dataset`` of what it read.  The last row is the
-``GappyTensor4`` validation of the whole field, which decompress does not
-repeat.  Each figure is the median wall time of ``--repeats`` runs in one
-process, BLAS pinned to one thread.
+``decompress_dataset`` of what it read.  The last two rows are ``synth``
+of the field and the ``GappyTensor4`` validation of the whole field,
+which neither ``synth`` nor decompress repeats.  Each figure is the median
+wall time of ``--repeats`` runs in one process, BLAS pinned to one thread.
 
 Usage: python3 benchmarks/bench_layers.py [--repeats 15] [--splits 1,16]
 """
@@ -121,18 +121,21 @@ def main():
     ap.add_argument("--splits", default="1,16")
     args = ap.parse_args()
 
-    g = synth(SynthSpec(dims=DIMS, seed=0, noise=0.02))
+    spec = SynthSpec(dims=DIMS, seed=0, noise=0.02)
+    g = synth(spec)
     split_counts = [int(s) for s in args.splits.split(",")]
     columns = []
     for n in split_counts:
         times, n_greedy, n_pow2 = layer_times(g, n, args.repeats)
         columns.append(times)
         print(f"splits={n}: {n_greedy} greedy and {n_pow2} pow2 subtensors")
+    synth_ms = median_ms(synth, [spec], args.repeats)
     validate = median_ms(lambda _: GappyTensor4(g.values, g.domain_mask), [None], args.repeats)
 
     print(f"{'layer (ms)':<22}" + "".join(f"{f'splits={n}':>12}" for n in split_counts))
     for layer in columns[0]:
         print(f"{layer:<22}" + "".join(f"{c[layer]:>12.2f}" for c in columns))
+    print(f"{'synth':<22}{synth_ms:>12.2f}")
     print(f"{'GappyTensor4 check':<22}{validate:>12.2f}")
 
 

@@ -4,7 +4,10 @@ For each case and method (tucker, tt, qtt) it compresses the field, writes
 the archive (no metrics in the header), reads it back and decompresses it,
 and prints CR_all, the largest read-back Chebyshev error over the defined
 cells, the SHA-256 of the archive bytes and the ranks of every block record
-(``rect/interval: ranks``, rect-major, interval-minor).
+(``rect/interval: ranks``, rect-major, interval-minor).  Before a case's
+methods it prints ``field sha256=...``, the SHA-256 of the field's float64
+``values`` bytes (NaN under the mask included), so that two checkouts
+compare the synthesized inputs as well as the archives.
 
 Cases:
 
@@ -81,6 +84,8 @@ def main():
     seeds = [int(s) for s in args.seeds.split(",")]
     with tempfile.TemporaryDirectory() as work:
         for name, g, eps_max, n_splits in cases(seeds, work):
+            field_sha = hashlib.sha256(g.values.tobytes()).hexdigest()
+            print(f"{name:<12}field   sha256={field_sha}")
             for method in METHODS:
                 cr_all, cheb, sha, ranks = run(g, method, eps_max, n_splits, work)
                 print(f"{name:<12}{method:<8}cr_all={cr_all!r} cheb={cheb:.9g} sha256={sha}")

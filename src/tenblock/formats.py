@@ -49,7 +49,14 @@ def _atomic_write(path: str, magic: bytes, header: dict, payload: np.ndarray) ->
         raise
 
 
-def _split_file(blob: bytes, magic: bytes, what: str) -> tuple[dict, memoryview]:
+def _read_file(path: str) -> memoryview:
+    # the file's bytes in a NumPy buffer, not a bytes object: NumPy asks for
+    # huge pages for large buffers, so a read does not fault in a fresh
+    # file-sized run of 4 KB pages whenever the allocator maps it anew
+    return memoryview(np.fromfile(path, dtype=np.uint8))
+
+
+def _split_file(blob: memoryview, magic: bytes, what: str) -> tuple[dict, memoryview]:
     """The header and, as a view of ``blob``, the payload of a file."""
     if len(blob) < _PREFIX.size:
         raise FormatError(f"truncated {what} file")
@@ -61,12 +68,12 @@ def _split_file(blob: bytes, magic: bytes, what: str) -> tuple[dict, memoryview]
     if len(blob) < _PREFIX.size + hlen:
         raise FormatError(f"truncated {what} header")
     try:
-        header = json.loads(blob[_PREFIX.size:_PREFIX.size + hlen].decode())
+        header = json.loads(bytes(blob[_PREFIX.size:_PREFIX.size + hlen]).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"unparseable {what} header: {e}") from None
     if not isinstance(header, dict):
         raise FormatError(f"{what} header is not an object")
-    return header, memoryview(blob)[_PREFIX.size + hlen:]
+    return header, blob[_PREFIX.size + hlen:]
 
 
 def _check_dims(dims) -> tuple[int, int, int, int]:
@@ -88,9 +95,7 @@ def write_gst(data: GappyTensor4, path: str) -> None:
 
 
 def read_gst(path: str) -> GappyTensor4:
-    with open(path, "rb") as f:
-        blob = f.read()
-    header, payload = _split_file(blob, GST_MAGIC, "GST")
+    header, payload = _split_file(_read_file(path), GST_MAGIC, "GST")
     dims = _check_dims(header.get("dims"))
     for key, want in (("dtype", "float32"), ("missing", "nan"), ("order", "i1-fastest")):
         if header.get(key) != want:
@@ -225,9 +230,7 @@ def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
 
 def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     """Load an archive; returns it with the manifest's metrics dict."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    header, payload = _split_file(blob, GSA_MAGIC, "GSA")
+    header, payload = _split_file(_read_file(path), GSA_MAGIC, "GSA")
 
     method = header.get("method")
     cls = KINDS.get(method) if isinstance(method, str) else None

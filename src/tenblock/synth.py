@@ -4,10 +4,23 @@ seasonal sinusoid attenuated with depth, and white noise.
 
 Values are exactly representable in 32-bit floats so that raw storage
 paths reproduce them bit-for-bit.
+
+``synth`` streams the field in slabs of consecutive x rows, each about
+``SLAB_ELEMENTS`` values so that its buffers stay in cache: every term
+and the noise are summed in one reusable slab buffer, in the same order
+and with the same random stream as a whole-field sum, so the bits do not
+depend on the slab size.  The only field-sized array is the result.  Each
+slab is checked finite where its positions are defined before NaN is
+written under the others, so every defined cell is finite and every other
+cell NaN; ``synth`` is thus the second caller of
+``GappyTensor4._unchecked`` and skips the constructor's three passes over
+the field.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +28,7 @@ import numpy as np
 from .tensor_core import GappyTensor4
 
 OCEAN_QUANTILE = 0.35  # land fraction of the threshold field
+SLAB_ELEMENTS = 1 << 17  # values per slab buffer (at least one x row)
 
 
 @dataclass(frozen=True)
@@ -36,14 +50,27 @@ class SynthSpec:
     background_rank: int = 2
 
     def __post_init__(self):
-        if len(self.dims) != 4 or any(int(n) < 1 for n in self.dims):
+        if len(self.dims) != 4 or any(_extent(n) < 1 for n in self.dims):
             raise ValueError(f"degenerate dims {self.dims}")
+        for name in ("amplitude", "phase", "depth_decay", "noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.background_rank < 1:
             raise ValueError("background_rank must be >= 1")
         if self.noise < 0:
             raise ValueError("noise must be nonnegative")
         if not 0 < self.roughness <= 1:
             raise ValueError("roughness must be in (0, 1]")
+
+
+def _extent(n) -> int:
+    # a dims entry: an integer (numpy ones too), not a bool or a float
+    if isinstance(n, bool):
+        raise ValueError(f"dims entries must be integers, got {n!r}")
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"dims entries must be integers, got {n!r}") from None
 
 
 def _box1d(a: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -77,6 +104,24 @@ def _smooth_unit(rng: np.random.Generator, n: int, w: int = 7) -> np.ndarray:
     return v / peak if peak > 0 else np.zeros(n)
 
 
+def _outer3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # (a*b)*c of a term's ((a*b)*c)*d, multiplied in the order
+    # einsum("i,j,l,k->ijlk") uses, so the bits match it
+    return (a[:, None] * b[None, :])[:, :, None] * c
+
+
+def _check_defined_finite(slab: np.ndarray, mask: np.ndarray) -> None:
+    # the constructor's checks on a slab, before NaN is written under its
+    # undefined rows: a value that is not finite only there is overwritten
+    if np.isfinite(slab).all():
+        return
+    defined = slab[mask]
+    if np.isnan(defined).any():
+        raise ValueError("NaN pattern inconsistent with domain mask")
+    if not np.isfinite(defined).all():
+        raise ValueError("defined values must be finite")
+
+
 def synth(spec: SynthSpec) -> GappyTensor4:
     """Generate the dataset for a spec; identical specs give identical
     bits."""
@@ -85,7 +130,9 @@ def synth(spec: SynthSpec) -> GappyTensor4:
     mask = coastline_mask(nx, ny, spec.roughness, rng)
 
     depth = np.exp(-spec.depth_decay * np.linspace(0.0, 1.0, nl))
-    values = np.zeros((nx, ny, nl, nt))
+    # (coef, (x, y, depth) factor, time profile) of each separable term, in
+    # the order they are summed
+    terms = []
 
     # smooth separable background; the first term carries the mean level
     # and the depth profile, the rest are gentle anomalies
@@ -97,17 +144,37 @@ def synth(spec: SynthSpec) -> GappyTensor4:
         else:
             cl, coef = 1.0 + 0.15 * _smooth_unit(rng, nl), 2.0
         dk = 1.0 + 0.1 * _smooth_unit(rng, nt)
-        values += coef * np.einsum("i,j,l,k->ijlk", ax, by, cl, dk)
+        terms.append((coef, _outer3(ax, by, cl), dk))
 
     # one seasonal cycle over the full time extent, fading with depth
     sx = 0.75 + 0.25 * _smooth_unit(rng, nx)
     sy = 0.75 + 0.25 * _smooth_unit(rng, ny)
     season = np.sin(2.0 * np.pi * np.arange(nt) / nt + spec.phase)
-    values += spec.amplitude * np.einsum("i,j,l,k->ijlk", sx, sy, depth, season)
+    terms.append((spec.amplitude, _outer3(sx, sy, depth), season))
 
-    if spec.noise > 0:
-        values += spec.noise * rng.standard_normal(values.shape)
+    values = np.empty((nx, ny, nl, nt))
+    rows = min(nx, max(1, SLAB_ELEMENTS // (ny * nl * nt)))
+    acc = np.empty((rows, ny, nl, nt))
+    tmp = np.empty_like(acc)
+    f32 = np.empty(acc.shape, dtype=np.float32)
+    for x0 in range(0, nx, rows):
+        x1 = min(x0 + rows, nx)
+        buf, t, f = acc[:x1 - x0], tmp[:x1 - x0], f32[:x1 - x0]
+        buf.fill(0.0)
+        for coef, abc, d in terms:
+            np.multiply(abc[x0:x1, ..., None], d, out=t)
+            t *= coef
+            buf += t
+        if spec.noise > 0:
+            # slabs along x are consecutive in C order: the same stream as
+            # one draw of the whole field
+            rng.standard_normal(out=t)
+            t *= spec.noise
+            buf += t
+        f[...] = buf
+        _check_defined_finite(f, mask[x0:x1])
+        out = values[x0:x1]
+        out[...] = f
+        out[~mask[x0:x1]] = np.nan
+    return GappyTensor4._unchecked(values, mask)
 
-    values = values.astype(np.float32).astype(np.float64)
-    values[~mask] = np.nan
-    return GappyTensor4(values, mask)

@@ -27,10 +27,12 @@ class GappyTensor4:
     x-y grid of defined (ocean) positions; a cell is missing exactly when
     its horizontal position is masked out, for every depth and time.
 
-    The constructor checks all of this, three passes over the field.  One
-    caller skips them: ``pipeline.decompress_dataset`` builds its result
-    with ``_unchecked``, because it has checked every value it wrote and
-    writes each cell of the field exactly as the checks require.
+    The constructor checks all of this, three passes over the field.  Two
+    callers skip them and build their result with ``_unchecked``, because
+    each has checked every value it wrote and writes each cell of the field
+    exactly as the checks require: ``pipeline.decompress_dataset``, and
+    ``synth.synth``, which checks each slab of x rows finite at its defined
+    positions before it writes NaN at the others.
     """
 
     values: np.ndarray

@@ -1,10 +1,11 @@
-"""Shared constructors for exactly low-rank test tensors."""
+"""Shared constructors for exactly low-rank test tensors, and literal
+references the optimized code is tested against."""
 
 import numpy as np
 
 from tenblock.partition import greedy_partition
-from tenblock.synth import SynthSpec, synth
-from tenblock.tensor_core import mode_product
+from tenblock.synth import SynthSpec, _smooth_unit, coastline_mask, synth
+from tenblock.tensor_core import GappyTensor4, mode_product
 from tenblock.tt import TTFactorization, tt_reconstruct
 
 
@@ -52,3 +53,37 @@ def interval_stack():
     blocks[7] = np.full_like(blocks[7], 2.5)
     blocks[11] = blocks[11] + np.random.default_rng(5).standard_normal(blocks[11].shape)
     return blocks
+
+
+def synth_reference(spec):
+    """``synth`` as a whole-field sum: each separable term one ``einsum``
+    into a field-sized array, the noise one draw of the whole field, then
+    the float32 round trip, NaN under the mask and the checking
+    constructor.  ``synth`` must give these bits."""
+    nx, ny, nl, nt = (int(n) for n in spec.dims)
+    rng = np.random.default_rng(spec.seed)
+    mask = coastline_mask(nx, ny, spec.roughness, rng)
+
+    depth = np.exp(-spec.depth_decay * np.linspace(0.0, 1.0, nl))
+    values = np.zeros((nx, ny, nl, nt))
+    for q in range(spec.background_rank):
+        ax = 1.0 + 0.15 * _smooth_unit(rng, nx)
+        by = 1.0 + 0.15 * _smooth_unit(rng, ny)
+        if q == 0:
+            cl, coef = depth, 12.0
+        else:
+            cl, coef = 1.0 + 0.15 * _smooth_unit(rng, nl), 2.0
+        dk = 1.0 + 0.1 * _smooth_unit(rng, nt)
+        values += coef * np.einsum("i,j,l,k->ijlk", ax, by, cl, dk)
+
+    sx = 0.75 + 0.25 * _smooth_unit(rng, nx)
+    sy = 0.75 + 0.25 * _smooth_unit(rng, ny)
+    season = np.sin(2.0 * np.pi * np.arange(nt) / nt + spec.phase)
+    values += spec.amplitude * np.einsum("i,j,l,k->ijlk", sx, sy, depth, season)
+
+    if spec.noise > 0:
+        values += spec.noise * rng.standard_normal(values.shape)
+
+    values = values.astype(np.float32).astype(np.float64)
+    values[~mask] = np.nan
+    return GappyTensor4(values, mask)
