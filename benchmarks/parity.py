@@ -19,7 +19,11 @@ Cases:
   0.02, the phase of the seasonal cycle drawn from the seed), at ``eps_max``
   0.5 in 1 interval and 0.25 in 16.
 
-All at ``s_min`` 8.  Two checkouts print comparable tables; diff them.
+All at ``s_min`` 8.  Last it prints one ``svp`` line: the masked and full
+relative errors and the iterations of ``svp_complete`` on the instance of
+acceptance criterion 8 (rank-(3,3,2,3) 30x30x10x16 truth, CR=4 sampling,
+caps (5,5,4,5)), so that two checkouts compare the completion too.  Two
+checkouts print comparable tables; diff them.
 
 Usage: PYTHONPATH=src python3 benchmarks/parity.py [--seeds 1,2,3]
 """
@@ -29,6 +33,7 @@ import hashlib
 import math
 import os
 import random
+import sys
 import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -36,8 +41,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from tenblock import (SynthSpec, compress_dataset, decompress_dataset, read_gsa,  # noqa: E402
-                      read_gst, synth, write_gsa, write_gst)
+from tenblock import (SvpParams, SynthSpec, compress_dataset, decompress_dataset,  # noqa: E402
+                      frobenius_norm, random_mask, read_gsa, read_gst, svp_complete, synth,
+                      write_gsa, write_gst)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from helpers import exact_tucker_tensor  # noqa: E402
 
 METHODS = ("tucker", "tt", "qtt")
 BENCH_DIMS = (72, 54, 16, 128)
@@ -77,6 +86,14 @@ def run(g, method, eps_max, n_splits, work):
     return report.cr_all, cheb, sha, ranks
 
 
+def svp_line():
+    x = exact_tucker_tensor((30, 30, 10, 16), (3, 3, 2, 3), seed=11, scale=10.0)
+    res = svp_complete(x, random_mask(x.shape, 4, seed=111),
+                       SvpParams((5, 5, 4, 5), eps=1e-3, delta=1, eta=1.0, max_iters=500))
+    full = frobenius_norm(res.completion - x) / frobenius_norm(x)
+    return f"{'svp':<20}masked={res.rel_error!r} full={full!r} iters={res.n_iters}"
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", default="1,2,3")
@@ -90,6 +107,7 @@ def main():
                 cr_all, cheb, sha, ranks = run(g, method, eps_max, n_splits, work)
                 print(f"{name:<12}{method:<8}cr_all={cr_all!r} cheb={cheb:.9g} sha256={sha}")
                 print("    ranks " + " ".join(ranks))
+    print(svp_line())
 
 
 if __name__ == "__main__":

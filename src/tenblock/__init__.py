@@ -34,13 +34,8 @@ from .pipeline import (
 from .synth import SynthSpec, synth
 from .tensor_core import (
     GappyTensor4,
-    SvdResult,
     chebyshev_norm,
-    fold,
     frobenius_norm,
-    mode_product,
-    project_mask,
-    truncated_svd,
     unfold,
 )
 from .tt import (
@@ -48,19 +43,14 @@ from .tt import (
     TTFactorization,
     qtt_compress,
     qtt_factorize_modes,
-    qtt_reconstruct,
     tt_compress_abs,
-    tt_element,
-    tt_reconstruct,
     tt_storage_count,
     ttsvd,
 )
 from .tucker import (
     TuckerFactorization,
     hosvd,
-    hosvd_tol,
     tucker_compress_abs,
-    tucker_reconstruct,
     tucker_storage_count,
 )
 

@@ -1,17 +1,19 @@
 """Tensor completion from randomly observed entries by singular value
-projection: gradient steps on the observed cells alternating with HOSVD
-truncation at slowly escalating multilinear ranks.
+projection: gradient steps on the observed cells alternating with
+truncation by ``tucker.hosvd`` (one ST-HOSVD pass) at slowly escalating
+multilinear ranks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import chebyshev_norm
-from .tucker import hosvd, tucker_reconstruct
+from .tensor_core import _integer, chebyshev_norm
+from .tucker import hosvd
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,17 @@ class SvpParams:
     trace: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "target_ranks", tuple(int(r) for r in self.target_ranks))
+        object.__setattr__(self, "target_ranks",
+                           tuple(_integer("target rank", r) for r in self.target_ranks))
         if not self.target_ranks or any(r < 1 for r in self.target_ranks):
             raise ValueError("target ranks must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        for name in ("delta", "max_iters"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("eps", "eta"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -126,6 +130,9 @@ def svp_complete(
     caps = params.target_ranks
     if len(caps) != observed.ndim:
         raise ValueError(f"{len(caps)} rank caps for {observed.ndim} modes")
+    for k, (c, n) in enumerate(zip(caps, observed.shape)):
+        if c > n:
+            raise ValueError(f"rank cap {c} of mode {k} exceeds its extent {n}")
     ranks = [1] * observed.ndim
     xh = np.zeros_like(data)
     trace: list[tuple[float, float]] | None = [] if params.trace else None
@@ -144,7 +151,7 @@ def svp_complete(
             break
         if n_iters >= params.max_iters:
             break
-        xh = tucker_reconstruct(hosvd(xh - params.eta * resid, ranks))
+        xh = hosvd(xh - params.eta * resid, ranks).reconstruct()
         ranks = update_rank(ranks, params.delta, caps)
         n_iters += 1
         if trace is not None:

@@ -20,12 +20,11 @@ the field.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import GappyTensor4
+from .tensor_core import GappyTensor4, _integer
 
 OCEAN_QUANTILE = 0.35  # land fraction of the threshold field
 SLAB_ELEMENTS = 1 << 17  # values per slab buffer (at least one x row)
@@ -50,7 +49,7 @@ class SynthSpec:
     background_rank: int = 2
 
     def __post_init__(self):
-        if len(self.dims) != 4 or any(_extent(n) < 1 for n in self.dims):
+        if len(self.dims) != 4 or any(_integer("dims entry", n) < 1 for n in self.dims):
             raise ValueError(f"degenerate dims {self.dims}")
         for name in ("amplitude", "phase", "depth_decay", "noise"):
             if not math.isfinite(getattr(self, name)):
@@ -61,16 +60,6 @@ class SynthSpec:
             raise ValueError("noise must be nonnegative")
         if not 0 < self.roughness <= 1:
             raise ValueError("roughness must be in (0, 1]")
-
-
-def _extent(n) -> int:
-    # a dims entry: an integer (numpy ones too), not a bool or a float
-    if isinstance(n, bool):
-        raise ValueError(f"dims entries must be integers, got {n!r}")
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ValueError(f"dims entries must be integers, got {n!r}") from None
 
 
 def _box1d(a: np.ndarray, w: int, axis: int) -> np.ndarray:

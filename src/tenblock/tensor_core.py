@@ -1,8 +1,7 @@
-"""Dense multiway-array primitives: unfoldings, mode products, norms,
-masked projection, a deterministic truncated SVD, left singular bases by
-the cheaper of a Gram eigendecomposition and an SVD (mode Grams formed from
-views, without an unfolding), and the interface and error-budgeted search
-shared by the block factorizations.
+"""Dense multiway-array primitives: unfoldings, norms, left singular bases
+under one sign rule by the cheaper of a Gram eigendecomposition and a thin
+SVD (mode Grams formed from views, without an unfolding), and the interface
+and error-budgeted search shared by the block factorizations.
 
 Tensors are plain ``numpy.ndarray`` objects in float64.  Whenever a linear
 (flat) ordering of entries matters -- unfolding columns, serialization --
@@ -13,8 +12,9 @@ second, and so on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -169,12 +169,15 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
     return results
 
 
-class SvdResult(NamedTuple):
-    """Thin SVD with a fixed sign convention (see :func:`truncated_svd`)."""
-
-    U: np.ndarray
-    S: np.ndarray
-    Vt: np.ndarray
+def _integer(name: str, v) -> int:
+    # a parameter that must be an integer (numpy ones too), not a bool or a
+    # float that would be truncated
+    if isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
 
 
 def _check_mode(x: np.ndarray, mode: int) -> None:
@@ -191,33 +194,6 @@ def unfold(x: np.ndarray, mode: int) -> np.ndarray:
     x = np.asarray(x)
     _check_mode(x, mode)
     return np.reshape(np.moveaxis(x, mode, 0), (x.shape[mode], -1), order="F")
-
-
-def fold(m: np.ndarray, mode: int, dims) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
-    m = np.asarray(m)
-    dims = tuple(int(n) for n in dims)
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for dims {dims}")
-    rest = tuple(n for i, n in enumerate(dims) if i != mode)
-    expected = (dims[mode], int(np.prod(rest, dtype=np.int64)))
-    if m.ndim != 2 or m.shape != expected:
-        raise ValueError(f"matrix shape {m.shape} does not match {expected} for dims {dims}")
-    return np.moveaxis(np.reshape(m, (dims[mode],) + rest, order="F"), 0, mode)
-
-
-def mode_product(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
-    """Multiply ``x`` by the matrix ``a`` along ``mode``.
-
-    The mode-``k`` unfolding of the result equals ``a @ unfold(x, k)``.
-    """
-    x = np.asarray(x)
-    a = np.asarray(a)
-    _check_mode(x, mode)
-    if a.ndim != 2 or a.shape[1] != x.shape[mode]:
-        raise ValueError(f"matrix {a.shape} does not act on mode of extent {x.shape[mode]}")
-    y = np.tensordot(a, x, axes=([1], [mode]))
-    return np.moveaxis(y, 0, mode)
 
 
 def frobenius_norm(x: np.ndarray) -> float:
@@ -242,33 +218,6 @@ def chebyshev_norm(x: np.ndarray, mask: np.ndarray | None = None) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def project_mask(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Copy the entries selected by ``omega`` and zero the rest.
-
-    ``omega`` is either a boolean array of the same shape as ``x`` or an
-    (m, d) integer array of multi-indices.
-    """
-    x = np.asarray(x)
-    omega = np.asarray(omega)
-    if omega.dtype == bool:
-        if omega.shape != x.shape:
-            raise ValueError(f"mask shape {omega.shape} does not match {x.shape}")
-        return np.where(omega, x, 0.0)
-    if omega.size == 0:
-        return np.zeros_like(x)
-    idx = np.atleast_2d(omega.astype(np.int64))
-    if idx.shape[1] != x.ndim:
-        raise ValueError(f"index rows of length {idx.shape[1]}, expected {x.ndim}")
-    for k in range(x.ndim):
-        col = idx[:, k]
-        if np.any(col < 0) or np.any(col >= x.shape[k]):
-            raise ValueError(f"index out of range along mode {k}")
-    out = np.zeros_like(x)
-    sel = tuple(idx.T)
-    out[sel] = x[sel]
-    return out
-
-
 def _column_signs(u: np.ndarray) -> np.ndarray:
     # flips each column so that its largest-magnitude entry is positive
     # (first such entry on ties); for a stack (B, m, k) of matrices the
@@ -279,14 +228,6 @@ def _column_signs(u: np.ndarray) -> np.ndarray:
                     else u[np.arange(len(u))[:, None], pivot, cols])
     signs[signs == 0] = 1.0
     return signs
-
-
-def _svd_deterministic(m: np.ndarray) -> SvdResult:
-    """Thin SVD with each left singular vector flipped so that its
-    largest-magnitude entry is positive (first such entry on ties)."""
-    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
-    signs = _column_signs(u)
-    return SvdResult(u * signs, s, vt * signs[:, None])
 
 
 # Gram eigenvalues carry an absolute error of about n*eps*s_1**2, so singular
@@ -308,7 +249,7 @@ def _takes_gram(rows: int, cols: int, cut: float) -> bool:
 def _gram_left_svd(g: np.ndarray, real: np.ndarray | None = None):
     # (U, S) of M, or of each M[b] of a stack, from its Gram g = M M^T:
     # eigenpairs in descending order, rounding-negative eigenvalues clipped
-    # to 0, S = sqrt(lambda), U signed as by _svd_deterministic.  Rows of a
+    # to 0, S = sqrt(lambda), U signed by _column_signs.  Rows of a
     # stack outside real (B, m) are padding: g gets -max(diag) on them, so
     # their directions sort after all of the block's own, and their
     # entries of U are zeroed
@@ -331,7 +272,7 @@ def _thin_left_svd(m: np.ndarray):
 
 def left_svd(m: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors ``U`` (columns, sign rule of
-    :func:`_svd_deterministic`) and descending singular values ``S`` of ``m``,
+    :func:`_column_signs`) and descending singular values ``S`` of ``m``,
     for a caller that truncates at ``s_i / s_1`` no smaller than ``cut``.
 
     A wide ``m`` with ``cut >= GRAM_CUT_FLOOR`` takes them from
@@ -380,29 +321,6 @@ def mode_left_svd(x: np.ndarray, mode: int, cut: float) -> tuple[np.ndarray, np.
     if _takes_gram(n, x.size // n, cut):
         return _gram_left_svd(mode_gram(x, mode))
     return _thin_left_svd(unfold(x, mode))
-
-
-def truncated_svd(m: np.ndarray, rank: int | None = None, tol: float | None = None) -> SvdResult:
-    """Deterministic truncated SVD of a matrix.
-
-    Exactly one of ``rank`` (retain that many singular values) or ``tol``
-    (retain all values with ``s_i / s_1 >= tol``, at least one) must be
-    given.
-    """
-    m = np.asarray(m)
-    if (rank is None) == (tol is None):
-        raise ValueError("give exactly one of rank or tol")
-    full = _svd_deterministic(m)
-    if rank is not None:
-        if not 1 <= rank <= min(m.shape):
-            raise ValueError(f"rank {rank} out of range for {m.shape} matrix")
-        r = rank
-    else:
-        if not 0.0 < tol <= 1.0:
-            raise ValueError(f"tol {tol} not in (0, 1]")
-        r = rank_from_spectrum(full.S, tol)
-    return SvdResult(np.ascontiguousarray(full.U[:, :r]), full.S[:r].copy(),
-                     np.ascontiguousarray(full.Vt[:r]))
 
 
 def rank_from_spectrum(s: np.ndarray, tol: float) -> int:

@@ -254,9 +254,10 @@ def _ttsvd_stack(x: np.ndarray, tol: float | None = None,
 
 
 def _stack_left_svd(c: np.ndarray, rows: list[int], real: np.ndarray | None, cut: float):
-    """``left_svd`` (route, sign rule) of each matrix ``c[b]`` of the stack
-    ``(B, m, n)``: its ``rows[b]`` rows in ``real[b]`` are its own, the
-    others zero padding (``real`` is None when no block is padded).
+    """``left_svd`` (route, sign rule of ``_column_signs``) of each matrix
+    ``c[b]`` of the stack ``(B, m, n)``: its ``rows[b]`` rows in ``real[b]``
+    are its own, the others zero padding (``real`` is None when no block is
+    padded).
 
     Returns ``U`` and ``S``, ``(B, m, k)`` and ``(B, k)`` with ``k`` at
     least ``min(m, n)``: each block's own directions by descending value,
@@ -302,20 +303,6 @@ def _stack_left_svd(c: np.ndarray, rows: list[int], real: np.ndarray | None, cut
         u[b] = 0.0
         u[b, own, np.arange(len(own))] = 1.0
     return u, s
-
-
-def tt_element(f: TTFactorization, index: Sequence[int]) -> float:
-    """Evaluate one entry as the product of carriage slices."""
-    index = tuple(int(i) for i in index)
-    if len(index) != len(f.carriages):
-        raise ValueError("index length mismatch")
-    v = f.carriages[0][:, index[0], :]
-    for g, i in zip(f.carriages[1:], index[1:]):
-        v = v @ g[:, i, :]
-    return float(v[0, 0])
-
-
-tt_reconstruct = TTFactorization.reconstruct
 
 
 def tt_storage_count(ranks: Sequence[int], dims: Sequence[int]) -> int:
@@ -375,9 +362,6 @@ def _qtt_stack(x: np.ndarray, tol: float | None = None,
     mode_factors = tuple(tuple(fs) for fs in factors)
     return [QttFactorization(f, tuple(dims), mode_factors)
             for f in _ttsvd_stack(fine, tol=tol, ranks=ranks)]
-
-
-qtt_reconstruct = QttFactorization.reconstruct
 
 
 def tt_compress_abs(

@@ -1,13 +1,12 @@
-"""Tucker decompositions: the HOSVD at given ranks or at a spectrum
-tolerance, and the error-budgeted search, which escalates the ranks of one
-sequentially truncated HOSVD (ST-HOSVD; Vannieuwenhoven, Vandebril &
-Meerbergen, SISC 2012).
+"""Tucker decompositions by one sequentially truncated HOSVD pass (ST-HOSVD;
+Vannieuwenhoven, Vandebril & Meerbergen, SISC 2012): ``hosvd`` at given
+ranks, and the error-budgeted search, which escalates the ranks of the pass.
 
-The search visits the modes in ascending extent.  Each mode's basis comes
+The pass visits the modes in ascending extent.  Each mode's basis comes
 from the block already projected onto the modes before it, so the large
-(time) mode's basis is taken from a shrunk tensor.  Each projection keeps
-``HEADROOM_STEPS`` escalation steps of columns past the first rank, and
-every candidate slices the one core that results.
+(time) mode's basis is taken from a shrunk tensor.  In the search each
+projection keeps ``HEADROOM_STEPS`` escalation steps of columns past the
+first rank, and every candidate slices the one core that results.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .tensor_core import (
     QuantizeFn,
     budgeted_search,
     mode_left_svd,
-    mode_product,
     rank_from_spectrum,
 )
 
@@ -100,22 +98,24 @@ def _grow(r: int, n: int) -> int:
     return min(n, r + max(1, math.ceil(0.1 * r)))
 
 
-def _truncated_pass(x: np.ndarray, ranks=None):
-    """ST-HOSVD of the C-contiguous ``x`` at ``HEADROOM_STEPS`` escalation
-    steps past ``ranks`` (default: each mode's ``TOL0`` rank of the block
-    projected so far), modes in ascending extent.  Returns the core at the
-    kept columns, the factors, the ranks and the headrooms (column counts
-    asked for; a factor holds fewer when the unfolding has fewer)."""
+def _truncated_pass(x: np.ndarray, ranks=None, steps: int = HEADROOM_STEPS,
+                    cut: float = TOL0):
+    """ST-HOSVD of the C-contiguous ``x`` at ``steps`` escalation steps past
+    ``ranks`` (default: each mode's ``cut`` rank of the block projected so
+    far), modes in ascending extent; each basis is ``mode_left_svd`` at
+    ``cut``.  Returns the core at the kept columns, the factors, the ranks
+    and the headrooms (column counts asked for; a factor holds fewer when
+    the unfolding has fewer)."""
     y = x
     factors = [None] * x.ndim
     ranks = list(ranks) if ranks is not None else [None] * x.ndim
     heads = [0] * x.ndim
     for k in sorted(range(x.ndim), key=lambda k: x.shape[k]):
-        u, s = mode_left_svd(y, k, TOL0)
+        u, s = mode_left_svd(y, k, cut)
         if ranks[k] is None:
-            ranks[k] = rank_from_spectrum(s, TOL0)
+            ranks[k] = rank_from_spectrum(s, cut)
         heads[k] = ranks[k]
-        for _ in range(HEADROOM_STEPS):
+        for _ in range(steps):
             heads[k] = _grow(heads[k], x.shape[k])
         factors[k] = u[:, :heads[k]]
         y = _project(y, factors[k], k)
@@ -141,46 +141,20 @@ def _check_ranks(dims, ranks) -> tuple[int, ...]:
     return ranks
 
 
-def _mode_bases(x: np.ndarray, cut: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    # (U, S) of every unfolding for ranks cut at s_i / s_1 >= cut (see
-    # left_svd); one C-contiguous copy of the block serves every mode's Gram
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    return [mode_left_svd(x, k, cut) for k in range(x.ndim)]
-
-
-def _hosvd_at(x: np.ndarray, bases, ranks) -> TuckerFactorization:
-    factors = tuple(np.ascontiguousarray(u[:, :r]) for (u, _), r in zip(bases, ranks))
-    core = x
-    for k, u in enumerate(factors):
-        core = mode_product(core, u.T, k)
-    return TuckerFactorization(core, factors)
-
-
 def hosvd(x: np.ndarray, ranks: Sequence[int]) -> TuckerFactorization:
-    """Orthogonal Tucker decomposition at the given multilinear ranks.
+    """Orthogonal Tucker decomposition at the given multilinear ranks: one
+    ST-HOSVD pass, modes in ascending extent.
 
-    Factor ``k`` holds the leading left singular vectors of the mode-``k``
-    unfolding; the core is the projection of ``x`` onto those factors.
+    Factor ``k`` holds the leading left singular vectors (thin SVD) of the
+    mode-``k`` unfolding of ``x`` already projected onto the modes before
+    it; the core is ``x`` projected onto every factor.  Each rank must lie
+    in ``[1, n_k]`` and is used as stated, silently clipped to the rank
+    bound of that partly projected unfolding, so the result's ``ranks`` may
+    be smaller than requested.
     """
-    x = np.asarray(x, dtype=np.float64)
-    ranks = _check_ranks(x.shape, ranks)
-    return _hosvd_at(x, _mode_bases(x, 0.0), ranks)
-
-
-def hosvd_tol(x: np.ndarray, tol: float) -> TuckerFactorization:
-    """HOSVD with per-mode ranks chosen from the normalized spectra.
-
-    Mode ``k`` keeps every singular value within a factor ``tol`` of the
-    largest one (at least one).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not 0.0 < tol <= 1.0:
-        raise ValueError(f"tol {tol} not in (0, 1]")
-    bases = _mode_bases(x, tol)
-    return _hosvd_at(x, bases, [rank_from_spectrum(s, tol) for _, s in bases])
-
-
-tucker_reconstruct = TuckerFactorization.reconstruct
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    core, factors, _, _ = _truncated_pass(x, _check_ranks(x.shape, ranks), steps=0, cut=0.0)
+    return TuckerFactorization(core, tuple(np.ascontiguousarray(u) for u in factors))
 
 
 def tucker_storage_count(ranks: Sequence[int], dims: Sequence[int]) -> int:

@@ -5,8 +5,14 @@ import numpy as np
 
 from tenblock.partition import greedy_partition
 from tenblock.synth import SynthSpec, _smooth_unit, coastline_mask, synth
-from tenblock.tensor_core import GappyTensor4, mode_product
-from tenblock.tt import TTFactorization, tt_reconstruct
+from tenblock.tensor_core import GappyTensor4
+from tenblock.tt import TTFactorization
+
+
+def mode_product(x, a, mode):
+    """Multiply ``x`` by the matrix ``a`` along ``mode``: the mode-``k``
+    unfolding of the result equals ``a @ unfold(x, k)``."""
+    return np.moveaxis(np.tensordot(a, x, axes=([1], [mode])), 0, mode)
 
 
 def random_orthonormal(rng, n, r):
@@ -31,7 +37,7 @@ def exact_tt_tensor(shape, ranks, seed=0, scale=1.0):
         rng.standard_normal((bounds[k], n, bounds[k + 1])) * scale
         for k, n in enumerate(shape)
     )
-    return tt_reconstruct(TTFactorization(carriages))
+    return TTFactorization(carriages).reconstruct()
 
 
 def synth_block(dims=(32, 24, 8, 32), seed=7):

@@ -21,8 +21,8 @@ from tenblock.pipeline import (
 )
 from tenblock.synth import SynthSpec, coastline_mask, synth
 from tenblock.tensor_core import chebyshev_norm, frobenius_norm, unfold
-from tenblock.tt import qtt_factorize_modes, tt_reconstruct, tt_storage_count, ttsvd
-from tenblock.tucker import hosvd, tucker_reconstruct, tucker_storage_count
+from tenblock.tt import qtt_factorize_modes, tt_storage_count, ttsvd
+from tenblock.tucker import hosvd, tucker_storage_count
 
 
 def _verdict(num, label, ok, detail=""):
@@ -65,11 +65,11 @@ def test_criterion_04_exact_low_rank_recovery():
     t0 = time.perf_counter()
     x = exact_tucker_tensor((20, 20, 10, 16), (3, 4, 2, 5), seed=0, scale=3.0)
     f = hosvd(x, (3, 4, 2, 5))
-    tucker_err = frobenius_norm(tucker_reconstruct(f) - x) / frobenius_norm(x)
+    tucker_err = frobenius_norm(f.reconstruct() - x) / frobenius_norm(x)
 
     y = exact_tt_tensor((16, 16, 16), (2, 3), seed=1, scale=2.0)
     g = ttsvd(y, ranks=(2, 3))
-    tt_err = frobenius_norm(tt_reconstruct(g) - y) / frobenius_norm(y)
+    tt_err = frobenius_norm(g.reconstruct() - y) / frobenius_norm(y)
     dt = time.perf_counter() - t0
     ok = tucker_err <= 1e-10 and tt_err <= 1e-10 and dt < 5.0
     _verdict(4, "exact low-rank recovery", ok,
@@ -87,12 +87,12 @@ def test_criterion_05_tolerance_contracts():
         nx = frobenius_norm(x)
         for eps in (1e-1, 1e-2, 1e-4):
             f = ttsvd(x, tol=eps)
-            rel = frobenius_norm(tt_reconstruct(f) - x) / nx
+            rel = frobenius_norm(f.reconstruct() - x) / nx
             ok &= rel <= eps
             worst_margin = min(worst_margin, eps - rel)
         ranks = tuple(int(rng.integers(1, n + 1)) for n in shape)
         h = hosvd(x, ranks)
-        err = frobenius_norm(tucker_reconstruct(h) - x)
+        err = frobenius_norm(h.reconstruct() - x)
         tail = sum(float(np.sum(np.linalg.svd(unfold(x, k), compute_uv=False)[r:] ** 2))
                    for k, r in enumerate(ranks))
         ok &= err <= np.sqrt(tail) + 1e-9

@@ -9,7 +9,7 @@ from tenblock.completion import (
     svp_complete,
     update_rank,
 )
-from tenblock.tensor_core import frobenius_norm, project_mask
+from tenblock.tensor_core import frobenius_norm
 
 
 def test_random_mask_count_and_bounds():
@@ -63,6 +63,25 @@ def test_svp_params_validation():
         SvpParams((2, 2), delta=0)
     with pytest.raises(ValueError):
         SvpParams((2, 2), max_iters=0)
+    # not finite: NaN eps never stops the loop, NaN or inf eta breaks the SVD
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            SvpParams((2, 2), eps=bad)
+        with pytest.raises(ValueError, match="eta"):
+            SvpParams((2, 2), eta=bad)
+    # integer fields take integers only: not bools, not floats
+    for ranks in ((True, 2, 2), (2.7, 2, 2)):
+        with pytest.raises(ValueError, match="target rank"):
+            SvpParams(ranks)
+    with pytest.raises(ValueError, match="delta"):
+        SvpParams((2, 2), delta=1.5)
+    with pytest.raises(ValueError, match="max_iters"):
+        SvpParams((2, 2), max_iters=2.5)
+    with pytest.raises(ValueError, match="max_iters"):
+        SvpParams((2, 2), max_iters=True)
+    p = SvpParams((np.int64(3), 2), delta=np.int32(2), max_iters=np.int64(7))
+    assert p.target_ranks == (3, 2) and (p.delta, p.max_iters) == (2, 7)
+    assert all(type(v) is int for v in (*p.target_ranks, p.delta, p.max_iters))
 
 
 def test_svp_fully_observed_converges():
@@ -95,8 +114,8 @@ def test_svp_full_rank_caps_interpolate_in_few_iterations():
     assert res.converged
     assert res.n_iters <= 3
     omega = mask.dense()
-    np.testing.assert_allclose(project_mask(res.completion, omega),
-                               project_mask(x, omega), atol=1e-9)
+    np.testing.assert_allclose(np.where(omega, res.completion, 0.0),
+                               np.where(omega, x, 0.0), atol=1e-9)
 
 
 def test_svp_nonconvergence_reports_best_iterate():
@@ -153,3 +172,8 @@ def test_svp_input_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         svp_complete(bad, random_mask((4, 4), 1, seed=0), SvpParams((2, 2)))
+    # a rank cap above its mode's extent fails up front, naming the mode
+    y = np.random.default_rng(0).standard_normal((6, 5, 4))
+    for caps, mode in (((9, 9, 9), 0), ((6, 5, 5), 2)):
+        with pytest.raises(ValueError, match=f"mode {mode} "):
+            svp_complete(y, random_mask(y.shape, 2, seed=0), SvpParams(caps))

@@ -8,7 +8,7 @@ from tenblock.completion import update_rank
 from tenblock.formats import _decode_rle, _encode_rle
 from tenblock.partition import temporal_split
 from tenblock.tensor_core import frobenius_norm
-from tenblock.tt import tt_reconstruct, ttsvd
+from tenblock.tt import ttsvd
 
 
 @given(st.integers(1, 300).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, t))))
@@ -49,7 +49,7 @@ def test_ttsvd_tolerance_property(shape, eps, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(tuple(shape))
     f = ttsvd(x, tol=eps)
-    rel = frobenius_norm(tt_reconstruct(f) - x) / frobenius_norm(x)
+    rel = frobenius_norm(f.reconstruct() - x) / frobenius_norm(x)
     assert rel <= eps
 
 

@@ -3,24 +3,19 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from helpers import random_orthonormal
+from helpers import mode_product, random_orthonormal
 from tenblock import tensor_core
 from tenblock.tensor_core import (
     GRAM_CUT_FLOOR,
     GRAM_SLICE_MIN,
     Factorization,
     GappyTensor4,
-    _svd_deterministic,
     budgeted_search,
     chebyshev_norm,
-    fold,
     frobenius_norm,
     left_svd,
     mode_gram,
-    mode_product,
-    project_mask,
     rank_from_spectrum,
-    truncated_svd,
     unfold,
 )
 
@@ -46,24 +41,12 @@ def test_unfold_column_order_remaining_modes_ascending():
         np.testing.assert_array_equal(m[j], x[:, j, :].ravel(order="F"))
 
 
-def test_fold_inverts_unfold():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((3, 4, 5, 2))
-    for mode in range(4):
-        np.testing.assert_array_equal(fold(unfold(x, mode), mode, x.shape), x)
-
-
 def test_unfold_bad_mode():
     x = np.zeros((2, 2))
     with pytest.raises(ValueError):
         unfold(x, 2)
     with pytest.raises(ValueError):
         unfold(x, -1)
-
-
-def test_fold_shape_mismatch():
-    with pytest.raises(ValueError):
-        fold(np.zeros((3, 5)), 0, (3, 4))
 
 
 def test_mode_product_identity():
@@ -135,97 +118,13 @@ def test_chebyshev_norm_empty_raises():
         chebyshev_norm(np.ones(3), np.zeros(3, dtype=bool))
 
 
-def test_project_mask_bool():
-    x = np.arange(6, dtype=float).reshape(2, 3)
-    omega = np.array([[True, False, True], [False, False, True]])
-    y = project_mask(x, omega)
-    np.testing.assert_array_equal(y, [[0.0, 0.0, 2.0], [0.0, 0.0, 5.0]])
-    # input untouched
-    assert x[0, 1] == 1.0
-
-
-def test_project_mask_idempotent():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((4, 5))
-    omega = rng.random((4, 5)) < 0.4
-    y = project_mask(x, omega)
-    np.testing.assert_array_equal(project_mask(y, omega), y)
-
-
-def test_project_mask_empty_and_full():
-    x = np.ones((2, 2))
-    np.testing.assert_array_equal(project_mask(x, np.zeros((2, 2), bool)), 0 * x)
-    np.testing.assert_array_equal(project_mask(x, np.ones((2, 2), bool)), x)
-
-
-def test_truncated_svd_rank_deficient_exact():
-    m = np.array([[1.0, 2.0], [2.0, 4.0]])
-    svd = truncated_svd(m, rank=2)
-    np.testing.assert_allclose(svd.S, [5.0, 0.0], atol=1e-12)
-    svd1 = truncated_svd(m, rank=1)
-    np.testing.assert_allclose(svd1.U * svd1.S @ svd1.Vt, m, atol=1e-12)
-
-
-def test_truncated_svd_identity_spectrum():
-    svd = truncated_svd(np.eye(3), rank=3)
-    np.testing.assert_allclose(svd.S, [1.0, 1.0, 1.0], atol=1e-14)
-
-
-def test_truncated_svd_tol_keeps_above_relative_threshold():
-    m = np.diag([1.0, 1e-2, 1e-6])
-    svd = truncated_svd(m, tol=1e-3)
-    assert len(svd.S) == 2
-
-
-def test_truncated_svd_argument_validation():
-    m = np.eye(2)
-    with pytest.raises(ValueError):
-        truncated_svd(m)
-    with pytest.raises(ValueError):
-        truncated_svd(m, rank=1, tol=0.5)
-    with pytest.raises(ValueError):
-        truncated_svd(m, rank=0)
-    with pytest.raises(ValueError):
-        truncated_svd(m, rank=3)
-    with pytest.raises(ValueError):
-        truncated_svd(m, tol=0.0)
-
-
-def test_truncated_svd_deterministic():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((20, 12))
-    a = truncated_svd(m, rank=5)
-    b = truncated_svd(m.copy(), rank=5)
-    assert np.array_equal(a.U, b.U)
-    assert np.array_equal(a.S, b.S)
-    assert np.array_equal(a.Vt, b.Vt)
-
-
-def test_truncated_svd_sign_convention():
-    rng = np.random.default_rng(8)
-    m = rng.standard_normal((10, 6))
-    svd = truncated_svd(m, rank=4)
-    for j in range(4):
-        col = svd.U[:, j]
-        assert col[np.argmax(np.abs(col))] > 0
-
-
-def test_truncated_svd_orthonormal_and_sorted():
-    rng = np.random.default_rng(9)
-    m = rng.standard_normal((15, 9))
-    svd = truncated_svd(m, rank=6)
-    np.testing.assert_allclose(svd.U.T @ svd.U, np.eye(6), atol=1e-12)
-    np.testing.assert_allclose(svd.Vt @ svd.Vt.T, np.eye(6), atol=1e-12)
-    assert np.all(np.diff(svd.S) <= 0)
-
-
 def test_truncation_error_matches_tail_spectrum():
     rng = np.random.default_rng(10)
     m = rng.standard_normal((20, 14))
     full = np.linalg.svd(m, compute_uv=False)
     r = 5
-    svd = truncated_svd(m, rank=r)
-    err = np.linalg.norm(m - svd.U * svd.S @ svd.Vt)
+    u = left_svd(m, 0.0)[0][:, :r]
+    err = np.linalg.norm(m - u @ (u.T @ m))
     assert err == pytest.approx(np.sqrt(np.sum(full[r:] ** 2)), rel=1e-10)
 
 
@@ -271,8 +170,8 @@ def test_left_svd_route(monkeypatch, shape, cut, gram):
     u, s = left_svd(m, cut)
     assert calls == ([(shape[0], shape[0])] if gram else [])
     if not gram:
-        ref = _svd_deterministic(m)
-        assert np.array_equal(u, ref.U) and np.array_equal(s, ref.S)
+        ref_u, ref_s = _reference_left_svd(m)
+        assert np.array_equal(u, ref_u) and np.array_equal(s, ref_s)
 
 
 def _block_view(field_shape, rect, interval, seed=15):
@@ -353,6 +252,7 @@ def test_rank_from_spectrum():
     assert rank_from_spectrum(s, 1e-3) == 2
     assert rank_from_spectrum(s, 1e-8) == 3
     assert rank_from_spectrum(s, 0.5) == 1
+    assert rank_from_spectrum(s, 1.0) == 1
     assert rank_from_spectrum(np.zeros(3), 1e-3) == 1
 
 

@@ -16,11 +16,8 @@ from tenblock.tt import (
     _ttsvd_stack,
     qtt_compress,
     qtt_factorize_modes,
-    qtt_reconstruct,
     qtt_reshape,
     tt_compress_abs,
-    tt_element,
-    tt_reconstruct,
     tt_storage_count,
     ttsvd,
 )
@@ -33,7 +30,7 @@ def test_ttsvd_separable_is_rank_one():
     x = np.einsum("i,j,k->ijk", u, v, w)
     f = ttsvd(x, tol=1e-12)
     assert f.ranks == (1, 1)
-    np.testing.assert_allclose(tt_reconstruct(f), x, atol=1e-12)
+    np.testing.assert_allclose(f.reconstruct(), x, atol=1e-12)
 
 
 def _reference_tt_ranks(x, tol):
@@ -61,7 +58,7 @@ def test_ttsvd_tol_ranks_match_svd_reference(quantized):
 def test_ttsvd_exact_at_construction_ranks():
     x = exact_tt_tensor((16, 16, 16), (2, 3), seed=0)
     f = ttsvd(x, ranks=(2, 3))
-    err = frobenius_norm(tt_reconstruct(f) - x) / frobenius_norm(x)
+    err = frobenius_norm(f.reconstruct() - x) / frobenius_norm(x)
     assert err <= 1e-10
 
 
@@ -71,7 +68,7 @@ def test_ttsvd_tol_contract():
         for trial in range(3):
             x = rng.standard_normal((8, 7, 6, 5))
             f = ttsvd(x, tol=eps)
-            err = frobenius_norm(tt_reconstruct(f) - x) / frobenius_norm(x)
+            err = frobenius_norm(f.reconstruct() - x) / frobenius_norm(x)
             assert err <= eps
 
 
@@ -80,7 +77,7 @@ def test_ttsvd_ranks_clipped_to_unfolding_bounds():
     x = rng.standard_normal((3, 4, 5))
     f = ttsvd(x, ranks=(100, 100))
     assert f.ranks == (3, 5)
-    np.testing.assert_allclose(tt_reconstruct(f), x, atol=1e-10)
+    np.testing.assert_allclose(f.reconstruct(), x, atol=1e-10)
 
 
 def test_ttsvd_carriage_chain_consistent():
@@ -110,37 +107,21 @@ def test_ttsvd_tol_zero_is_lossless():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((4, 5, 3))
     f = ttsvd(x, tol=0.0)
-    np.testing.assert_allclose(tt_reconstruct(f), x, atol=1e-12)
+    np.testing.assert_allclose(f.reconstruct(), x, atol=1e-12)
 
 
 def test_ttsvd_one_mode_tensor():
     x = np.arange(5, dtype=float)
     f = ttsvd(x, tol=1e-12)
     assert f.dims == (5,)
-    np.testing.assert_allclose(tt_reconstruct(f), x, atol=1e-14)
+    np.testing.assert_allclose(f.reconstruct(), x, atol=1e-14)
 
 
 def test_ttsvd_extent_one_mode():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 1, 4))
     f = ttsvd(x, tol=1e-12)
-    np.testing.assert_allclose(tt_reconstruct(f), x, atol=1e-12)
-
-
-def test_tt_element_matches_reconstruction():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((5, 6, 4, 3))
-    f = ttsvd(x, tol=1e-10)
-    xh = tt_reconstruct(f)
-    for _ in range(200):
-        idx = tuple(int(rng.integers(n)) for n in x.shape)
-        assert tt_element(f, idx) == pytest.approx(xh[idx], abs=1e-12)
-
-
-def test_tt_element_index_validation():
-    f = ttsvd(np.ones((2, 3)), tol=1e-12)
-    with pytest.raises(ValueError):
-        tt_element(f, (0,))
+    np.testing.assert_allclose(f.reconstruct(), x, atol=1e-12)
 
 
 def test_tt_storage_count_examples():
@@ -186,7 +167,7 @@ def test_qtt_lossless_at_full_rank():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((8, 4, 8))
     f = qtt_compress(x, tol=1e-14)
-    err = frobenius_norm(qtt_reconstruct(f) - x) / frobenius_norm(x)
+    err = frobenius_norm(f.reconstruct() - x) / frobenius_norm(x)
     assert err <= 1e-12
     assert f.dims == (8, 4, 8)
     assert f.mode_factors == ((2, 2, 2), (2, 2), (2, 2, 2))
@@ -196,7 +177,7 @@ def test_qtt_constant_tensor_all_rank_one():
     x = np.full((8, 8), 3.5)
     f = qtt_compress(x, tol=1e-12)
     assert all(r == 1 for r in f.tt.ranks)
-    np.testing.assert_allclose(qtt_reconstruct(f), x, atol=1e-12)
+    np.testing.assert_allclose(f.reconstruct(), x, atol=1e-12)
 
 
 def test_tt_compress_abs_meets_budget():
@@ -204,21 +185,21 @@ def test_tt_compress_abs_meets_budget():
     x = rng.standard_normal((9, 8, 7, 6))
     for eps in (1e-1, 1e-4):
         f = tt_compress_abs(x, eps)
-        assert np.max(np.abs(tt_reconstruct(f) - x)) <= eps
+        assert np.max(np.abs(f.reconstruct() - x)) <= eps
 
 
 def test_tt_compress_abs_qtt_flag():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((8, 8, 4, 8))
     f = tt_compress_abs(x, 1e-3, qtt=True)
-    assert np.max(np.abs(qtt_reconstruct(f) - x)) <= 1e-3
+    assert np.max(np.abs(f.reconstruct() - x)) <= 1e-3
 
 
 def test_tt_compress_abs_exact_rank_stays_cheap():
     x = exact_tt_tensor((10, 10, 10), (2, 3), seed=11, scale=2.0)
     f = tt_compress_abs(x, 1e-6)
     assert f.ranks[0] <= 2 and f.ranks[1] <= 3
-    assert np.max(np.abs(tt_reconstruct(f) - x)) <= 1e-6
+    assert np.max(np.abs(f.reconstruct() - x)) <= 1e-6
 
 
 def test_tt_compress_abs_quantized_budget():
@@ -229,7 +210,7 @@ def test_tt_compress_abs_quantized_budget():
         return a.astype(np.float32).astype(np.float64)
 
     f = tt_compress_abs(x, 1e-2, quantize=quantize)
-    assert np.max(np.abs(tt_reconstruct(f) - x)) <= 1e-2
+    assert np.max(np.abs(f.reconstruct() - x)) <= 1e-2
     for g in f.carriages:
         np.testing.assert_array_equal(g, quantize(g))
 

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import exact_tucker_tensor, synth_block
+from helpers import exact_tucker_tensor, mode_product, synth_block
 from tenblock import tucker
-from tenblock.tensor_core import GRAM_CUT_FLOOR, frobenius_norm, left_svd, mode_product, unfold
+from tenblock.tensor_core import (GRAM_CUT_FLOOR, frobenius_norm, left_svd, mode_left_svd,
+                                  unfold)
 from tenblock.tucker import (
     HEADROOM_STEPS,
     TOL0,
     TuckerFactorization,
-    _mode_bases,
     hosvd,
-    hosvd_tol,
     tucker_compress_abs,
-    tucker_reconstruct,
     tucker_storage_count,
 )
 
@@ -24,13 +22,13 @@ def test_hosvd_rank_one_outer_product():
     x = np.einsum("i,j,k->ijk", u, v, w)
     f = hosvd(x, (1, 1, 1))
     assert f.ranks == (1, 1, 1)
-    np.testing.assert_allclose(tucker_reconstruct(f), x, atol=1e-12)
+    np.testing.assert_allclose(f.reconstruct(), x, atol=1e-12)
 
 
 def test_hosvd_exact_at_construction_ranks():
     x = exact_tucker_tensor((20, 20, 10, 16), (3, 4, 2, 5), seed=0)
     f = hosvd(x, (3, 4, 2, 5))
-    err = frobenius_norm(tucker_reconstruct(f) - x) / frobenius_norm(x)
+    err = frobenius_norm(f.reconstruct() - x) / frobenius_norm(x)
     assert err <= 1e-10
 
 
@@ -38,7 +36,7 @@ def test_hosvd_full_ranks_exact():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((5, 6, 4))
     f = hosvd(x, x.shape)
-    err = frobenius_norm(tucker_reconstruct(f) - x) / frobenius_norm(x)
+    err = frobenius_norm(f.reconstruct() - x) / frobenius_norm(x)
     assert err <= 1e-8
 
 
@@ -55,7 +53,17 @@ def test_hosvd_core_norm_equals_reconstruction_norm():
     x = rng.standard_normal((6, 5, 7))
     f = hosvd(x, (3, 3, 3))
     assert frobenius_norm(f.core) == pytest.approx(
-        frobenius_norm(tucker_reconstruct(f)), rel=1e-8)
+        frobenius_norm(f.reconstruct()), rel=1e-8)
+
+
+def _discarded_spectrum(x, ranks):
+    # the HOSVD error bound: root of the energy past each rank in the
+    # spectrum of the whole block's unfolding
+    tail = 0.0
+    for k, r in enumerate(ranks):
+        s = np.linalg.svd(unfold(x, k), compute_uv=False)
+        tail += float(np.sum(s[r:] ** 2))
+    return np.sqrt(tail)
 
 
 def test_hosvd_error_bounded_by_discarded_spectrum():
@@ -64,12 +72,22 @@ def test_hosvd_error_bounded_by_discarded_spectrum():
         x = rng.standard_normal((7, 6, 5, 4))
         ranks = tuple(int(rng.integers(1, n + 1)) for n in x.shape)
         f = hosvd(x, ranks)
-        err = frobenius_norm(tucker_reconstruct(f) - x)
-        tail = 0.0
-        for k, r in enumerate(ranks):
-            s = np.linalg.svd(unfold(x, k), compute_uv=False)
-            tail += float(np.sum(s[r:] ** 2))
-        assert err <= np.sqrt(tail) + 1e-9
+        err = frobenius_norm(f.reconstruct() - x)
+        assert err <= _discarded_spectrum(x, ranks) + 1e-9
+
+
+def test_hosvd_clips_a_rank_the_projected_unfolding_cannot_hold():
+    # modes in ascending extent: mode 0 comes last, when the block is
+    # already 7x1x1x1, so its unfolding holds rank 1 and rank 7 is clipped
+    x = np.random.default_rng(27).standard_normal((7, 6, 5, 4))
+    ranks = (7, 1, 1, 1)
+    f = hosvd(x, ranks)
+    assert f.ranks == (1, 1, 1, 1)
+    assert [u.shape for u in f.factors] == [(n, 1) for n in x.shape]
+    for u in f.factors:
+        np.testing.assert_allclose(u.T @ u, [[1.0]], rtol=0, atol=1e-12)
+    err = frobenius_norm(f.reconstruct() - x)
+    assert err <= _discarded_spectrum(x, ranks) + 1e-9
 
 
 def test_hosvd_error_monotone_in_rank():
@@ -78,7 +96,7 @@ def test_hosvd_error_monotone_in_rank():
     errs = []
     for r in range(1, 7):
         f = hosvd(x, (r, r, r))
-        errs.append(frobenius_norm(tucker_reconstruct(f) - x))
+        errs.append(frobenius_norm(f.reconstruct() - x))
     assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
 
@@ -92,12 +110,6 @@ def test_hosvd_rank_validation():
         hosvd(x, (4, 4, 5))
 
 
-def test_hosvd_tol_keeps_dominant_rank():
-    x = exact_tucker_tensor((10, 12, 8), (2, 2, 2), seed=6, scale=5.0)
-    f = hosvd_tol(x, 1e-10)
-    assert f.ranks == (2, 2, 2)
-
-
 def test_first_candidate_ranks_match_svd_reference():
     x = synth_block()
     ref = []
@@ -107,26 +119,11 @@ def test_first_candidate_ranks_match_svd_reference():
     assert next(TuckerFactorization.candidates(x)).ranks == tuple(ref)
 
 
-def test_hosvd_tol_tau_one_collapses_to_rank_one():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((5, 6, 7))
-    f = hosvd_tol(x, 1.0)
-    assert f.ranks == (1, 1, 1)
-
-
-def test_hosvd_tol_tiny_tau_keeps_full_rank():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((4, 5, 6))
-    f = hosvd_tol(x, 1e-15)
-    assert f.ranks == (4, 5, 6)
-
-
 def test_tucker_reconstruct_zero_core():
-    from tenblock.tucker import TuckerFactorization
     core = np.zeros((2, 2))
     factors = (np.eye(3)[:, :2], np.eye(4)[:, :2])
     f = TuckerFactorization(core, factors)
-    np.testing.assert_array_equal(tucker_reconstruct(f), np.zeros((3, 4)))
+    np.testing.assert_array_equal(f.reconstruct(), np.zeros((3, 4)))
 
 
 def test_tucker_storage_count_examples():
@@ -155,14 +152,14 @@ def test_compress_abs_meets_budget():
     x = rng.standard_normal((12, 11, 6, 5))
     for eps in (1e-1, 1e-3):
         f = tucker_compress_abs(x, eps)
-        assert np.max(np.abs(tucker_reconstruct(f) - x)) <= eps
+        assert np.max(np.abs(f.reconstruct() - x)) <= eps
 
 
 def test_compress_abs_cheap_ranks_for_loose_budget():
     x = exact_tucker_tensor((14, 13, 9), (2, 2, 2), seed=11, scale=3.0)
     f = tucker_compress_abs(x, 1e-6)
     assert all(r <= 2 for r in f.ranks)
-    assert np.max(np.abs(tucker_reconstruct(f) - x)) <= 1e-6
+    assert np.max(np.abs(f.reconstruct() - x)) <= 1e-6
 
 
 def test_compress_abs_quantize_error_measured_after_rounding():
@@ -174,7 +171,7 @@ def test_compress_abs_quantize_error_measured_after_rounding():
 
     eps = 1e-3
     f = tucker_compress_abs(x, eps, quantize=quantize)
-    assert np.max(np.abs(tucker_reconstruct(f) - x)) <= eps
+    assert np.max(np.abs(f.reconstruct() - x)) <= eps
     for u in f.factors:
         np.testing.assert_array_equal(u, quantize(u))
 
@@ -227,7 +224,7 @@ def test_mode_bases_of_block_view(monkeypatch, field_shape, block, cut, gram):
     eigh = np.linalg.eigh
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[0]) or eigh(a))
-    bases = _mode_bases(x, cut)
+    bases = [mode_left_svd(x, k, cut) for k in range(x.ndim)]
     assert calls == [n for n, g in zip(x.shape, gram) if g]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     for k, (u, s) in enumerate(bases):
@@ -269,8 +266,10 @@ def _rank_one_plus_noise(dims, seed):
 def test_candidate_cores_are_projections(x):
     # a candidate slices the core of one truncated pass; the slice must equal
     # the block projected onto that candidate's own (prefix) factors
+    # hosvd at the first candidate's ranks is the same pass without headroom
     scale = np.max(np.abs(x))
-    for fac in TuckerFactorization.candidates(x):
+    cands = list(TuckerFactorization.candidates(x))
+    for fac in cands + [hosvd(x, cands[0].ranks)]:
         for u in fac.factors:
             np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
         ref = _projected_core(x, fac.factors)
