@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,6 +37,16 @@ def _int_list(text: str) -> list[int]:
         return [int(p) for p in text.split(",") if p]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad list {text!r}, want e.g. 1,2,4")
+
+
+def _positive(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}")
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return v
 
 
 def _write_json(path: str, obj) -> None:
@@ -208,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("complete", help="completion baseline from random samples")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--cr", type=float, required=True,
+    s.add_argument("--cr", type=_positive, required=True,
                    help="target ratio of defined cells to observed cells")
     s.add_argument("--caps", type=_int_list, default=[5, 5, 4, 5], metavar="R1,R2,R3,R4")
     s.add_argument("--eta", type=float, default=1.0)

@@ -16,6 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .tensor_core import _integer
+
 # read by the traced runs of perfbench/run.py; there is no compiled lane
 _speedups = None
 
@@ -131,7 +133,7 @@ def find_largest_block(domain_mask, used_mask, s_min: int) -> BlockIndex | None:
         raise ValueError("mask shape mismatch")
     if domain_mask.ndim != 2:
         raise ValueError("masks must be 2-D")
-    found = _find_largest(domain_mask & ~used_mask, int(s_min))
+    found = _find_largest(domain_mask & ~used_mask, _integer("s_min", s_min))
     return None if found is None else BlockIndex(*found)
 
 
@@ -141,7 +143,7 @@ def greedy_partition(domain_mask, s_min: int) -> PartitionResult:
     domain_mask = np.asarray(domain_mask, dtype=bool)
     if domain_mask.ndim != 2:
         raise ValueError("mask must be 2-D")
-    s_min = int(s_min)
+    s_min = _integer("s_min", s_min)
     if s_min < 1:
         raise ValueError("s_min must be >= 1")
     free = domain_mask.copy()
@@ -178,7 +180,7 @@ def pow2_partition(domain_mask, s_min: int) -> PartitionResult:
     domain_mask = np.asarray(domain_mask, dtype=bool)
     if domain_mask.ndim != 2:
         raise ValueError("mask must be 2-D")
-    s_min = int(s_min)
+    s_min = _integer("s_min", s_min)
     if s_min < 1 or s_min & (s_min - 1):
         raise ValueError("s_min must be a power of two")
     nx, ny = domain_mask.shape
@@ -205,8 +207,8 @@ def pow2_partition(domain_mask, s_min: int) -> PartitionResult:
 def temporal_split(t: int, n: int) -> list[tuple[int, int]]:
     """N contiguous half-open intervals covering [0, t); base length
     floor(t/n) with the remainder absorbed by the last interval."""
-    t = int(t)
-    n = int(n)
+    t = _integer("t", t)
+    n = _integer("n", n)
     if not 1 <= n <= t:
         raise ValueError(f"need 1 <= n <= {t}, got {n}")
     base = t // n

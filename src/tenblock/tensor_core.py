@@ -3,10 +3,12 @@ under one sign rule by the cheaper of a Gram eigendecomposition and a thin
 SVD (mode Grams formed from views, without an unfolding), and the interface
 and error-budgeted search shared by the block factorizations.
 
-Tensors are plain ``numpy.ndarray`` objects in float64.  Whenever a linear
-(flat) ordering of entries matters -- unfolding columns, serialization --
-the convention is Fortran order: the first index varies fastest, then the
-second, and so on.
+Tensors are plain ``numpy.ndarray`` objects in float64.  In memory a
+block and every reconstruction are C-contiguous (the last index fastest),
+and a budgeted search holds its blocks as one C-contiguous stack
+``(B, n_1, .., n_d)``.  On disk (serialization) and in ``unfold``'s
+columns the convention is Fortran order: the first index varies fastest,
+then the second, and so on.
 """
 
 from __future__ import annotations
@@ -89,16 +91,13 @@ AcceptFn = Callable[[int, "Factorization"], bool]  # accept(b, fac): block b don
 class Factorization:
     """A block factorization kind (``kind`` names its method and archive
     records): ``dims``, ``ranks``, ``arrays()`` in archive order and
-    ``reconstruct()``, whose output is contiguous in the class's ``order``;
-    per class ``search(stack, accept)``, which offers the budgeted search
-    its candidates, ``check_header`` and ``from_arrays``, the inverse of
-    ``arrays()``."""
+    ``reconstruct()``, C-contiguous like the search's stack, so that the
+    verify subtracts like-ordered arrays; per class ``search(stack, norms,
+    accept)``, which offers the budgeted search its candidates,
+    ``check_header`` and ``from_arrays``, the inverse of ``arrays()``."""
 
     kind: ClassVar[str]
     pow2_blocks: ClassVar[bool] = False  # wants power-of-two block sides
-    # memory order of reconstruct() and so of each block of a search's
-    # stack: the verify then subtracts like-ordered arrays
-    order: ClassVar[str] = "C"
 
     @property
     def n_elements(self) -> int:
@@ -108,12 +107,13 @@ class Factorization:
         return {}
 
     @classmethod
-    def search(cls, stack: np.ndarray, accept: AcceptFn) -> None:
-        """Offer candidates for the blocks ``stack[b]`` to ``accept(b, fac)``,
-        smallest first, until it returns True (the block is done) or the
-        block has none left.  This default runs the class's ``candidates(x)``
-        in rounds: the next candidate of every block still searched, then
-        ``accept`` on each (a round keeps the candidates' SVDs together)."""
+    def search(cls, stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
+        """Offer candidates for the blocks ``stack[b]``, of Frobenius norms
+        ``norms[b]``, to ``accept(b, fac)``, smallest first, until it
+        returns True (the block is done) or the block has none left.  This
+        default runs the class's ``candidates(x)`` in rounds: the next
+        candidate of every block still searched, then ``accept`` on each (a
+        round keeps the candidates' SVDs together)."""
         searches = {b: cls.candidates(x) for b, x in enumerate(stack)}
         while searches:
             found = [(b, next(s, None)) for b, s in searches.items()]
@@ -132,11 +132,12 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
     Blocks are fully defined, so a NaN in a reconstruction is an error and
     fails the budget.  The Frobenius error is absolute for an all-zero block.
 
-    The blocks are copied once into one stack, each block contiguous in
-    ``cls.order``; ``cls.search`` searches the stack (TT and QTT sweep all
-    blocks still failing at once), and each verify diff and both norms use
-    the block's slice of it, so a strided block view is not copied again
-    per candidate or per norm."""
+    The blocks are copied once into one C-contiguous stack ``(B, ..)``
+    and their norms taken once; ``cls.search`` searches the stack (TT and
+    QTT sweep all blocks still failing at once).  Each verify subtracts the
+    candidate's reconstruction from the block's slice of the stack into one
+    scratch block, so a strided block view is not copied again per
+    candidate or per norm, and no candidate allocates a diff."""
     if isinstance(blocks, np.ndarray):
         raise TypeError("blocks must be a sequence of arrays, not one array")
     if not (math.isfinite(eps_max) and eps_max > 0):
@@ -146,26 +147,25 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
     shape = np.shape(blocks[0])
     if any(np.shape(x) != shape for x in blocks):
         raise ValueError("the blocks of one search must share one shape")
-    n = len(blocks)
-    if cls.order == "F":
-        stack = np.moveaxis(np.empty(shape + (n,), order="F"), -1, 0)
-    else:
-        stack = np.empty((n,) + shape)
+    stack = np.empty((len(blocks),) + shape)
     for b, x in enumerate(blocks):
         stack[b] = x
-    norms = [frobenius_norm(x) or 1.0 for x in stack]
-    results = [None] * n
+    norms = np.array([frobenius_norm(x) for x in stack])
+    scratch = np.empty(shape)
+    results = [None] * len(blocks)
 
     def accept(b: int, fac: Factorization) -> bool:
         if quantize is not None:
             fac = cls.from_arrays([quantize(a) for a in fac.arrays()],
                                   fac.dims, fac.header_fields())
-        diff = fac.reconstruct() - stack[b]
-        cheb = float(np.max(np.abs(diff, out=diff)))
-        results[b] = (fac, cheb, frobenius_norm(diff) / norms[b])
+        # into the scratch block, never into reconstruct()'s output, which
+        # a factorization may own; a NaN makes both extremes NaN
+        diff = np.subtract(fac.reconstruct(), stack[b], out=scratch)
+        cheb = float(max(diff.max(), -diff.min()))
+        results[b] = (fac, cheb, frobenius_norm(diff) / (norms[b] or 1.0))
         return cheb <= eps_max
 
-    cls.search(stack, accept)
+    cls.search(stack, norms, accept)
     return results
 
 
@@ -246,21 +246,23 @@ def _takes_gram(rows: int, cols: int, cut: float) -> bool:
     return rows <= cols and cut >= GRAM_CUT_FLOOR
 
 
-def _gram_left_svd(g: np.ndarray, real: np.ndarray | None = None):
+def _gram_left_svd(g: np.ndarray, own: Sequence[int] | None = None):
     # (U, S) of M, or of each M[b] of a stack, from its Gram g = M M^T:
     # eigenpairs in descending order, rounding-negative eigenvalues clipped
-    # to 0, S = sqrt(lambda), U signed by _column_signs.  Rows of a
-    # stack outside real (B, m) are padding: g gets -max(diag) on them, so
-    # their directions sort after all of the block's own, and their
-    # entries of U are zeroed
-    if real is not None:
-        blocks, rows = np.nonzero(~real)
+    # to 0, S = sqrt(lambda), U signed by _column_signs.  The rows of a
+    # stack's M[b] past its first own[b] are padding: g gets -max(diag) on
+    # them, so their directions sort after all of the block's own, and
+    # their entries of U are zeroed
+    m = g.shape[-1]
+    pad = None if own is None or min(own) == m else np.arange(m) >= np.array(own)[:, np.newaxis]
+    if pad is not None:
+        blocks, rows = np.nonzero(pad)
         top = g.diagonal(axis1=1, axis2=2).max(axis=1)
         g[blocks, rows, rows] = -np.where(top > 0.0, top, 1.0)[blocks]
     lam, u = np.linalg.eigh(g)
     u = u[..., ::-1]
-    if real is not None:
-        u[~real] = 0.0
+    if pad is not None:
+        u[pad] = 0.0
     return u * _column_signs(u)[..., np.newaxis, :], np.sqrt(np.maximum(lam[..., ::-1], 0.0))
 
 

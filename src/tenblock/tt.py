@@ -5,7 +5,10 @@ quantized variant (QTT) that first splits every mode into prime factors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -74,20 +77,23 @@ class TTFactorization(Factorization):
                 raise FormatError(f"carriage {k} rank mismatch")
 
     @staticmethod
-    def search(stack: np.ndarray, accept: AcceptFn) -> None:
-        _halving_search(_ttsvd_stack, stack, accept)
+    def search(stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
+        _halving_search(_ttsvd_stack, stack, norms, accept)
 
 
 @dataclass(frozen=True)
 class QttFactorization(Factorization):
-    """TT factorization of the reshaped tensor plus the mode split used."""
+    """TT factorization of the reshaped tensor plus the mode split used.
+
+    The chain runs over the prime digits of every mode in turn, the first
+    (least significant) digit of a mode first: the digits of
+    ``qtt_reshape``, an F-order split of each extent."""
 
     tt: TTFactorization
     dims: tuple[int, ...]
     mode_factors: tuple[tuple[int, ...], ...]
     kind = "qtt"
     pow2_blocks = True
-    order = "F"
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -97,18 +103,33 @@ class QttFactorization(Factorization):
         return self.tt.arrays()
 
     def reconstruct(self) -> np.ndarray:
-        """The full tensor, F-contiguous.
+        """The full tensor, C-contiguous.
 
-        The mode split puts the first prime digit fastest, an F-order view
-        of the block, so the product is carried transposed: C-contiguous
-        ``(r_k, n_1*..*n_k)`` with the first index fastest along a row.
-        Each step is one matmul and every reshape, the last one too, is a
-        view; a C-order product would need a transposing copy at the end."""
+        The carriages are contracted from both ends to the mode boundary
+        where the two partial products, ``(digits of the modes before it,
+        r)`` and ``(r, digits of the modes after it)`` in chain order, are
+        smallest together.  Each is reordered to C order (within a mode,
+        the most significant digit first) by a copy, and one GEMM of the
+        two writes the block.  At an inner boundary both are small; a block
+        of one mode has only the two ends, where one side is the block."""
+        carriages, mode_factors = self.tt.carriages, self.mode_factors
+        fine = [g.shape[1] for g in carriages]
+        inner = [g.shape[0] for g in carriages] + [1]  # the rank before each position
+        size = list(accumulate(fine, operator.mul, initial=1))  # extent before each position
+        ends = list(accumulate(map(len, mode_factors), initial=0))  # the mode boundaries
+        j = min(ends, key=lambda e: inner[e] * (size[e] + size[-1] // size[e]))
+        m = ends.index(j)
         y = np.ones((1, 1))
-        for g in self.tt.carriages:
+        for g in carriages[:j]:
             r_prev, n, r = g.shape
-            y = (g.transpose(2, 1, 0).reshape(r * n, r_prev) @ y).reshape(r, -1)
-        return y.reshape(self.dims, order="F")
+            y = (y @ g.reshape(r_prev, n * r)).reshape(-1, r)
+        z = np.ones((1, 1))
+        for g in reversed(carriages[j:]):
+            r_prev, n, r = g.shape
+            z = (g.reshape(r_prev * n, r) @ z).reshape(r_prev, -1)
+        y = np.reshape(y, fine[:j] + [-1]).transpose(_digit_axes(mode_factors[:m], 0) + [j])
+        z = np.reshape(z, [-1] + fine[j:]).transpose([0] + _digit_axes(mode_factors[m:], 1))
+        return (y.reshape(size[j], -1) @ z.reshape(inner[j], -1)).reshape(self.dims)
 
     def header_fields(self) -> dict:
         return {"mode_factors": [list(f) for f in self.mode_factors]}
@@ -132,21 +153,21 @@ class QttFactorization(Factorization):
         TTFactorization.check_header(shapes, [p for f in mode_factors for p in f], fields)
 
     @staticmethod
-    def search(stack: np.ndarray, accept: AcceptFn) -> None:
-        _halving_search(_qtt_stack, stack, accept)
+    def search(stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
+        _halving_search(partial(_qtt_of_chain, stack.shape[1:]), _chain_stack(stack), norms,
+                        accept)
 
 
-def _halving_search(sweep, stack: np.ndarray, accept: AcceptFn) -> None:
+def _halving_search(sweep, stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
     # the sweep tolerance bounds the relative Frobenius error, not the
     # pointwise one, so it is halved until the budget holds or the floor;
-    # each round sweeps the blocks still failing at once, from one F-ordered
-    # stack (n_1, .., n_d, B) on which every block's first-index-fastest
-    # reshapes are views (a QTT search's stack already is one)
-    x = np.asfortranarray(np.moveaxis(stack, 0, -1))
-    blocks, tol = list(range(x.shape[-1])), TOL0
+    # each round sweeps the blocks still failing at once: the stack as it
+    # is given, then the failing blocks' slice of it
+    blocks, tol = list(range(len(stack))), TOL0
     while True:
-        sub = x if len(blocks) == x.shape[-1] else x[..., blocks]
-        blocks = [b for b, fac in zip(blocks, sweep(sub, tol=tol)) if not accept(b, fac)]
+        sub = stack if len(blocks) == len(stack) else stack[blocks]
+        facs = sweep(sub, tol=tol, norms=norms[blocks])
+        blocks = [b for b, fac in zip(blocks, facs) if not accept(b, fac)]
         if not blocks or tol < TOL_FLOOR:
             return
         tol /= 2.0
@@ -165,11 +186,11 @@ def ttsvd(
     tol: float | None = None,
     ranks: Sequence[int] | None = None,
 ) -> TTFactorization:
-    """TT-SVD sweep in Fortran (first-index-fastest) linear order: the
-    stacked sweep of ``_ttsvd_stack`` on a stack of one.
+    """TT-SVD sweep, first mode first: the stacked sweep of
+    ``_ttsvd_stack`` on a stack of one.
 
-    An F-contiguous ``x`` is read through views (any other is copied once
-    into F order by the first reshape).
+    A C-contiguous ``x`` is read through views (any other is copied once
+    into C order by the first reshape).
 
     Exactly one of ``tol`` and ``ranks`` must be given.  With ``tol`` the
     per-step truncation keeps the discarded tail energy below
@@ -178,33 +199,34 @@ def ttsvd(
     as stated, silently clipped to the attainable unfolding bound.
     """
     x = np.asarray(x, dtype=np.float64)
-    return _ttsvd_stack(x[..., np.newaxis], tol=tol, ranks=ranks)[0]
+    return _ttsvd_stack(x[np.newaxis], tol=tol, ranks=ranks)[0]
 
 
-def _ttsvd_stack(x: np.ndarray, tol: float | None = None,
-                 ranks: Sequence[int] | None = None) -> list[TTFactorization]:
-    """``ttsvd`` of every block ``x[..., b]`` of the stack ``x``, shape
-    ``(n_1, .., n_d, B)``, in one sweep.
+def _ttsvd_stack(x: np.ndarray, tol: float | None = None, ranks: Sequence[int] | None = None,
+                 norms: Sequence[float] | None = None) -> list[TTFactorization]:
+    """``ttsvd`` of every block ``x[b]`` of the stack ``x``, shape
+    ``(B, n_1, .., n_d)``, in one sweep.  ``norms[b]``, when given, is the
+    Frobenius norm of ``x[b]``; it sets the block's truncation at ``tol``.
 
-    Each step's unfoldings form one stack ``(B, m, cols)``, F-contiguous
-    per block, whose rows are padded to the largest rank ``R`` of the step
-    before: row ``i + R*j`` holds rank index ``i`` and mode index ``j``,
-    and a block's rows ``i >= r_{k-1}`` are zero.  One batched left SVD
+    The sweep reads the stack in C order, the first (slowest) mode first.
+    Each step's unfoldings form one C-contiguous stack ``(B, m, cols)``,
+    whose rows are padded to the largest rank ``R`` of the step before:
+    row ``i * n_k + j`` holds rank index ``i`` and mode index ``j``, so a
+    block's padded rows (``i >= r_{k-1}``) are the suffix past its first
+    ``r_{k-1} * n_k``, and they are zero.  One batched left SVD
     (``_stack_left_svd``) sorts the padded directions after every block's
     own, so none is ever kept; each block takes its ranks from its own
-    spectrum and its carriage, C-contiguous, from its own rows and columns.
-    The kept columns past a block's rank are zeroed, so its padded rows of
-    the next remainder ``(C^T U)^T`` are zero too; that remainder is
-    F-contiguous per block, so the reshape that starts the next step is a
-    view.
+    spectrum and its carriage from its own rows and columns of ``U``.  The
+    kept columns past a block's rank are zeroed, so its padded rows of the
+    next remainder ``U^T C`` are zero too; that remainder is C-contiguous,
+    so the reshape that starts the next step is a view.
     """
     if (tol is None) == (ranks is None):
         raise ValueError("exactly one of tol and ranks is required")
-    *dims, n_blocks = x.shape
+    n_blocks, *dims = x.shape
     d = len(dims)
     if d == 1:
-        return [TTFactorization((np.reshape(x[:, b], (1, dims[0], 1)),))
-                for b in range(n_blocks)]
+        return [TTFactorization((np.reshape(x[b], (1, dims[0], 1)),)) for b in range(n_blocks)]
     if ranks is not None:
         ranks = [int(r) for r in ranks]
         if len(ranks) != d - 1:
@@ -216,48 +238,43 @@ def _ttsvd_stack(x: np.ndarray, tol: float | None = None,
     else:
         if tol < 0:
             raise ValueError("tol must be nonnegative")
+        if norms is None:
+            norms = [frobenius_norm(a) for a in x]
         # delta is at least cut * s_1 of every step's matrix, whose
         # Frobenius norm is at most ||x||_F
         cut = tol / np.sqrt(d - 1)
-        delta = cut * np.array([frobenius_norm(x[..., b]) for b in range(n_blocks)])
+        delta = cut * np.asarray(norms, dtype=np.float64)
 
     # per-block ranks are Python lists: a step makes few NumPy calls on
     # them, whatever the stack's size
     carriages = [[] for _ in range(n_blocks)]
     r_prev = [1] * n_blocks
-    c = np.reshape(x, (dims[0], -1, n_blocks), order="F")
+    c = np.reshape(x, (n_blocks, dims[0], -1))
     for k in range(d - 1):
-        pad = c.shape[0] // dims[k]
         rows = [r * dims[k] for r in r_prev]
-        real = (None if min(r_prev) == pad
-                else np.arange(c.shape[0]) % pad < np.array(r_prev)[:, np.newaxis])
-        u, s = _stack_left_svd(c.transpose(2, 0, 1), rows, real, cut)
+        u, s = _stack_left_svd(c, rows, cut)
         if delta is not None:
             tail = np.cumsum(s[:, ::-1] ** 2, axis=1)[:, ::-1]
             r = [max(keep, 1) for keep in (tail > delta[:, np.newaxis] ** 2).sum(axis=1).tolist()]
         else:
-            r = [min(ranks[k], m, c.shape[1]) for m in rows]
+            r = [min(ranks[k], m, c.shape[2]) for m in rows]
         width = max(r)
         u = u[:, :, :width]
         if min(r) < width:
             u = u * (np.arange(width) < np.array(r)[:, np.newaxis])[:, np.newaxis, :]
-        g = u.reshape(n_blocks, dims[k], pad, width)
         for b in range(n_blocks):
-            carriages[b].append(np.ascontiguousarray(
-                g[b, :, :r_prev[b], :r[b]].transpose(1, 0, 2)))
-        c = np.reshape(np.matmul(c.transpose(2, 1, 0), u).transpose(2, 1, 0),
-                       (width * dims[k + 1], -1, n_blocks), order="F")
+            carriages[b].append(np.ascontiguousarray(u[b, :rows[b], :r[b]]).reshape(
+                r_prev[b], dims[k], r[b]))
+        c = np.reshape(np.matmul(u.transpose(0, 2, 1), c), (n_blocks, width * dims[k + 1], -1))
         r_prev = r
-    last = np.reshape(c, (-1, dims[-1], n_blocks), order="F")
     return [TTFactorization((*carriages[b], np.ascontiguousarray(
-        last[:r_prev[b], :, b, np.newaxis]))) for b in range(n_blocks)]
+        c[b, :r_prev[b] * dims[-1]]).reshape(r_prev[b], dims[-1], 1))) for b in range(n_blocks)]
 
 
-def _stack_left_svd(c: np.ndarray, rows: list[int], real: np.ndarray | None, cut: float):
+def _stack_left_svd(c: np.ndarray, rows: list[int], cut: float):
     """``left_svd`` (route, sign rule of ``_column_signs``) of each matrix
-    ``c[b]`` of the stack ``(B, m, n)``: its ``rows[b]`` rows in ``real[b]``
-    are its own, the others zero padding (``real`` is None when no block is
-    padded).
+    ``c[b]`` of the stack ``(B, m, n)``: its first ``rows[b]`` rows are its
+    own, the rest zero padding.
 
     Returns ``U`` and ``S``, ``(B, m, k)`` and ``(B, k)`` with ``k`` at
     least ``min(m, n)``: each block's own directions by descending value,
@@ -283,25 +300,24 @@ def _stack_left_svd(c: np.ndarray, rows: list[int], real: np.ndarray | None, cut
     if len(routes) == 1:
         # one route for the whole stack (an SVD's blocks then share their
         # row count, so none is padded)
-        u, s = (_gram_left_svd(np.matmul(c, c.transpose(0, 2, 1)), real) if 0 in routes
+        u, s = (_gram_left_svd(np.matmul(c, c.transpose(0, 2, 1)), rows) if 0 in routes
                 else _thin_left_svd(c))
     else:
         k = min(m, n)
         u, s = np.zeros((n_blocks, m, k)), np.zeros((n_blocks, k))
         for rw, blocks in routes.items():
-            own = np.ones((len(blocks), m), dtype=bool) if real is None else real[blocks]
-            idx = np.flatnonzero(own.any(axis=0))
-            cg, own = c[np.ix_(blocks, idx)], own[:, idx]
+            top = max(rows[b] for b in blocks)
+            cg = c[blocks, :top]
             ug, sg = (_gram_left_svd(np.matmul(cg, cg.transpose(0, 2, 1)),
-                                     None if own.all() else own) if rw == 0
+                                     [rows[b] for b in blocks]) if rw == 0
                       else _thin_left_svd(cg))
             kg = min(k, sg.shape[1])
-            u[np.ix_(blocks, idx, np.arange(kg))] = ug[:, :, :kg]
+            u[blocks, :top, :kg] = ug[:, :, :kg]
             s[blocks, :kg] = sg[:, :kg]
     for b in np.flatnonzero(s[:, 0] == 0.0):
-        own = (np.arange(m) if real is None else np.flatnonzero(real[b]))[:min(m, n)]
+        own = np.arange(min(rows[b], n))
         u[b] = 0.0
-        u[b, own, np.arange(len(own))] = 1.0
+        u[b, own, own] = 1.0
     return u, s
 
 
@@ -342,6 +358,34 @@ def qtt_reshape(x: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
     return np.reshape(x, fine, order="F"), factors
 
 
+def _digit_axes(factors: Sequence[Sequence[int]], start: int) -> list[int]:
+    # the axes, from start on, of the prime digits of each mode, reversed
+    # within the mode: a transpose by them turns chain order (a mode's
+    # least significant digit first) into C order (its most significant
+    # first), and back
+    axes = []
+    for fs in factors:
+        axes += range(start + len(fs) - 1, start - 1, -1)
+        start += len(fs)
+    return axes
+
+
+def _chain_stack(x: np.ndarray) -> np.ndarray:
+    # the stack x (B, n_1, .., n_d) as one C-contiguous copy in chain
+    # order: each mode split into its prime digits, most significant first
+    # (a view of a C-contiguous x), then the digits of each mode reversed
+    factors = qtt_factorize_modes(x.shape[1:])
+    digits = [p for fs in factors for p in reversed(fs)]
+    return np.ascontiguousarray(
+        np.reshape(x, [len(x)] + digits).transpose([0] + _digit_axes(factors, 1)))
+
+
+def _qtt_of_chain(dims: tuple[int, ...], chain: np.ndarray, **kwargs) -> list[QttFactorization]:
+    # the stacked TT sweep of a chain-order stack of blocks of extents dims
+    mode_factors = tuple(tuple(fs) for fs in qtt_factorize_modes(dims))
+    return [QttFactorization(f, dims, mode_factors) for f in _ttsvd_stack(chain, **kwargs)]
+
+
 def qtt_compress(
     x: np.ndarray,
     tol: float | None = None,
@@ -349,19 +393,7 @@ def qtt_compress(
 ) -> QttFactorization:
     """TT-SVD on the prime-factor reshaping of ``x``."""
     x = np.asarray(x, dtype=np.float64)
-    return _qtt_stack(x[..., np.newaxis], tol=tol, ranks=ranks)[0]
-
-
-def _qtt_stack(x: np.ndarray, tol: float | None = None,
-               ranks: Sequence[int] | None = None) -> list[QttFactorization]:
-    # qtt_compress of every block x[..., b]: the stacked TT sweep of the
-    # prime-factor split, an F-order view of an F-contiguous stack
-    *dims, n_blocks = x.shape
-    factors = qtt_factorize_modes(dims)
-    fine = np.reshape(x, [p for fs in factors for p in fs] + [n_blocks], order="F")
-    mode_factors = tuple(tuple(fs) for fs in factors)
-    return [QttFactorization(f, tuple(dims), mode_factors)
-            for f in _ttsvd_stack(fine, tol=tol, ranks=ranks)]
+    return _qtt_of_chain(x.shape, _chain_stack(x[np.newaxis]), tol=tol, ranks=ranks)[0]
 
 
 def tt_compress_abs(

@@ -113,6 +113,17 @@ def test_complete_runs_and_writes_trace(tmp_path, capsys):
     float(parts[1]), float(parts[2])
 
 
+@pytest.mark.parametrize("cr", ["0", "nan"])
+def test_complete_rejects_bad_cr(tmp_path, capsys, cr):
+    # a ratio that is not finite and positive is a usage error, not a
+    # traceback or a conversion message from deep inside the run
+    field = make_field(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run("complete", "--in", str(field), "--cr", cr)
+    assert exc.value.code == 2
+    assert "--cr" in capsys.readouterr().err
+
+
 def test_missing_input_exits_one(tmp_path, capsys):
     assert run("stats", "--in", str(tmp_path / "nope.gst")) == 1
     assert "error:" in capsys.readouterr().err

@@ -161,6 +161,20 @@ def test_non_finite_eps_max_is_rejected(eps_max):
         budgeted_search(KINDS["tucker"], [np.ones((4, 4, 2, 2))], eps_max)
 
 
+@pytest.mark.parametrize("method", ["tucker", "qtt"])
+@pytest.mark.parametrize("kwargs,name", [
+    ({"n_splits": 2.7}, "n must be an integer"),
+    ({"n_splits": True}, "n must be an integer"),
+    ({"s_min": True}, "s_min must be an integer"),
+    ({"s_min": 8.9}, "s_min must be an integer"),
+], ids=["n_splits-2.7", "n_splits-True", "s_min-True", "s_min-8.9"])
+def test_compress_rejects_non_integer_counts(method, kwargs, name):
+    # neither the greedy nor the power-of-two partition, nor the time split,
+    # truncates a float or takes a bool as a count
+    with pytest.raises(ValueError, match=name):
+        compress_dataset(small_field(), method, 0.5, **kwargs)
+
+
 def test_compress_rejects_sub_f32_budget():
     g = small_field(dims=(16, 12, 2, 4))
     with pytest.raises(ValueError):
@@ -231,12 +245,11 @@ def test_compress_reconstructs_each_block_once(monkeypatch, method):
     assert len(calls) == len(archive.blocks)
 
     # the reported errors are those of the archived factorizations, taken
-    # on the block in the kind's memory order, as the search holds it
+    # on the block in C order, as the search holds it
     for rec, s in zip(archive.blocks, report.block_stats):
         r = rec.rect
         t0, t1 = archive.splits[rec.interval]
-        sub = np.asarray(g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1],
-                         order=cls.order)
+        sub = np.ascontiguousarray(g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1])
         diff = rec.fac.reconstruct() - sub
         assert (s.rect, s.interval) == (rec.rect, rec.interval)
         assert s.cheb_error == chebyshev_norm(diff)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import exact_tt_tensor, interval_stack, synth_block
-from tenblock.tensor_core import GRAM_CUT_FLOOR, frobenius_norm, left_svd
+from tenblock import tt
+from tenblock.tensor_core import GRAM_CUT_FLOOR, budgeted_search, frobenius_norm, left_svd
 from tenblock.tt import (
     TOL_FLOOR,
     QttFactorization,
     TTFactorization,
+    _chain_stack,
     _halving_search,
     _prime_factors,
-    _qtt_stack,
+    _qtt_of_chain,
     _stack_left_svd,
     _ttsvd_stack,
     qtt_compress,
@@ -253,8 +255,11 @@ def test_tt_reconstruct_matches_reference_loop(dims, ranks):
     assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("dims", [(4, 6, 1, 8), (8, 8, 2, 4), (5, 3)])
+@pytest.mark.parametrize("dims", [(4, 6, 1, 8), (8, 8, 2, 4), (5, 3),
+                                  (12,), (1, 12, 1), (12, 1, 6, 5)])
 def test_qtt_reconstruct_matches_reference_loop(dims):
+    # also one mode (no mode boundary inside the chain to split at), extent-1
+    # modes and extents of mixed prime digits (12 = 2*2*3)
     factors = qtt_factorize_modes(dims)
     fine = [p for f in factors for p in f]
     carriages = _random_carriages(fine, [min(3, 1 + k) for k in range(len(fine) - 1)])
@@ -262,6 +267,7 @@ def test_qtt_reconstruct_matches_reference_loop(dims):
     f = QttFactorization(TTFactorization(carriages), dims, tuple(tuple(p) for p in factors))
     y = f.reconstruct()
     assert y.shape == dims
+    assert y.flags.c_contiguous
     assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -340,11 +346,10 @@ def test_qtt_compress_matches_reference_sweep_on_every_layout(x, kw, layout):
 
 
 @pytest.mark.parametrize("kw", [{"tol": 1e-2}, {"ranks": (3, 5, 4)}])
-def test_ttsvd_sweep_of_fortran_block_reshapes_views(monkeypatch, kw):
-    # on an F-contiguous block every step's stack of matrices is a view: of
-    # the block first, then of the product that carries the remainder, and
-    # last the final carriage's
-    x = np.asfortranarray(synth_block())
+def test_ttsvd_sweep_of_c_block_reshapes_views(monkeypatch, kw):
+    # on a C-contiguous block every step's stack of matrices is a view: of
+    # the block first, then of the product that carries the remainder
+    x = np.ascontiguousarray(synth_block())
     seen = []
     reshape = np.reshape
 
@@ -357,32 +362,52 @@ def test_ttsvd_sweep_of_fortran_block_reshapes_views(monkeypatch, kw):
     monkeypatch.setattr(np, "reshape", recording)
     ttsvd(x, **kw)
     monkeypatch.undo()
-    assert seen == [True] * (x.ndim + 1)
+    assert seen == [True] * x.ndim
 
 
-def test_halving_sweeps_share_one_fortran_copy():
-    # one F-ordered copy of the stack serves every round: the first sweeps
-    # it whole, each later one only the blocks that failed, sliced from it
+def test_halving_sweeps_share_the_search_stack(monkeypatch):
+    # the first round sweeps the stack as it is given, each later one only
+    # the blocks that failed, sliced from it, with their norms
     x = synth_block()
     stack = np.stack([x[..., 0:8], x[..., 8:16], x[..., 16:24]])
+    norms = np.array([1.0, 2.0, 3.0])
     seen, offered = [], []
 
-    def sweep(a, tol):
-        seen.append(a)
-        return [tol] * a.shape[-1]
+    def sweep(a, tol, norms):
+        seen.append((a, norms))
+        return [tol] * len(a)
 
     def accept(b, tol):
         offered.append((b, tol))
         return (b, tol) in {(1, 1e-2), (0, 5e-3), (2, 2.5e-3)}
 
-    _halving_search(sweep, stack, accept)
+    _halving_search(sweep, stack, norms, accept)
     assert offered == [(0, 1e-2), (1, 1e-2), (2, 1e-2), (0, 5e-3), (2, 5e-3), (2, 2.5e-3)]
-    assert all(a.flags.f_contiguous for a in seen)
-    assert seen[0].shape == stack.shape[1:] + (3,)
+    assert seen[0][0] is stack
     assert len(seen) == 3
-    for a, blocks in zip(seen, ([0, 1, 2], [0, 2], [2])):
+    for (a, a_norms), blocks in zip(seen, ([0, 1, 2], [0, 2], [2])):
+        assert a.flags.c_contiguous
+        np.testing.assert_array_equal(a_norms, norms[blocks])
         for i, b in enumerate(blocks):
-            np.testing.assert_array_equal(a[..., i], stack[b])
+            np.testing.assert_array_equal(a[i], stack[b])
+
+    # in a TT search the first sweep reads budgeted_search's own stack
+    stacks, swept = [], []
+    search, stack_sweep = TTFactorization.search, tt._ttsvd_stack
+
+    def recording_search(stack, norms, accept):
+        stacks.append(stack)
+        search(stack, norms, accept)
+
+    def recording_sweep(a, **kwargs):
+        swept.append(a)
+        return stack_sweep(a, **kwargs)
+
+    monkeypatch.setattr(TTFactorization, "search", staticmethod(recording_search))
+    monkeypatch.setattr(tt, "_ttsvd_stack", recording_sweep)
+    budgeted_search(TTFactorization, [x[..., 0:8], x[..., 8:16]], 1e-3)
+    assert len(swept) > 1
+    assert swept[0] is stacks[0] and stacks[0].flags.c_contiguous
 
 
 def test_halving_search_stops_below_the_floor():
@@ -394,7 +419,8 @@ def test_halving_search_stops_below_the_floor():
         tols.append(tol)
         return False
 
-    _halving_search(lambda a, tol: [tol] * a.shape[-1], np.zeros((1, 2, 2)), accept)
+    _halving_search(lambda a, tol, norms: [tol] * len(a), np.zeros((1, 2, 2)), np.zeros(1),
+                    accept)
     assert tols == [1e-2 / 2.0**k for k in range(48)]
     assert tols[-2] >= TOL_FLOOR > tols[-1]
 
@@ -405,13 +431,13 @@ def test_stack_left_svd_of_one_matrix_is_left_svd(shape, cut):
     # a stack of one unpadded matrix takes the same route and sign rule as
     # the matrix alone, bit for bit
     m = np.random.default_rng(21).standard_normal(shape)
-    u, s = _stack_left_svd(m[np.newaxis], [shape[0]], None, cut)
+    u, s = _stack_left_svd(m[np.newaxis], [shape[0]], cut)
     ref_u, ref_s = left_svd(m, cut)
     np.testing.assert_array_equal(u[0], ref_u)
     np.testing.assert_array_equal(s[0], ref_s)
 
 
-def test_tt_reconstruct_is_c_ordered_and_qtt_f_ordered():
+def test_tt_and_qtt_reconstruct_c_ordered():
     f = TTFactorization(_random_carriages((4, 3, 5, 2), (2, 3, 2)))
     assert f.reconstruct().flags.c_contiguous
     # as archived: carriages read back in F order
@@ -419,23 +445,28 @@ def test_tt_reconstruct_is_c_ordered_and_qtt_f_ordered():
     assert g.reconstruct().flags.c_contiguous
     np.testing.assert_array_equal(g.reconstruct(), f.reconstruct())
     q = qtt_compress(synth_block()[:, :, :, :8], tol=1e-2)
-    assert q.reconstruct().flags.f_contiguous
+    assert q.reconstruct().flags.c_contiguous
+    archived = QttFactorization(TTFactorization(tuple(np.asfortranarray(c) for c in q.arrays())),
+                                q.dims, q.mode_factors)
+    assert archived.reconstruct().flags.c_contiguous
+    np.testing.assert_array_equal(archived.reconstruct(), q.reconstruct())
 
 
 @pytest.mark.parametrize("cut", [1e-2, 1e-9], ids=["gram", "svd"])
 def test_stack_left_svd_sorts_padding_last(cut):
-    # rank index fastest with rank 1, 2 and 3 padded to 3: a constant
-    # (rank-deficient) block, an all-zero one and a full-rank one.  Each
-    # block's own directions come first, orthonormal on its own rows; its
-    # padded directions follow with S = 0, and no column has a padded entry
+    # rank index slowest with rank 1, 2 and 3 padded to 3, so each block's
+    # own rows come first: a constant (rank-deficient) block, an all-zero
+    # one and a full-rank one.  Each block's own directions come first,
+    # orthonormal on its own rows; its padded directions follow with S = 0,
+    # and no column has a padded entry
     n_k, cols = 4, 40
     r_prev = [1, 2, 3]
-    real = np.arange(3 * n_k) % 3 < np.array(r_prev)[:, None]
+    rows = [r * n_k for r in r_prev]
+    real = np.arange(3 * n_k) < np.array(rows)[:, None]
     c = np.zeros((3, 3 * n_k, cols))
     c[0][real[0]] = 1.0
     c[2][real[2]] = np.random.default_rng(8).standard_normal((3 * n_k, cols))
-    rows = [r * n_k for r in r_prev]
-    u, s = _stack_left_svd(c, rows, real, cut)
+    u, s = _stack_left_svd(c, rows, cut)
     for b, rw in enumerate(rows):
         own = u[b][real[b]][:, :rw]
         np.testing.assert_allclose(own.T @ own, np.eye(rw), rtol=0, atol=1e-12)
@@ -444,12 +475,17 @@ def test_stack_left_svd_sorts_padding_last(cut):
     np.testing.assert_array_equal(u[1][:, 0], np.eye(3 * n_k)[0])  # zero spectrum
 
 
+def _qtt_stack(x, **kwargs):
+    # qtt_compress of every block x[b] of the stack x, in one sweep
+    return _qtt_of_chain(x.shape[1:], _chain_stack(x), **kwargs)
+
+
 @pytest.mark.parametrize("sweep", [_ttsvd_stack, _qtt_stack], ids=["tt", "qtt"])
 @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
 def test_stacked_sweep_keeps_no_padded_direction(sweep, tol):
     # every kept carriage is left-orthonormal on its own rows: a padded
     # direction would show as a (near) zero column
-    x = np.asfortranarray(np.stack(interval_stack(), axis=-1))
+    x = np.stack(interval_stack())
     facs = sweep(x, tol=tol)
     assert len({f.ranks for f in facs}) > 1  # the stack is padded
     for f in facs:
@@ -464,9 +500,9 @@ def test_stacked_sweep_keeps_no_padded_direction(sweep, tol):
 def test_stacked_sweep_matches_each_block_alone(sweep):
     # same ranks as each block swept alone, carriages within rounding
     blocks = interval_stack()
-    x = np.asfortranarray(np.stack(blocks, axis=-1))
+    x = np.stack(blocks)
     for b, f in enumerate(sweep(x, tol=1e-2)):
-        alone = sweep(np.asfortranarray(blocks[b][..., None]), tol=1e-2)[0]
+        alone = sweep(blocks[b][np.newaxis], tol=1e-2)[0]
         assert f.ranks == alone.ranks
         scale = max(1.0, float(np.max(np.abs(blocks[b]))))
         for g, h in zip(f.arrays(), alone.arrays()):
