@@ -13,9 +13,7 @@ from .formats import FormatError, read_gsa, read_gst, write_gsa, write_gst
 from .partition import (
     BlockIndex,
     PartitionResult,
-    find_largest_block,
     greedy_partition,
-    is_valid_block,
     kernel_backend,
     pow2_partition,
     temporal_split,
@@ -34,6 +32,7 @@ from .pipeline import (
 from .synth import SynthSpec, synth
 from .tensor_core import (
     GappyTensor4,
+    budgeted_search,
     chebyshev_norm,
     frobenius_norm,
     unfold,
@@ -43,14 +42,12 @@ from .tt import (
     TTFactorization,
     qtt_compress,
     qtt_factorize_modes,
-    tt_compress_abs,
     tt_storage_count,
     ttsvd,
 )
 from .tucker import (
     TuckerFactorization,
     hosvd,
-    tucker_compress_abs,
     tucker_storage_count,
 )
 

@@ -39,13 +39,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad list {text!r}, want e.g. 1,2,4")
 
 
-def _positive(text: str) -> float:
+def _ratio(text: str) -> float:
     try:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad number {text!r}")
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    if not (math.isfinite(v) and v >= 1):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 1")
     return v
 
 
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("complete", help="completion baseline from random samples")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--cr", type=_positive, required=True,
+    s.add_argument("--cr", type=_ratio, required=True,
                    help="target ratio of defined cells to observed cells")
     s.add_argument("--caps", type=_int_list, default=[5, 5, 4, 5], metavar="R1,R2,R3,R4")
     s.add_argument("--eta", type=float, default=1.0)

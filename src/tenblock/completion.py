@@ -18,11 +18,27 @@ from .tucker import hosvd
 
 @dataclass(frozen=True)
 class ObservationMask:
-    """Observed multi-indices (one row per cell) of a tensor of ``shape``."""
+    """Observed multi-indices (one row per cell) of a tensor of ``shape``:
+    a 2-D integer array with one column per mode, every entry in
+    ``[0, n_k)`` and no row twice."""
 
     shape: tuple[int, ...]
     indices: np.ndarray
     seed: int | None = None
+
+    def __post_init__(self):
+        idx = np.asarray(self.indices)
+        if (idx.ndim != 2 or idx.shape[1] != len(self.shape)
+                or not np.issubdtype(idx.dtype, np.integer)):
+            raise ValueError(f"indices must be a 2-D integer array with "
+                             f"{len(self.shape)} columns")
+        if np.any(idx < 0) or np.any(idx >= np.array(self.shape)):
+            raise ValueError(f"indices out of range for shape {tuple(self.shape)}")
+        idx = idx.astype(np.intp, copy=False)
+        flat = np.ravel_multi_index(tuple(idx.T), self.shape)
+        if np.unique(flat).size != flat.size:
+            raise ValueError("indices repeat a cell")
+        object.__setattr__(self, "indices", idx)
 
     def dense(self) -> np.ndarray:
         omega = np.zeros(self.shape, dtype=bool)

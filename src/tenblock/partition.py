@@ -46,22 +46,6 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-def is_valid_block(domain_mask, used_mask, rect, s_min: int) -> bool:
-    """True iff both sides reach s_min, every cell is defined and none is
-    used.  Out-of-bounds rectangles are invalid, not an error."""
-    domain_mask = np.asarray(domain_mask, dtype=bool)
-    used_mask = np.asarray(used_mask, dtype=bool)
-    x0, x1, y0, y1 = (int(c) for c in rect)
-    nx, ny = domain_mask.shape
-    if x1 - x0 < s_min or y1 - y0 < s_min:
-        return False
-    if x0 < 0 or y0 < 0 or x1 > nx or y1 > ny:
-        return False
-    if not domain_mask[x0:x1, y0:y1].all():
-        return False
-    return not used_mask[x0:x1, y0:y1].any()
-
-
 def _runs(cells: np.ndarray, axis: int) -> np.ndarray:
     """Length of the run of True cells that starts at each cell and goes
     forward along ``axis`` (down for 0, right for 1)."""
@@ -122,19 +106,6 @@ def _find_largest(free: np.ndarray, s_min: int):
     i, j = divmod(int(seeds[k]), ny)
     depth = int(d[i, j])
     return i, i + depth, j, j + int(areas[k]) // depth
-
-
-def find_largest_block(domain_mask, used_mask, s_min: int) -> BlockIndex | None:
-    """Largest x-then-y expandable rectangle of free cells, earliest
-    row-major seed winning area ties; None when no seed square is free."""
-    domain_mask = np.asarray(domain_mask, dtype=bool)
-    used_mask = np.asarray(used_mask, dtype=bool)
-    if domain_mask.shape != used_mask.shape:
-        raise ValueError("mask shape mismatch")
-    if domain_mask.ndim != 2:
-        raise ValueError("masks must be 2-D")
-    found = _find_largest(domain_mask & ~used_mask, _integer("s_min", s_min))
-    return None if found is None else BlockIndex(*found)
 
 
 def greedy_partition(domain_mask, s_min: int) -> PartitionResult:

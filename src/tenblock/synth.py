@@ -51,6 +51,8 @@ class SynthSpec:
     def __post_init__(self):
         if len(self.dims) != 4 or any(_integer("dims entry", n) < 1 for n in self.dims):
             raise ValueError(f"degenerate dims {self.dims}")
+        for name in ("seed", "background_rank"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("amplitude", "phase", "depth_decay", "noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

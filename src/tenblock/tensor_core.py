@@ -242,7 +242,7 @@ GRAM_SLICE_MIN = 512
 
 
 def _takes_gram(rows: int, cols: int, cut: float) -> bool:
-    # the Gram route of left_svd: a wide matrix cut no finer than the floor
+    # the Gram route of mode_left_svd: a wide matrix cut no finer than the floor
     return rows <= cols and cut >= GRAM_CUT_FLOOR
 
 
@@ -272,22 +272,6 @@ def _thin_left_svd(m: np.ndarray):
     return u * _column_signs(u)[..., np.newaxis, :], s
 
 
-def left_svd(m: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors ``U`` (columns, sign rule of
-    :func:`_column_signs`) and descending singular values ``S`` of ``m``,
-    for a caller that truncates at ``s_i / s_1`` no smaller than ``cut``.
-
-    A wide ``m`` with ``cut >= GRAM_CUT_FLOOR`` takes them from
-    ``eigh(m @ m.T)``, which skips the right singular vectors; values below
-    about ``1e-7 * s_1`` are then inexact, and the columns stay orthonormal.
-    Any other ``m`` takes a thin SVD.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if _takes_gram(*m.shape, cut):
-        return _gram_left_svd(m @ m.T)
-    return _thin_left_svd(m)
-
-
 def mode_gram(x: np.ndarray, mode: int) -> np.ndarray:
     """``unfold(x, mode) @ unfold(x, mode).T`` without the unfolding.
 
@@ -315,8 +299,17 @@ def mode_gram(x: np.ndarray, mode: int) -> np.ndarray:
 
 
 def mode_left_svd(x: np.ndarray, mode: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """``left_svd(unfold(x, mode), cut)``, with the Gram route's Gram formed
-    by :func:`mode_gram`; pass a C-contiguous ``x`` to spare the copy."""
+    """Left singular vectors ``U`` (columns, sign rule of
+    :func:`_column_signs`) and descending singular values ``S`` of
+    ``unfold(x, mode)``, for a caller that truncates at ``s_i / s_1`` no
+    smaller than ``cut``.
+
+    A wide unfolding with ``cut >= GRAM_CUT_FLOOR`` takes them from
+    ``eigh`` of its Gram, formed by :func:`mode_gram` (pass a C-contiguous
+    ``x`` to spare the copy), which skips the right singular vectors;
+    values below about ``1e-7 * s_1`` are then inexact, and the columns
+    stay orthonormal.  Any other unfolding takes a thin SVD.
+    """
     x = np.asarray(x, dtype=np.float64)
     _check_mode(x, mode)
     n = x.shape[mode]

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import (AcceptFn, Factorization, FormatError, QuantizeFn, _gram_left_svd,
-                          _takes_gram, _thin_left_svd, budgeted_search, frobenius_norm)
+from .tensor_core import (AcceptFn, Factorization, FormatError, _gram_left_svd, _takes_gram,
+                          _thin_left_svd, frobenius_norm)
 
 TOL0 = 1e-2  # first sweep tolerance of the TT and QTT budgeted search
 TOL_FLOOR = 1e-16  # the search stops at the first tolerance below this
@@ -52,11 +52,7 @@ class TTFactorization(Factorization):
         reshapes of the carry are views; a carriage that is not
         C-contiguous (as archived, in F order) is copied, at
         ``r_{k-1} * n_k * r_k`` entries."""
-        y = np.ones((1, 1))
-        for g in self.carriages:
-            r_prev, n, r = g.shape
-            y = (y @ g.reshape(r_prev, n * r)).reshape(-1, r)
-        return y.reshape(self.dims)
+        return _carry(self.carriages).reshape(self.dims)
 
     @classmethod
     def from_arrays(cls, arrays, dims, fields) -> TTFactorization:
@@ -86,8 +82,8 @@ class QttFactorization(Factorization):
     """TT factorization of the reshaped tensor plus the mode split used.
 
     The chain runs over the prime digits of every mode in turn, the first
-    (least significant) digit of a mode first: the digits of
-    ``qtt_reshape``, an F-order split of each extent."""
+    (least significant) digit of a mode first: an F-order split of each
+    extent into the prime factors of ``qtt_factorize_modes``."""
 
     tt: TTFactorization
     dims: tuple[int, ...]
@@ -119,10 +115,7 @@ class QttFactorization(Factorization):
         ends = list(accumulate(map(len, mode_factors), initial=0))  # the mode boundaries
         j = min(ends, key=lambda e: inner[e] * (size[e] + size[-1] // size[e]))
         m = ends.index(j)
-        y = np.ones((1, 1))
-        for g in carriages[:j]:
-            r_prev, n, r = g.shape
-            y = (y @ g.reshape(r_prev, n * r)).reshape(-1, r)
+        y = _carry(carriages[:j])
         z = np.ones((1, 1))
         for g in reversed(carriages[j:]):
             r_prev, n, r = g.shape
@@ -156,6 +149,16 @@ class QttFactorization(Factorization):
     def search(stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
         _halving_search(partial(_qtt_of_chain, stack.shape[1:]), _chain_stack(stack), norms,
                         accept)
+
+
+def _carry(carriages: Sequence[np.ndarray]) -> np.ndarray:
+    # the product of the carriages, first to last, as (n_1*..*n_k, r_k) in
+    # C order (see TTFactorization.reconstruct)
+    y = np.ones((1, 1))
+    for g in carriages:
+        r_prev, n, r = g.shape
+        y = (y @ g.reshape(r_prev, n * r)).reshape(-1, r)
+    return y
 
 
 def _halving_search(sweep, stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
@@ -272,9 +275,9 @@ def _ttsvd_stack(x: np.ndarray, tol: float | None = None, ranks: Sequence[int] |
 
 
 def _stack_left_svd(c: np.ndarray, rows: list[int], cut: float):
-    """``left_svd`` (route, sign rule of ``_column_signs``) of each matrix
-    ``c[b]`` of the stack ``(B, m, n)``: its first ``rows[b]`` rows are its
-    own, the rest zero padding.
+    """``mode_left_svd(c[b], 0, cut)`` (route, sign rule of
+    ``_column_signs``) of each matrix ``c[b]`` of the stack ``(B, m, n)``:
+    its first ``rows[b]`` rows are its own, the rest zero padding.
 
     Returns ``U`` and ``S``, ``(B, m, k)`` and ``(B, k)`` with ``k`` at
     least ``min(m, n)``: each block's own directions by descending value,
@@ -352,12 +355,6 @@ def qtt_factorize_modes(dims: Sequence[int]) -> list[list[int]]:
     return [_prime_factors(int(n)) for n in dims]
 
 
-def qtt_reshape(x: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-    factors = qtt_factorize_modes(x.shape)
-    fine = [p for fs in factors for p in fs]
-    return np.reshape(x, fine, order="F"), factors
-
-
 def _digit_axes(factors: Sequence[Sequence[int]], start: int) -> list[int]:
     # the axes, from start on, of the prime digits of each mode, reversed
     # within the mode: a transpose by them turns chain order (a mode's
@@ -394,15 +391,3 @@ def qtt_compress(
     """TT-SVD on the prime-factor reshaping of ``x``."""
     x = np.asarray(x, dtype=np.float64)
     return _qtt_of_chain(x.shape, _chain_stack(x[np.newaxis]), tol=tol, ranks=ranks)[0]
-
-
-def tt_compress_abs(
-    x: np.ndarray,
-    eps_max: float,
-    quantize: QuantizeFn | None = None,
-    qtt: bool = False,
-) -> TTFactorization | QttFactorization:
-    """Smallest TT (or QTT) among the tolerance-halving sweeps within
-    ``eps_max`` in the Chebyshev norm (see ``budgeted_search``)."""
-    return budgeted_search(QttFactorization if qtt else TTFactorization, [x], eps_max,
-                           quantize)[0][0]

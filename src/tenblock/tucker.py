@@ -17,14 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import (
-    Factorization,
-    FormatError,
-    QuantizeFn,
-    budgeted_search,
-    mode_left_svd,
-    rank_from_spectrum,
-)
+from .tensor_core import Factorization, FormatError, mode_left_svd, rank_from_spectrum
 
 TOL0 = 1e-2  # spectrum tolerance of the first ranks the Tucker budgeted search tries
 # escalation steps of columns the search keeps past the ranks its pass
@@ -159,20 +152,6 @@ def hosvd(x: np.ndarray, ranks: Sequence[int]) -> TuckerFactorization:
 
 def tucker_storage_count(ranks: Sequence[int], dims: Sequence[int]) -> int:
     """Stored elements: core volume plus one n_k-by-r_k factor per mode."""
-    ranks = [int(r) for r in ranks]
     dims = [int(n) for n in dims]
-    if len(ranks) != len(dims):
-        raise ValueError("ranks and dims length mismatch")
-    if any(not 1 <= r <= n for r, n in zip(ranks, dims)):
-        raise ValueError("rank out of range for its extent")
+    ranks = _check_ranks(dims, ranks)
     return int(np.prod(ranks, dtype=np.int64)) + sum(n * r for n, r in zip(dims, ranks))
-
-
-def tucker_compress_abs(
-    x: np.ndarray,
-    eps_max: float,
-    quantize: QuantizeFn | None = None,
-) -> TuckerFactorization:
-    """First of ``TuckerFactorization.candidates`` (slices of one ST-HOSVD
-    core) within ``eps_max`` in the Chebyshev norm (see ``budgeted_search``)."""
-    return budgeted_search(TuckerFactorization, [x], eps_max, quantize)[0][0]

@@ -6,13 +6,35 @@ import numpy as np
 from tenblock.partition import greedy_partition
 from tenblock.synth import SynthSpec, _smooth_unit, coastline_mask, synth
 from tenblock.tensor_core import GappyTensor4
-from tenblock.tt import TTFactorization
+from tenblock.tt import TTFactorization, qtt_factorize_modes
 
 
 def mode_product(x, a, mode):
     """Multiply ``x`` by the matrix ``a`` along ``mode``: the mode-``k``
     unfolding of the result equals ``a @ unfold(x, k)``."""
     return np.moveaxis(np.tensordot(a, x, axes=([1], [mode])), 0, mode)
+
+
+def is_valid_block(domain_mask, used_mask, rect, s_min: int) -> bool:
+    """True iff both sides reach s_min, every cell is defined and none is
+    used.  Out-of-bounds rectangles are invalid, not an error."""
+    domain_mask = np.asarray(domain_mask, dtype=bool)
+    used_mask = np.asarray(used_mask, dtype=bool)
+    x0, x1, y0, y1 = (int(c) for c in rect)
+    nx, ny = domain_mask.shape
+    if x1 - x0 < s_min or y1 - y0 < s_min:
+        return False
+    if x0 < 0 or y0 < 0 or x1 > nx or y1 > ny:
+        return False
+    if not domain_mask[x0:x1, y0:y1].all():
+        return False
+    return not used_mask[x0:x1, y0:y1].any()
+
+
+def qtt_reshape(x):
+    factors = qtt_factorize_modes(x.shape)
+    fine = [p for fs in factors for p in fs]
+    return np.reshape(x, fine, order="F"), factors
 
 
 def random_orthonormal(rng, n, r):

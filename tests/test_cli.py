@@ -113,9 +113,9 @@ def test_complete_runs_and_writes_trace(tmp_path, capsys):
     float(parts[1]), float(parts[2])
 
 
-@pytest.mark.parametrize("cr", ["0", "nan"])
+@pytest.mark.parametrize("cr", ["0", "nan", "0.5"])
 def test_complete_rejects_bad_cr(tmp_path, capsys, cr):
-    # a ratio that is not finite and positive is a usage error, not a
+    # a ratio that is not a finite number >= 1 is a usage error, not a
     # traceback or a conversion message from deep inside the run
     field = make_field(tmp_path)
     with pytest.raises(SystemExit) as exc:

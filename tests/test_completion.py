@@ -177,3 +177,24 @@ def test_svp_input_validation():
     for caps, mode in (((9, 9, 9), 0), ((6, 5, 5), 2)):
         with pytest.raises(ValueError, match=f"mode {mode} "):
             svp_complete(y, random_mask(y.shape, 2, seed=0), SvpParams(caps))
+
+
+@pytest.mark.parametrize("indices", [
+    [[0, 0]],                        # too few columns: a whole fiber
+    [[0, 0, 0, 1]],                  # too many columns
+    [0, 1, 2],                       # not 2-D
+    [[0.0, 1.0, 2.0]],               # not integer
+    [[True, False, True]],           # bool, not integer
+    [[1, 2, 3], [0, 0, 0], [1, 2, 3]],  # a cell twice
+    [[-1, 0, 0]],                    # would wrap to the last index
+    [[0, 4, 0]],                     # past the extent
+])
+def test_observation_mask_rejects_bad_indices(indices):
+    with pytest.raises(ValueError):
+        ObservationMask((2, 4, 5), np.array(indices))
+
+
+def test_observation_mask_count_is_dense_cells():
+    m = ObservationMask((2, 4, 5), np.array([[1, 3, 4], [0, 0, 0]], dtype=np.int32))
+    assert m.count == 2 == m.dense().sum()
+    assert m.dense()[1, 3, 4] and m.dense()[0, 0, 0]

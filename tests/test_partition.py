@@ -4,17 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import is_valid_block
 from tenblock.partition import (
     BlockIndex,
     _pow2_shapes,
-    find_largest_block,
     greedy_partition,
-    is_valid_block,
     kernel_backend,
     pow2_partition,
     temporal_split,
 )
 from tenblock.synth import coastline_mask
+
+
+def find_largest_block(domain_mask, used_mask, s_min):
+    # the largest free rectangle is the first block greedy_partition places
+    blocks = greedy_partition(domain_mask & ~used_mask, s_min).blocks
+    return blocks[0] if blocks else None
 
 
 def l_shape_mask():

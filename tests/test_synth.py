@@ -120,6 +120,19 @@ def test_spec_validation():
     assert synth(SynthSpec(dims=tuple(np.int64(n) for n in (5, 4, 2, 3)))).dims == (5, 4, 2, 3)
 
 
+@pytest.mark.parametrize("name,bad", [
+    ("background_rank", 2.5), ("background_rank", True), ("background_rank", "2"),
+    ("seed", 1.5), ("seed", False), ("seed", None),
+])
+def test_spec_integer_fields(name, bad):
+    # a float, bool or string seed or rank is refused up front, not
+    # truncated, taken as 1 or failed on inside synth
+    with pytest.raises(ValueError, match=name):
+        SynthSpec(**{name: bad})
+    ok = SynthSpec(**{name: np.int64(2)})
+    assert type(getattr(ok, name)) is int
+
+
 @pytest.mark.parametrize("spec", [
     SynthSpec(dims=(130, 40, 2, 16), seed=2),  # last slab shorter than the rest
     SynthSpec(dims=(37, 20, 3, 50), seed=9),  # the whole field one slab

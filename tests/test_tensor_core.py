@@ -13,8 +13,8 @@ from tenblock.tensor_core import (
     budgeted_search,
     chebyshev_norm,
     frobenius_norm,
-    left_svd,
     mode_gram,
+    mode_left_svd,
     rank_from_spectrum,
     unfold,
 )
@@ -123,7 +123,7 @@ def test_truncation_error_matches_tail_spectrum():
     m = rng.standard_normal((20, 14))
     full = np.linalg.svd(m, compute_uv=False)
     r = 5
-    u = left_svd(m, 0.0)[0][:, :r]
+    u = mode_left_svd(m, 0, 0.0)[0][:, :r]
     err = np.linalg.norm(m - u @ (u.T @ m))
     assert err == pytest.approx(np.sqrt(np.sum(full[r:] ** 2)), rel=1e-10)
 
@@ -143,7 +143,7 @@ def test_left_svd_gram_route_matches_svd_reference():
     rows, cols = 20, 300
     spectrum = np.concatenate([[10.0, 7.0, 5.0, 3.0, 2.0], np.logspace(-2, -9, rows - 5)])
     m = random_orthonormal(rng, rows, rows) * spectrum @ random_orthonormal(rng, cols, rows).T
-    u, s = left_svd(m, 1e-3)
+    u, s = mode_left_svd(m, 0, 1e-3)
     ref_u, ref_s = _reference_left_svd(m)
     above = ref_s >= GRAM_CUT_FLOOR * ref_s[0]
     assert 5 < above.sum() < rows
@@ -167,7 +167,7 @@ def test_left_svd_route(monkeypatch, shape, cut, gram):
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     m = np.random.default_rng(13).standard_normal(shape)
-    u, s = left_svd(m, cut)
+    u, s = mode_left_svd(m, 0, cut)
     assert calls == ([(shape[0], shape[0])] if gram else [])
     if not gram:
         ref_u, ref_s = _reference_left_svd(m)

@@ -3,9 +3,9 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import exact_tt_tensor, interval_stack, synth_block
+from helpers import exact_tt_tensor, interval_stack, qtt_reshape, synth_block
 from tenblock import tt
-from tenblock.tensor_core import GRAM_CUT_FLOOR, budgeted_search, frobenius_norm, left_svd
+from tenblock.tensor_core import GRAM_CUT_FLOOR, budgeted_search, frobenius_norm, mode_left_svd
 from tenblock.tt import (
     TOL_FLOOR,
     QttFactorization,
@@ -18,11 +18,14 @@ from tenblock.tt import (
     _ttsvd_stack,
     qtt_compress,
     qtt_factorize_modes,
-    qtt_reshape,
-    tt_compress_abs,
     tt_storage_count,
     ttsvd,
 )
+
+
+def tt_compress_abs(x, eps_max, quantize=None):
+    # the budgeted search on one block
+    return budgeted_search(TTFactorization, [x], eps_max, quantize)[0][0]
 
 
 def test_ttsvd_separable_is_rank_one():
@@ -193,7 +196,7 @@ def test_tt_compress_abs_meets_budget():
 def test_tt_compress_abs_qtt_flag():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((8, 8, 4, 8))
-    f = tt_compress_abs(x, 1e-3, qtt=True)
+    f = budgeted_search(QttFactorization, [x], 1e-3)[0][0]
     assert np.max(np.abs(f.reconstruct() - x)) <= 1e-3
 
 
@@ -291,7 +294,7 @@ def _reference_ttsvd(x, tol=None, ranks=None):
     r_prev = 1
     c = np.reshape(x, (dims[0], -1), order="F")
     for k in range(d - 1):
-        u, s = left_svd(c, cut)
+        u, s = mode_left_svd(c, 0, cut)
         if delta is not None:
             tail = np.cumsum(s[::-1] ** 2)[::-1]
             r = max(1, int(np.sum(tail > delta**2)))
@@ -432,7 +435,7 @@ def test_stack_left_svd_of_one_matrix_is_left_svd(shape, cut):
     # the matrix alone, bit for bit
     m = np.random.default_rng(21).standard_normal(shape)
     u, s = _stack_left_svd(m[np.newaxis], [shape[0]], cut)
-    ref_u, ref_s = left_svd(m, cut)
+    ref_u, ref_s = mode_left_svd(m, 0, cut)
     np.testing.assert_array_equal(u[0], ref_u)
     np.testing.assert_array_equal(s[0], ref_s)
 

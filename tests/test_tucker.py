@@ -3,16 +3,20 @@ import pytest
 
 from helpers import exact_tucker_tensor, mode_product, synth_block
 from tenblock import tucker
-from tenblock.tensor_core import (GRAM_CUT_FLOOR, frobenius_norm, left_svd, mode_left_svd,
-                                  unfold)
+from tenblock.tensor_core import (GRAM_CUT_FLOOR, budgeted_search, frobenius_norm,
+                                  mode_left_svd, unfold)
 from tenblock.tucker import (
     HEADROOM_STEPS,
     TOL0,
     TuckerFactorization,
     hosvd,
-    tucker_compress_abs,
     tucker_storage_count,
 )
+
+
+def tucker_compress_abs(x, eps_max, quantize=None):
+    # the budgeted search on one block
+    return budgeted_search(TuckerFactorization, [x], eps_max, quantize)[0][0]
 
 
 def test_hosvd_rank_one_outer_product():
@@ -228,7 +232,7 @@ def test_mode_bases_of_block_view(monkeypatch, field_shape, block, cut, gram):
     assert calls == [n for n, g in zip(x.shape, gram) if g]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     for k, (u, s) in enumerate(bases):
-        ref_u, ref_s = left_svd(unfold(x, k), cut)
+        ref_u, ref_s = mode_left_svd(unfold(x, k), 0, cut)
         if gram[k]:
             np.testing.assert_allclose(s, ref_s, rtol=0, atol=1e-12 * ref_s[0])
             np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-10)
