@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import formats, pipeline
-from .completion import ObservationMask, SvpParams, svp_complete
+from .completion import ObservationMask, SvpParams, random_mask, svp_complete
 from .partition import greedy_partition, pow2_partition
 from .synth import SynthSpec, synth
 from .tensor_core import chebyshev_norm
@@ -141,11 +141,7 @@ def _cmd_complete(args) -> int:
     data = formats.read_gst(args.infile)
     defined = np.argwhere(np.broadcast_to(
         data.domain_mask[:, :, None, None], data.dims))
-    count = int(defined.shape[0] // args.cr)
-    if count < 1:
-        raise ValueError(f"cr {args.cr} leaves no observed cells")
-    rng = np.random.default_rng(args.seed)
-    picked = np.sort(rng.choice(defined.shape[0], size=count, replace=False))
+    picked = random_mask((len(defined),), args.cr, args.seed).indices[:, 0]
     mask = ObservationMask(data.dims, defined[picked], args.seed)
     params = SvpParams(tuple(args.caps), args.eps, args.delta, args.eta,
                        args.max_iters, trace=args.trace_out is not None)

@@ -93,7 +93,7 @@ class SvpResult:
 
 def random_mask(shape: Sequence[int], target_cr: float, seed: int) -> ObservationMask:
     """Uniform sample of floor(N / target_cr) cells without replacement."""
-    shape = tuple(int(n) for n in shape)
+    shape = tuple(_integer("shape entry", n) for n in shape)
     n_total = int(np.prod(shape, dtype=np.int64))
     if target_cr < 1:
         raise ValueError("target_cr must be >= 1")

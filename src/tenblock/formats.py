@@ -3,9 +3,11 @@ archive.  Both start with a 4-byte magic, a little-endian uint32 version
 and uint64 header length, then a JSON header and a payload of
 little-endian 32-bit floats raveled first-index-fastest.
 
-Every structural claim in a header is validated before the payload is
-touched; a header integer must be a JSON integer (``type(v) is int``), since
-``true`` and ``2.0`` compare equal to ints but are not.  Writes go to a
+Every header claim that slicing the payload rests on is validated before
+the payload is touched; a header integer must be a JSON integer
+(``type(v) is int``), since ``true`` and ``2.0`` compare equal to ints but
+are not.  The archive's layout is checked by ``CompressedArchive`` itself,
+whose ``ValueError`` the reader raises as ``FormatError``.  Writes go to a
 temporary file renamed into place.
 """
 
@@ -21,7 +23,7 @@ import tempfile
 import numpy as np
 
 from .partition import BlockIndex
-from .pipeline import KINDS, BlockRecord, CompressedArchive, leftover_cells
+from .pipeline import KINDS, BlockRecord, CompressedArchive
 from .tensor_core import FormatError, GappyTensor4
 
 GST_MAGIC = b"GSTT"
@@ -187,10 +189,11 @@ def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None
     _atomic_write(path, GSA_MAGIC, header, np.concatenate(chunks))
 
 
-def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
-    """Validate one manifest block of kind ``cls`` and return (rect,
-    interval, block dims, array shapes, next offset)."""
-    nx, ny, nl, nt = dims
+def _check_block_entry(entry, cls, nl, splits, expected_offset: int):
+    """Validate one manifest block of kind ``cls``, as far as reading its
+    arrays needs, and return (rect, interval, block dims, array shapes,
+    next offset).  Where the rectangle lies is ``CompressedArchive``'s to
+    check."""
     if not isinstance(entry, dict):
         raise FormatError(f"block entry {entry!r} is not an object")
     rect = entry.get("rect")
@@ -198,10 +201,6 @@ def _check_block_entry(entry, cls, mask, dims, splits, expected_offset: int):
             or any(type(c) is not int for c in rect)):
         raise FormatError(f"bad block rect {rect!r}")
     x0, x1, y0, y1 = rect
-    if not (0 <= x0 < x1 <= nx and 0 <= y0 < y1 <= ny):
-        raise FormatError(f"block rect {rect} out of bounds")
-    if not mask[x0:x1, y0:y1].all():
-        raise FormatError(f"block rect {rect} covers undefined cells")
     iv = entry.get("interval")
     if type(iv) is not int or not 0 <= iv < len(splits):
         raise FormatError(f"bad interval id {iv!r}")
@@ -246,45 +245,28 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     mask = _decode_rle(header.get("mask_rle"), (nx, ny))
 
     splits = header.get("splits")
-    if not isinstance(splits, list) or not splits:
-        raise FormatError("missing time splits")
-    pos = 0
-    clean_splits = []
-    for s in splits:
-        if (not isinstance(s, list) or len(s) != 2
-                or any(type(t) is not int for t in s) or s[0] != pos or s[1] <= s[0]):
-            raise FormatError(f"bad time split {s!r}")
-        clean_splits.append((s[0], s[1]))
-        pos = s[1]
-    if pos != nt:
-        raise FormatError(f"splits cover [0, {pos}), expected [0, {nt})")
+    if (not isinstance(splits, list)
+            or any(not isinstance(s, list) or len(s) != 2 or any(type(t) is not int for t in s)
+                   for s in splits)):
+        raise FormatError(f"bad time splits {splits!r}")
+    splits = tuple(tuple(s) for s in splits)
 
     entries = header.get("blocks")
     if not isinstance(entries, list):
         raise FormatError("missing block list")
     parsed = []
     offset = 0
-    rects = []
-    seen = set()
     for entry in entries:
         rect, iv, block_dims, shapes, offset = _check_block_entry(
-            entry, cls, mask, dims, clean_splits, offset)
-        if (rect, iv) in seen:
-            raise FormatError(f"duplicate block {rect} interval {iv}")
-        seen.add((rect, iv))
+            entry, cls, nl, splits, offset)
         parsed.append((rect, iv, block_dims, shapes, entry))
-        if rect not in rects:
-            rects.append(rect)
-    if len(parsed) != len(rects) * len(clean_splits):
-        raise FormatError("block list does not cover every rectangle x interval")
 
     lo = header.get("leftover")
     if not isinstance(lo, dict) or type(lo.get("offset")) is not int or lo["offset"] != offset:
         raise FormatError("bad leftover descriptor")
     n_cells = lo.get("cells")
-    derived = leftover_cells(mask, rects).shape[0]
-    if type(n_cells) is not int or n_cells != derived:
-        raise FormatError(f"{n_cells!r} leftover cells recorded, mask implies {derived}")
+    if type(n_cells) is not int or n_cells < 0:
+        raise FormatError(f"bad leftover cell count {n_cells!r}")
     total_elements = offset + n_cells * nl * nt
     counts = header.get("counts")
     if counts != {"block_elements": offset, "leftover_values": n_cells * nl * nt,
@@ -308,9 +290,10 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
         records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, block_dims, entry)))
     leftover = flat[offset:].reshape((n_cells, nl, nt), order="F").copy()
 
-    archive = CompressedArchive(
-        method, float(eps_max), dims, mask, tuple(clean_splits),
-        tuple(records), leftover,
-    )
+    try:
+        archive = CompressedArchive(method, float(eps_max), dims, mask, splits,
+                                    tuple(records), leftover)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
     metrics = header.get("metrics")
     return archive, metrics if isinstance(metrics, dict) else {}

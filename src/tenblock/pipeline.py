@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,15 @@ class BlockRecord:
 
 @dataclass(frozen=True)
 class CompressedArchive:
+    """Block records of a partitioned field plus its leftover store.
+
+    The constructor checks the layout, and raises ``ValueError`` when it
+    does not hold: ``domain_mask`` is an (nx, ny) grid (kept as bool); the
+    time splits tile ``[0, nt)``; every rectangle lies in the grid on
+    defined cells and has exactly one record per interval; the leftover
+    store holds one (L, K) row per defined cell no rectangle covers
+    (``leftover_cells``).  Values are not checked here."""
+
     method: str
     eps_max: float
     dims: tuple[int, int, int, int]
@@ -48,6 +57,33 @@ class CompressedArchive:
     splits: tuple[tuple[int, int], ...]
     blocks: tuple[BlockRecord, ...]
     leftover_values: np.ndarray  # (n_cells, L, K) float32, cells row-major
+
+    def __post_init__(self):
+        nx, ny, nl, nt = self.dims
+        mask = np.asarray(self.domain_mask, dtype=bool)
+        if mask.shape != (nx, ny):
+            raise ValueError(f"mask shape {mask.shape} does not match grid {(nx, ny)}")
+        splits = self.splits
+        ends = [t1 for _, t1 in splits]
+        if ends[-1:] != [nt] or any(t0 != prev or t1 <= t0
+                                    for (t0, t1), prev in zip(splits, [0] + ends)):
+            raise ValueError(f"time splits {splits} do not tile [0, {nt})")
+        intervals = {}
+        for rec in self.blocks:
+            intervals.setdefault(rec.rect, []).append(rec.interval)
+        for r, ivs in intervals.items():
+            if not (0 <= r.x_start < r.x_end <= nx and 0 <= r.y_start < r.y_end <= ny):
+                raise ValueError(f"block {r} lies outside the {nx}x{ny} grid")
+            if not mask[r.x_start:r.x_end, r.y_start:r.y_end].all():
+                raise ValueError(f"block {r} covers undefined cells")
+            if sorted(ivs) != list(range(len(splits))):
+                raise ValueError(f"block {r} has records for intervals {sorted(ivs)}, "
+                                 f"expected one for each of {len(splits)}")
+        n_cells = leftover_cells(mask, intervals).shape[0]
+        if self.leftover_values.shape != (n_cells, nl, nt):
+            raise ValueError(f"leftover store of shape {self.leftover_values.shape}, "
+                             f"mask and block list imply {(n_cells, nl, nt)}")
+        object.__setattr__(self, "domain_mask", mask)
 
     @property
     def stored_elements(self) -> int:
@@ -110,7 +146,7 @@ def cr_metrics(
     return cr_all, cr_sub
 
 
-def leftover_cells(domain_mask: np.ndarray, blocks: Sequence[BlockIndex]) -> np.ndarray:
+def leftover_cells(domain_mask: np.ndarray, blocks: Iterable[BlockIndex]) -> np.ndarray:
     """Defined cells covered by no block, as an (n, 2) index array in
     row-major order."""
     uncovered = np.asarray(domain_mask, dtype=bool).copy()
@@ -205,52 +241,31 @@ def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
     """Rebuild the field: block cells from their factorizations, leftover
     cells from the raw store, land cells NaN.
 
-    The archive is checked on what this writes, not by a scan of the
-    rebuilt field: the time splits tile the time axis; every rectangle lies
-    on defined cells and has one record per interval; every reconstructed
-    block has its rectangle x interval shape and is finite (checked while
-    it is still in cache, since finite float32 factors can overflow); the
-    leftover store is finite and holds exactly the defined cells that no
-    rectangle covers.  Every defined cell is then written finite and every
-    other cell is NaN, so the result skips ``GappyTensor4``'s own checks.
-    An archive that fails one raises ``ValueError``."""
-    nx, ny, nl, nt = archive.dims
-    mask = np.asarray(archive.domain_mask, dtype=bool)
-    if mask.shape != (nx, ny):
-        raise ValueError(f"mask shape {mask.shape} does not match grid {(nx, ny)}")
-    splits = archive.splits
-    ends = [t1 for _, t1 in splits]
-    if ends[-1:] != [nt] or any(t0 != prev or t1 <= t0
-                                for (t0, t1), prev in zip(splits, [0] + ends)):
-        raise ValueError(f"time splits {splits} do not tile [0, {nt})")
-    intervals = {}
-    for rec in archive.blocks:
-        intervals.setdefault(rec.rect, []).append(rec.interval)
-    for r, ivs in intervals.items():
-        if not mask[r.x_start:r.x_end, r.y_start:r.y_end].all():
-            raise ValueError(f"block {r} covers undefined cells")
-        if sorted(ivs) != list(range(len(splits))):
-            raise ValueError(f"block {r} has records for intervals {sorted(ivs)}, "
-                             f"expected one for each of {len(splits)}")
-
-    values = np.full((nx, ny, nl, nt), np.nan)
+    The archive's layout was checked when it was built (see
+    ``CompressedArchive``), so what is left to check is the values, on what
+    this writes rather than by a scan of the rebuilt field: every
+    reconstructed block has its rectangle x interval shape and is finite
+    (checked while it is still in cache, since finite float32 factors can
+    overflow), and the leftover store is finite.  Every defined cell is
+    then written finite and every other cell is NaN, so the result skips
+    ``GappyTensor4``'s own checks.  An archive that fails one raises
+    ``ValueError``."""
+    values = np.full(archive.dims, np.nan)
     for rec in archive.blocks:
         r = rec.rect
-        t0, t1 = splits[rec.interval]
+        t0, t1 = archive.splits[rec.interval]
         dst = values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
         block = rec.fac.reconstruct()
         if block.shape != dst.shape or not np.isfinite(block).all():
             raise ValueError(f"block {r} interval {rec.interval} does not reconstruct "
                              f"to finite values of shape {dst.shape}")
         dst[...] = block
-    cells = leftover_cells(mask, list(intervals))
     leftover = archive.leftover_values
-    if leftover.shape != (cells.shape[0], nl, nt):
-        raise ValueError("leftover store does not match mask and block list")
     if not np.isfinite(leftover).all():
         raise ValueError("leftover store holds non-finite values")
+    cells = leftover_cells(archive.domain_mask, {rec.rect for rec in archive.blocks})
     values[cells[:, 0], cells[:, 1]] = leftover
-    return GappyTensor4._unchecked(values, mask)
+    return GappyTensor4._unchecked(values, archive.domain_mask)
 
 
 def sweep_splits(

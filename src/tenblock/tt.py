@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import (AcceptFn, Factorization, FormatError, _gram_left_svd, _takes_gram,
-                          _thin_left_svd, frobenius_norm)
+from .tensor_core import (AcceptFn, Factorization, FormatError, _gram_left_svd, _integer,
+                          _takes_gram, _thin_left_svd, frobenius_norm)
 
 TOL0 = 1e-2  # first sweep tolerance of the TT and QTT budgeted search
 TOL_FLOOR = 1e-16  # the search stops at the first tolerance below this
@@ -176,14 +176,6 @@ def _halving_search(sweep, stack: np.ndarray, norms: np.ndarray, accept: AcceptF
         tol /= 2.0
 
 
-def _unfolding_rank_bounds(dims: Sequence[int]) -> list[int]:
-    # r_k <= min(n_1*..*n_k, n_{k+1}*..*n_d) for the exact TT ranks
-    d = len(dims)
-    left = np.cumprod(dims, dtype=np.float64)
-    right = np.cumprod(dims[::-1], dtype=np.float64)[::-1]
-    return [int(min(left[k], right[k + 1])) for k in range(d - 1)]
-
-
 def ttsvd(
     x: np.ndarray,
     tol: float | None = None,
@@ -231,12 +223,11 @@ def _ttsvd_stack(x: np.ndarray, tol: float | None = None, ranks: Sequence[int] |
     if d == 1:
         return [TTFactorization((np.reshape(x[b], (1, dims[0], 1)),)) for b in range(n_blocks)]
     if ranks is not None:
-        ranks = [int(r) for r in ranks]
+        ranks = [_integer("rank", r) for r in ranks]
         if len(ranks) != d - 1:
             raise ValueError(f"{len(ranks)} internal ranks for {d} modes")
         if any(r < 1 for r in ranks):
             raise ValueError("ranks must be positive")
-        ranks = [min(r, b) for r, b in zip(ranks, _unfolding_rank_bounds(dims))]
         delta, cut = None, 0.0
     else:
         if tol < 0:
@@ -326,8 +317,8 @@ def _stack_left_svd(c: np.ndarray, rows: list[int], cut: float):
 
 def tt_storage_count(ranks: Sequence[int], dims: Sequence[int]) -> int:
     """Stored elements summed over carriages r_{k-1} * n_k * r_k."""
-    dims = [int(n) for n in dims]
-    ranks = [1] + [int(r) for r in ranks] + [1]
+    dims = [_integer("dims entry", n) for n in dims]
+    ranks = [1] + [_integer("rank", r) for r in ranks] + [1]
     if len(ranks) != len(dims) + 1:
         raise ValueError("need d - 1 internal ranks for d dims")
     return sum(ranks[k] * dims[k] * ranks[k + 1] for k in range(len(dims)))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import Factorization, FormatError, mode_left_svd, rank_from_spectrum
+from .tensor_core import Factorization, FormatError, _integer, mode_left_svd, rank_from_spectrum
 
 TOL0 = 1e-2  # spectrum tolerance of the first ranks the Tucker budgeted search tries
 # escalation steps of columns the search keeps past the ranks its pass
@@ -125,7 +125,7 @@ def _project(y: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
 
 
 def _check_ranks(dims, ranks) -> tuple[int, ...]:
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(_integer("rank", r) for r in ranks)
     if len(ranks) != len(dims):
         raise ValueError(f"{len(ranks)} ranks for {len(dims)} modes")
     for r, n in zip(ranks, dims):
@@ -152,6 +152,6 @@ def hosvd(x: np.ndarray, ranks: Sequence[int]) -> TuckerFactorization:
 
 def tucker_storage_count(ranks: Sequence[int], dims: Sequence[int]) -> int:
     """Stored elements: core volume plus one n_k-by-r_k factor per mode."""
-    dims = [int(n) for n in dims]
+    dims = [_integer("dims entry", n) for n in dims]
     ranks = _check_ranks(dims, ranks)
     return int(np.prod(ranks, dtype=np.int64)) + sum(n * r for n, r in zip(dims, ranks))

@@ -401,6 +401,68 @@ def test_gsa_rejects_bad_block_record(tmp_path, method, tamper, message):
         read_gsa(str(path))
 
 
+# archive layouts that every array of the file can still be read from, so
+# only the layout rule of CompressedArchive rejects them; each tamper gets
+# the header and payload of a two-interval tucker archive
+
+
+def splits_overlap(header, payload):
+    # intervals of the right lengths, overlapping, so the last step is
+    # never written
+    (t0, t1), (_, t2) = header["splits"]
+    header["splits"] = [[t0, t1], [t1 - 1, t2 - 1]]
+    return payload
+
+
+def rect_over_undefined(header, payload):
+    # the leftover cells stay the same: a covered cell is never one
+    mask = _decode_rle(header["mask_rle"], tuple(header["dims"][:2]))
+    x0, _, y0, _ = header["blocks"][0]["rect"]
+    mask[x0, y0] = False
+    header["mask_rle"] = _encode_rle(mask)
+    return payload
+
+
+def rect_at_negative_x(header, payload):
+    # the same extents, so the arrays still match; a negative start would
+    # slice the mask from its far end
+    rect = header["blocks"][0]["rect"]
+    rect[0] -= header["dims"][0]
+    rect[1] -= header["dims"][0]
+    return payload
+
+
+def missing_record(header, payload):
+    # drop the first rectangle's interval 1 record, its arrays and their
+    # payload, with every later offset and count fixed up
+    blocks = header["blocks"]
+    assert blocks[1]["rect"] == blocks[0]["rect"] and blocks[1]["interval"] == 1
+    dropped = blocks.pop(1)
+    start = dropped["arrays"][0]["offset"]
+    size = sum(int(np.prod(a["shape"])) for a in dropped["arrays"])
+    for block in blocks[1:]:
+        for a in block["arrays"]:
+            a["offset"] -= size
+    header["leftover"]["offset"] -= size
+    header["counts"]["block_elements"] -= size
+    header["counts"]["payload_elements"] -= size
+    return payload[:4 * start] + payload[4 * (start + size):]
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (splits_overlap, "do not tile"),
+    (rect_over_undefined, "covers undefined cells"),
+    (rect_at_negative_x, "lies outside"),
+    (missing_record, r"has records for intervals \[0\]"),
+])
+def test_gsa_rejects_bad_layout(tmp_path, tamper, message):
+    path, (magic, version, header, payload) = gsa_blob_parts(tmp_path, n_splits=2)
+    payload = tamper(header, payload)
+    path.write_bytes(join_blob(magic, version, header, payload))
+    with pytest.raises(FormatError, match=message):
+        read_gsa(str(path))
+
+
 @pytest.mark.parametrize("n_cells", [0, 1, _RAVEL_CELLS, 2 * _RAVEL_CELLS + 5])
 def test_ravel_cells_matches_fortran_ravel(n_cells):
     # the slab-wise copy of the leftover store writes the bytes of

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import mode_product, random_orthonormal
-from tenblock import tensor_core
+from tenblock import completion, tensor_core, tt, tucker
 from tenblock.tensor_core import (
     GRAM_CUT_FLOOR,
     GRAM_SLICE_MIN,
@@ -315,3 +315,27 @@ def test_gappy_tensor_names_the_fault(cell, value, message):
         GappyTensor4(values, mask)
     with pytest.raises(ValueError, match=message):
         GappyTensor4(np.asfortranarray(values), mask)
+
+
+X555 = np.arange(125.0).reshape(5, 5, 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tucker.hosvd(X555, (2.7, 2, 3)),
+    lambda: tucker.hosvd(X555, (2, True, 3)),
+    lambda: tucker.tucker_storage_count([2.7, 3], [5, 5]),
+    lambda: tucker.tucker_storage_count([2, 3], [5.0, 5]),
+    lambda: tt.tt_storage_count([2.5], [3, 4]),
+    lambda: tt.tt_storage_count([2], [3, True]),
+    lambda: tt.ttsvd(X555, ranks=(2.9, 2)),
+    lambda: tt.ttsvd(X555, ranks=(2, True)),
+    lambda: tt.qtt_compress(X555, ranks=(2.0,) * 2),
+    lambda: completion.random_mask((4.9, 3), 2, seed=0),
+    lambda: completion.random_mask((4, True), 2, seed=0),
+], ids=["hosvd_float", "hosvd_bool", "tucker_count_rank", "tucker_count_dim",
+        "tt_count_rank", "tt_count_dim", "ttsvd_float", "ttsvd_bool", "qtt_float",
+        "random_mask_float", "random_mask_bool"])
+def test_integer_parameters_are_not_truncated(call):
+    # 2.7 is refused, not taken as 2, and True is not taken as 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()

@@ -1,0 +1,38 @@
+"""The scripts under benchmarks/ import private names of tenblock and of the
+tests; a refactor that renames one breaks the script only when it is run,
+so import each here."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "benchmarks").glob("*.py"))
+
+# load the file as a module named for it, not as __main__, so only its
+# imports and definitions run
+IMPORT = """
+import importlib.util, pathlib, sys
+path = pathlib.Path(sys.argv[1])
+spec = importlib.util.spec_from_file_location(path.stem, path)
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+"""
+
+
+def test_benchmark_scripts_found():
+    assert {p.name for p in SCRIPTS} >= {"bench_layers.py", "bench_partition.py", "parity.py"}
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_benchmark_script_imports(script):
+    # a subprocess, so the thread-count variables a script sets at import
+    # stay out of this process
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT, str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
