@@ -3,11 +3,14 @@
 For each case and method (tucker, tt, qtt) it compresses the field, writes
 the archive (no metrics in the header), reads it back and decompresses it,
 and prints CR_all, the largest read-back Chebyshev error over the defined
-cells, the SHA-256 of the archive bytes and the ranks of every block record
-(``rect/interval: ranks``, rect-major, interval-minor).  Before a case's
-methods it prints ``field sha256=...``, the SHA-256 of the field's float64
-``values`` bytes (NaN under the mask included), so that two checkouts
-compare the synthesized inputs as well as the archives.
+cells, the SHA-256 of the archive bytes, the SHA-256 of the restored
+field's float64 ``values`` bytes (``restored``, NaN under the mask
+included, so that two checkouts compare decompress bit for bit) and the
+ranks of every block record (``rect/interval: ranks``, rect-major,
+interval-minor).  Before a case's methods it prints ``field sha256=...``,
+the SHA-256 of the field's float64 ``values`` bytes (NaN under the mask
+included), so that two checkouts compare the synthesized inputs as well as
+the archives.
 
 Cases:
 
@@ -79,11 +82,12 @@ def run(g, method, eps_max, n_splits, work):
     with open(path, "rb") as f:
         sha = hashlib.sha256(f.read()).hexdigest()
     restored = decompress_dataset(read_gsa(path)[0])
+    restored_sha = hashlib.sha256(restored.values.tobytes()).hexdigest()
     diff = np.abs(restored.values - g.values)
     cheb = float(np.max(diff[g.domain_mask]))
     ranks = [f"{'.'.join(map(str, r.rect))}/{r.interval}:{'.'.join(map(str, r.fac.ranks))}"
              for r in archive.blocks]
-    return report.cr_all, cheb, sha, ranks
+    return report.cr_all, cheb, sha, restored_sha, ranks
 
 
 def svp_line():
@@ -104,8 +108,9 @@ def main():
             field_sha = hashlib.sha256(g.values.tobytes()).hexdigest()
             print(f"{name:<12}field   sha256={field_sha}")
             for method in METHODS:
-                cr_all, cheb, sha, ranks = run(g, method, eps_max, n_splits, work)
+                cr_all, cheb, sha, restored_sha, ranks = run(g, method, eps_max, n_splits, work)
                 print(f"{name:<12}{method:<8}cr_all={cr_all!r} cheb={cheb:.9g} sha256={sha}")
+                print(f"    restored sha256={restored_sha}")
                 print("    ranks " + " ".join(ranks))
     print(svp_line())
 

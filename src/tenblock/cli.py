@@ -137,12 +137,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _sample_defined(domain_mask: np.ndarray, nl: int, nt: int, cr: float,
+                    seed: int) -> np.ndarray:
+    """A ``1/cr`` sample of the defined cells of an (nx, ny, nl, nt) field,
+    as (n, 4) indices: ``random_mask`` draws flat indices into the defined
+    cells in row-major order, and only the drawn ones are unraveled."""
+    pos = np.argwhere(domain_mask)
+    flat = random_mask((len(pos) * nl * nt,), cr, seed).indices[:, 0]
+    p, lev, t = np.unravel_index(flat, (len(pos), nl, nt))
+    return np.column_stack([pos[p], lev, t])
+
+
 def _cmd_complete(args) -> int:
     data = formats.read_gst(args.infile)
-    defined = np.argwhere(np.broadcast_to(
-        data.domain_mask[:, :, None, None], data.dims))
-    picked = random_mask((len(defined),), args.cr, args.seed).indices[:, 0]
-    mask = ObservationMask(data.dims, defined[picked], args.seed)
+    _, _, nl, nt = data.dims
+    indices = _sample_defined(data.domain_mask, nl, nt, args.cr, args.seed)
+    mask = ObservationMask(data.dims, indices, args.seed)
     params = SvpParams(tuple(args.caps), args.eps, args.delta, args.eta,
                        args.max_iters, trace=args.trace_out is not None)
     observed = np.nan_to_num(data.values)

@@ -86,13 +86,19 @@ def _check_dims(dims) -> tuple[int, int, int, int]:
 
 
 def write_gst(data: GappyTensor4, path: str) -> None:
+    """Write ``data`` as float32.  A defined value beyond float32 range
+    raises ``ValueError`` before any file is made: it would be stored as
+    infinite, and ``read_gst`` rejects that."""
+    with np.errstate(over="ignore"):
+        payload = np.asarray(data.values, dtype="<f4").ravel(order="F")
+    if np.isinf(payload).any():
+        raise ValueError("a defined value lies beyond float32 range")
     header = {
         "dims": list(data.dims),
         "dtype": "float32",
         "missing": "nan",
         "order": "i1-fastest",
     }
-    payload = np.asarray(data.values, dtype="<f4").ravel(order="F")
     _atomic_write(path, GST_MAGIC, header, payload)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -241,29 +242,56 @@ def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
     """Rebuild the field: block cells from their factorizations, leftover
     cells from the raw store, land cells NaN.
 
-    The archive's layout was checked when it was built (see
-    ``CompressedArchive``), so what is left to check is the values, on what
-    this writes rather than by a scan of the rebuilt field: every
-    reconstructed block has its rectangle x interval shape and is finite
-    (checked while it is still in cache, since finite float32 factors can
+    Each cell is written once, in the field's memory order.  The field is
+    allocated unfilled and NaN is written under land only: the archive's
+    layout was checked when it was built (see ``CompressedArchive``), so
+    every defined cell is covered by a rectangle x interval record or by
+    the leftover store.  A rectangle's records are written a run of
+    consecutive same-length intervals at a time: each block is placed in
+    one run buffer, at most the rectangle's full-time slab, and the run
+    goes into the field with one copy (a run of one interval is written
+    straight into the field).
+
+    What is left to check is the values, on what this writes rather than
+    by a scan of the rebuilt field: every reconstructed block has its
+    rectangle x interval shape and is finite (checked right after it is
+    built, while it is still in cache, since finite float32 factors can
     overflow), and the leftover store is finite.  Every defined cell is
     then written finite and every other cell is NaN, so the result skips
     ``GappyTensor4``'s own checks.  An archive that fails one raises
     ``ValueError``."""
-    values = np.full(archive.dims, np.nan)
+    values = np.empty(archive.dims)
+    values[~archive.domain_mask] = np.nan
+    splits = archive.splits
+    runs = [list(ivs) for _, ivs in groupby(range(len(splits)),
+                                            lambda iv: splits[iv][1] - splits[iv][0])]
+    facs = {}
     for rec in archive.blocks:
-        r = rec.rect
-        t0, t1 = archive.splits[rec.interval]
-        dst = values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
-        block = rec.fac.reconstruct()
-        if block.shape != dst.shape or not np.isfinite(block).all():
-            raise ValueError(f"block {r} interval {rec.interval} does not reconstruct "
-                             f"to finite values of shape {dst.shape}")
-        dst[...] = block
+        facs.setdefault(rec.rect, {})[rec.interval] = rec.fac
+    for r, rect_facs in facs.items():
+        slab = values[r.x_start:r.x_end, r.y_start:r.y_end]
+        for ivs in runs:
+            (t0, t1), t_end = splits[ivs[0]], splits[ivs[-1]][1]
+            # the field is C-ordered, so splitting the slab's contiguous time
+            # range into (interval, step) is a view: writing dst writes the field
+            dst = slab[:, :, :, t0:t_end].reshape(slab.shape[:3] + (len(ivs), t1 - t0))
+            # a run of one interval has nothing to interleave and goes straight in
+            run = (dst.transpose(3, 0, 1, 2, 4) if len(ivs) == 1
+                   else np.empty((len(ivs),) + slab.shape[:3] + (t1 - t0,)))
+            for out, iv in zip(run, ivs):
+                block = rect_facs[iv].reconstruct()
+                if block.shape != out.shape or not np.isfinite(block).all():
+                    raise ValueError(f"block {r} interval {iv} does not reconstruct "
+                                     f"to finite values of shape {out.shape}")
+                out[...] = block
+            if len(ivs) > 1:
+                dst[...] = run.transpose(1, 2, 3, 0, 4)
+            # free this run's arrays before the next run builds its own
+            del run, out, block
     leftover = archive.leftover_values
     if not np.isfinite(leftover).all():
         raise ValueError("leftover store holds non-finite values")
-    cells = leftover_cells(archive.domain_mask, {rec.rect for rec in archive.blocks})
+    cells = leftover_cells(archive.domain_mask, facs)
     values[cells[:, 0], cells[:, 1]] = leftover
     return GappyTensor4._unchecked(values, archive.domain_mask)
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tenblock.cli import main
+from tenblock.cli import _sample_defined, main
+from tenblock.completion import random_mask
 from tenblock.formats import read_gst
 from tenblock.tensor_core import chebyshev_norm
 
@@ -111,6 +112,17 @@ def test_complete_runs_and_writes_trace(tmp_path, capsys):
     parts = lines[0].split()
     assert len(parts) == 3
     float(parts[1]), float(parts[2])
+
+
+@pytest.mark.parametrize("cr, seed", [(3, 5), (1, 0), (7.5, 11)])
+def test_complete_sample_matches_the_broadcast_mask_draw(cr, seed):
+    # the draw over (defined cells, nl, nt) picks the same cells as indexing
+    # an argwhere of the whole broadcast 4-D mask, without building it
+    dims = (16, 12, 3, 8)
+    mask = np.random.default_rng(3).random(dims[:2]) < 0.6
+    defined = np.argwhere(np.broadcast_to(mask[:, :, None, None], dims))
+    picked = random_mask((len(defined),), cr, seed).indices[:, 0]
+    np.testing.assert_array_equal(_sample_defined(mask, 3, 8, cr, seed), defined[picked])
 
 
 @pytest.mark.parametrize("cr", ["0", "nan", "0.5"])

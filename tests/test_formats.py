@@ -59,6 +59,21 @@ def test_gst_write_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_gst_write_rejects_values_beyond_float32(tmp_path):
+    # float32 would store 1e39 as inf, which read_gst rejects
+    mask = np.ones((2, 2), dtype=bool)
+    values = np.ones((2, 2, 1, 1))
+    values[1, 0] = -float(np.finfo(np.float32).max)
+    path = tmp_path / "field.gst"
+    write_gst(GappyTensor4(values, mask), str(path))
+    np.testing.assert_array_equal(read_gst(str(path)).values, values)
+    path.unlink()
+    values[0, 1] = 1e39
+    with pytest.raises(ValueError, match="float32 range"):
+        write_gst(GappyTensor4(values, mask), str(path))
+    assert os.listdir(tmp_path) == []
+
+
 def test_gst_rejects_wrong_magic(tmp_path):
     g = small_field()
     path = tmp_path / "field.gst"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,12 @@ from helpers import interval_stack
 from tenblock import pipeline
 from tenblock.cli import main
 from tenblock.formats import read_gst
-from tenblock.partition import BlockIndex, greedy_partition
+from tenblock.partition import BlockIndex, greedy_partition, pow2_partition
 from tenblock.pipeline import (
     KINDS,
     METHODS,
     BlockRecord,
+    CompressedArchive,
     _quantize_f32,
     compress_dataset,
     cr_metrics,
@@ -457,3 +459,77 @@ def test_decompressed_field_passes_the_public_checks(method, n_splits):
     assert checked.values.dtype == np.float64 and checked.domain_mask.dtype == bool
     np.testing.assert_array_equal(out.domain_mask, g.domain_mask)
     np.testing.assert_array_equal(np.isnan(out.values), np.isnan(g.values))
+
+
+def reference_decompress(archive):
+    """The field filled with NaN, then one copy per record, then the leftover
+    store: the per-record decompress that ``decompress_dataset`` must match
+    bit for bit."""
+    values = np.full(archive.dims, np.nan)
+    for rec in archive.blocks:
+        r = rec.rect
+        t0, t1 = archive.splits[rec.interval]
+        values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1] = rec.fac.reconstruct()
+    cells = leftover_cells(archive.domain_mask, [rec.rect for rec in archive.blocks])
+    values[cells[:, 0], cells[:, 1]] = archive.leftover_values
+    return values
+
+
+def hand_tiled_archive(method, splits, eps_max=0.5):
+    """An archive over time splits that ``temporal_split`` never makes, one
+    ``budgeted_search`` per rectangle x interval."""
+    g = small_field(dims=(32, 24, 4, splits[-1][1]))
+    cls = KINDS[method]
+    part = (pow2_partition if cls.pow2_blocks else greedy_partition)(g.domain_mask, 4)
+    records = []
+    for r in part.blocks:
+        for iv, (t0, t1) in enumerate(splits):
+            x = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
+            fac = budgeted_search(cls, [x], eps_max, _quantize_f32)[0][0]
+            records.append(BlockRecord(r, iv, fac))
+    cells = leftover_cells(g.domain_mask, part.blocks)
+    leftover = g.values[cells[:, 0], cells[:, 1]].astype(np.float32)
+    return CompressedArchive(method, eps_max, g.dims, g.domain_mask, tuple(splits),
+                             tuple(records), leftover)
+
+
+DECOMPRESS_CASES = {
+    "uniform": lambda m: compress_dataset(small_field(), m, 0.5, 4, 4)[0],
+    "remainder": lambda m: compress_dataset(small_field(dims=(32, 24, 4, 10)), m, 0.5, 4, 3)[0],
+    "hand_tiled": lambda m: hand_tiled_archive(m, [(0, 2), (2, 7), (7, 12), (12, 15)]),
+    # equal lengths apart in time: runs [0, 1], [2] and [3]
+    "hand_tiled_apart": lambda m: hand_tiled_archive(m, [(0, 2), (2, 4), (4, 9), (9, 11)]),
+    "leftover_only": lambda m: compress_dataset(small_field(dims=(12, 10, 2, 6)), m, 0.5, 64)[0],
+}
+
+
+@pytest.mark.parametrize("case", DECOMPRESS_CASES)
+@pytest.mark.parametrize("method", METHODS)
+def test_decompress_matches_per_record_reference_bitwise(method, case):
+    archive = DECOMPRESS_CASES[case](method)
+    assert (archive.blocks == ()) == (case == "leftover_only")
+    out = decompress_dataset(archive)
+    assert out.values.tobytes() == reference_decompress(archive).tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_decompress_run_buffer_within_one_split_peak(method):
+    # a run of 16 intervals is gathered in one buffer, at most the
+    # rectangle's full-time slab: the block a single split rebuilds, so
+    # only one of the run's own blocks is held beyond that
+    g = synth(SynthSpec(dims=(72, 54, 16, 128), seed=0, noise=0.02))
+    peaks = {}
+    for n_splits, eps_max in ((1, 0.5), (16, 0.25)):
+        archive, _ = compress_dataset(g, method, eps_max, 8, n_splits)
+        tracemalloc.start()
+        try:
+            decompress_dataset(archive)
+            peaks[n_splits] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    block = max(8 * math.prod(rec.fac.dims) for rec in archive.blocks)
+    assert peaks[16] <= peaks[1] + block
+    # beyond the field, one rectangle's slab and its temporaries: a buffer
+    # or block of the previous rectangle still held would add a second slab
+    slab = 16 * block
+    assert max(peaks.values()) < g.values.nbytes + 1.5 * slab
