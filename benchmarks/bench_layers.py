@@ -15,8 +15,8 @@ tolerance ``TOL0``):
 
 The "tucker search", "tt search" and "qtt search" rows time the whole
 search as ``compress_dataset`` runs it: one ``budgeted_search`` per
-rectangle and interval length over the stack of its same-length intervals
-(``interval_stacks``), with float32 quantization at the workload's budget
+rectangle and run of consecutive same-length intervals, over the run's
+stack (``interval_runs``), with float32 quantization at the workload's budget
 (``eps_max`` 0.5 at 1 split as in `deep`, else 0.25 as in `split16`): the
 stack copies, every candidate (Tucker's rounds of core slices, TT's and
 QTT's stacked tolerance-halving sweeps) and every verify.  The
@@ -44,7 +44,7 @@ import numpy as np  # noqa: E402
 from tenblock.formats import read_gsa, write_gsa  # noqa: E402
 from tenblock.partition import greedy_partition, pow2_partition, temporal_split  # noqa: E402
 from tenblock.pipeline import (KINDS, _quantize_f32, compress_dataset,  # noqa: E402
-                               decompress_dataset, interval_stacks)
+                               decompress_dataset, interval_runs)
 from tenblock.synth import SynthSpec, synth  # noqa: E402
 from tenblock.tensor_core import GappyTensor4, budgeted_search  # noqa: E402
 from tenblock.tt import (TOL0 as TT_TOL0, QttFactorization, TTFactorization,  # noqa: E402
@@ -72,7 +72,7 @@ def subtensors(values, blocks, splits):
 def search_stacks(values, blocks, splits):
     # the block lists compress_dataset hands to one budgeted_search each
     return [[values[b.x_start:b.x_end, b.y_start:b.y_end, :, splits[iv][0]:splits[iv][1]]
-             for iv in ivs] for b in blocks for ivs in interval_stacks(splits)]
+             for iv in ivs] for b in blocks for ivs in interval_runs(splits)]
 
 
 def layer_times(g, n_splits, repeats):

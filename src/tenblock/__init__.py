@@ -2,7 +2,6 @@
 spatiotemporal fields."""
 
 from .completion import (
-    ObservationMask,
     SvpParams,
     SvpResult,
     random_mask,

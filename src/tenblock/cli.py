@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import formats, pipeline
-from .completion import ObservationMask, SvpParams, random_mask, svp_complete
+from .completion import SvpParams, random_mask, svp_complete
 from .partition import greedy_partition, pow2_partition
 from .synth import SynthSpec, synth
 from .tensor_core import chebyshev_norm
@@ -137,31 +137,23 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _sample_defined(domain_mask: np.ndarray, nl: int, nt: int, cr: float,
-                    seed: int) -> np.ndarray:
-    """A ``1/cr`` sample of the defined cells of an (nx, ny, nl, nt) field,
-    as (n, 4) indices: ``random_mask`` draws flat indices into the defined
-    cells in row-major order, and only the drawn ones are unraveled."""
-    pos = np.argwhere(domain_mask)
-    flat = random_mask((len(pos) * nl * nt,), cr, seed).indices[:, 0]
-    p, lev, t = np.unravel_index(flat, (len(pos), nl, nt))
-    return np.column_stack([pos[p], lev, t])
-
-
 def _cmd_complete(args) -> int:
     data = formats.read_gst(args.infile)
     _, _, nl, nt = data.dims
-    indices = _sample_defined(data.domain_mask, nl, nt, args.cr, args.seed)
-    mask = ObservationMask(data.dims, indices, args.seed)
+    # a 1/cr sample of the defined cells, drawn over (defined cell, level,
+    # step) with the defined cells in row-major order
+    n_defined = int(np.count_nonzero(data.domain_mask))
+    omega = np.zeros(data.dims, dtype=bool)
+    omega[data.domain_mask] = random_mask((n_defined, nl, nt), args.cr, args.seed)
     params = SvpParams(tuple(args.caps), args.eps, args.delta, args.eta,
                        args.max_iters, trace=args.trace_out is not None)
     observed = np.nan_to_num(data.values)
-    result = svp_complete(observed, mask, params, reference=data.values)
+    result = svp_complete(observed, omega, params, reference=data.values)
     cheb = chebyshev_norm(result.completion - data.values)
     status = "converged" if result.converged else "not converged"
     print(f"{status} after {result.n_iters} iterations: masked rel error "
           f"{_g(result.rel_error)}, chebyshev vs input {_g(cheb)}, "
-          f"observed cells {mask.count}")
+          f"observed cells {np.count_nonzero(omega)}")
     if args.trace_out:
         lines = ["# iter masked_rel_frob chebyshev"]
         lines += [f"{i + 1} {_g(fr)} {_g(ch)}" for i, (fr, ch) in enumerate(result.trace)]

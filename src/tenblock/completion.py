@@ -17,40 +17,6 @@ from .tucker import hosvd
 
 
 @dataclass(frozen=True)
-class ObservationMask:
-    """Observed multi-indices (one row per cell) of a tensor of ``shape``:
-    a 2-D integer array with one column per mode, every entry in
-    ``[0, n_k)`` and no row twice."""
-
-    shape: tuple[int, ...]
-    indices: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if (idx.ndim != 2 or idx.shape[1] != len(self.shape)
-                or not np.issubdtype(idx.dtype, np.integer)):
-            raise ValueError(f"indices must be a 2-D integer array with "
-                             f"{len(self.shape)} columns")
-        if np.any(idx < 0) or np.any(idx >= np.array(self.shape)):
-            raise ValueError(f"indices out of range for shape {tuple(self.shape)}")
-        idx = idx.astype(np.intp, copy=False)
-        flat = np.ravel_multi_index(tuple(idx.T), self.shape)
-        if np.unique(flat).size != flat.size:
-            raise ValueError("indices repeat a cell")
-        object.__setattr__(self, "indices", idx)
-
-    def dense(self) -> np.ndarray:
-        omega = np.zeros(self.shape, dtype=bool)
-        omega[tuple(self.indices.T)] = True
-        return omega
-
-    @property
-    def count(self) -> int:
-        return self.indices.shape[0]
-
-
-@dataclass(frozen=True)
 class SvpParams:
     """Knobs of the projection iteration.
 
@@ -91,8 +57,9 @@ class SvpResult:
     trace: list[tuple[float, float]] | None = None
 
 
-def random_mask(shape: Sequence[int], target_cr: float, seed: int) -> ObservationMask:
-    """Uniform sample of floor(N / target_cr) cells without replacement."""
+def random_mask(shape: Sequence[int], target_cr: float, seed: int) -> np.ndarray:
+    """Uniform sample of floor(N / target_cr) cells without replacement, as
+    a boolean mask of ``shape`` that is True on the sampled cells."""
     shape = tuple(_integer("shape entry", n) for n in shape)
     n_total = int(np.prod(shape, dtype=np.int64))
     if target_cr < 1:
@@ -101,9 +68,9 @@ def random_mask(shape: Sequence[int], target_cr: float, seed: int) -> Observatio
     if count < 1:
         raise ValueError(f"target_cr {target_cr} leaves no observed cells")
     rng = np.random.default_rng(seed)
-    flat = np.sort(rng.choice(n_total, size=count, replace=False))
-    indices = np.stack(np.unravel_index(flat, shape), axis=1)
-    return ObservationMask(shape, indices, seed)
+    omega = np.zeros(n_total, dtype=bool)
+    omega[rng.choice(n_total, size=count, replace=False)] = True
+    return omega.reshape(shape)
 
 
 def update_rank(r: Sequence[int], delta: int, caps: Sequence[int]) -> list[int]:
@@ -112,11 +79,12 @@ def update_rank(r: Sequence[int], delta: int, caps: Sequence[int]) -> list[int]:
 
 def svp_complete(
     observed: np.ndarray,
-    mask: ObservationMask,
+    omega: np.ndarray,
     params: SvpParams,
     reference: np.ndarray | None = None,
 ) -> SvpResult:
-    """Complete a tensor from its entries on the mask.
+    """Complete a tensor from its entries where the boolean mask ``omega``
+    (of ``observed``'s shape) is True.
 
     ``observed`` is dense; values off the mask are ignored.  Starts from
     the zero tensor at ranks [1, ..., 1] and iterates
@@ -131,11 +99,13 @@ def svp_complete(
     exists), else over the observed cells only.
     """
     observed = np.asarray(observed, dtype=np.float64)
-    if observed.shape != mask.shape:
-        raise ValueError(f"data shape {observed.shape} != mask shape {mask.shape}")
-    if mask.count == 0:
+    omega = np.asarray(omega)
+    if omega.dtype != bool:
+        raise ValueError(f"observation mask must be boolean, not {omega.dtype}")
+    if observed.shape != omega.shape:
+        raise ValueError(f"data shape {observed.shape} != mask shape {omega.shape}")
+    if not omega.any():
         raise ValueError("empty observation mask")
-    omega = mask.dense()
     data = np.where(omega, observed, 0.0)
     if not np.all(np.isfinite(data)):
         raise ValueError("observed values must be finite")

@@ -47,9 +47,10 @@ class CompressedArchive:
     The constructor checks the layout, and raises ``ValueError`` when it
     does not hold: ``domain_mask`` is an (nx, ny) grid (kept as bool); the
     time splits tile ``[0, nt)``; every rectangle lies in the grid on
-    defined cells and has exactly one record per interval; the leftover
-    store holds one (L, K) row per defined cell no rectangle covers
-    (``leftover_cells``).  Values are not checked here."""
+    defined cells, overlaps no other rectangle and has exactly one record
+    per interval; the leftover store holds one (L, K) row per defined cell
+    no rectangle covers (``leftover_cells``).  Values are not checked
+    here."""
 
     method: str
     eps_max: float
@@ -81,6 +82,10 @@ class CompressedArchive:
                 raise ValueError(f"block {r} has records for intervals {sorted(ivs)}, "
                                  f"expected one for each of {len(splits)}")
         n_cells = leftover_cells(mask, intervals).shape[0]
+        # the rectangles lie on defined cells, so their areas add up to the
+        # covered cells exactly when no two of them overlap
+        if sum(r.area for r in intervals) + n_cells != np.count_nonzero(mask):
+            raise ValueError("block rectangles overlap")
         if self.leftover_values.shape != (n_cells, nl, nt):
             raise ValueError(f"leftover store of shape {self.leftover_values.shape}, "
                              f"mask and block list imply {(n_cells, nl, nt)}")
@@ -156,14 +161,13 @@ def leftover_cells(domain_mask: np.ndarray, blocks: Iterable[BlockIndex]) -> np.
     return np.argwhere(uncovered)
 
 
-def interval_stacks(splits: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """The intervals of ``splits`` grouped by length, in order: the time
-    intervals of one rectangle that ``compress_dataset`` searches as one
-    stack, so a stack never exceeds the rectangle's full-time slab."""
-    stacks = {}
-    for iv, (t0, t1) in enumerate(splits):
-        stacks.setdefault(t1 - t0, []).append(iv)
-    return list(stacks.values())
+def interval_runs(splits: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The intervals of ``splits`` in runs of consecutive same-length
+    intervals, in order.  ``compress_dataset`` searches a rectangle's run as
+    one stack, and ``decompress_dataset`` writes it with one copy, so
+    neither holds more than the rectangle's full-time slab."""
+    return [list(ivs) for _, ivs in groupby(range(len(splits)),
+                                            lambda iv: splits[iv][1] - splits[iv][0])]
 
 
 def compress_dataset(
@@ -176,8 +180,9 @@ def compress_dataset(
     """Partition the horizontal domain (greedy rectangles; power-of-two
     sides for qtt), split time into n_splits intervals, compress every
     block x interval subtensor to within eps_max in the Chebyshev norm,
-    and store the uncovered defined cells raw.  The same-length intervals
-    of a rectangle are searched together (``interval_stacks``)."""
+    and store the uncovered defined cells raw.  Each run of consecutive
+    same-length intervals of a rectangle is searched together
+    (``interval_runs``)."""
     cls = KINDS.get(method)
     if cls is None:
         raise ValueError(f"unknown method {method!r}")
@@ -198,7 +203,7 @@ def compress_dataset(
         block_vals = data.values[rect.x_start:rect.x_end, rect.y_start:rect.y_end]
         subs = [block_vals[:, :, :, t0:t1] for t0, t1 in splits]
         found = {}
-        for ivs in interval_stacks(splits):
+        for ivs in interval_runs(splits):
             found.update(zip(ivs, budgeted_search(cls, [subs[iv] for iv in ivs], eps_max,
                                                   _quantize_f32)))
         for iv, sub in enumerate(subs):
@@ -247,10 +252,10 @@ def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
     layout was checked when it was built (see ``CompressedArchive``), so
     every defined cell is covered by a rectangle x interval record or by
     the leftover store.  A rectangle's records are written a run of
-    consecutive same-length intervals at a time: each block is placed in
-    one run buffer, at most the rectangle's full-time slab, and the run
-    goes into the field with one copy (a run of one interval is written
-    straight into the field).
+    consecutive same-length intervals (``interval_runs``) at a time: each
+    block is placed in one run buffer, at most the rectangle's full-time
+    slab, and the run goes into the field with one copy (a run of one
+    interval is written straight into the field).
 
     What is left to check is the values, on what this writes rather than
     by a scan of the rebuilt field: every reconstructed block has its
@@ -263,8 +268,7 @@ def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
     values = np.empty(archive.dims)
     values[~archive.domain_mask] = np.nan
     splits = archive.splits
-    runs = [list(ivs) for _, ivs in groupby(range(len(splits)),
-                                            lambda iv: splits[iv][1] - splits[iv][0])]
+    runs = interval_runs(splits)
     facs = {}
     for rec in archive.blocks:
         facs.setdefault(rec.rect, {})[rec.interval] = rec.fac

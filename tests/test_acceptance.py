@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import exact_tt_tensor, exact_tucker_tensor
-from tenblock.completion import ObservationMask, SvpParams, random_mask, svp_complete
+from tenblock.completion import SvpParams, random_mask, svp_complete
 from tenblock.formats import read_gsa, read_gst, write_gsa, write_gst
 from tenblock.partition import greedy_partition
 from tenblock.pipeline import (
@@ -191,7 +191,6 @@ def test_criterion_09_direct_beats_completion_at_equal_budget():
     for seed in (0, 1):
         g = synth(SynthSpec(dims=(32, 24, 6, 32), seed=seed))
         full_mask = np.broadcast_to(g.domain_mask[:, :, None, None], g.dims)
-        defined_idx = np.argwhere(full_mask)
         observed = np.nan_to_num(g.values)
         for method in ("tucker", "tt"):
             archive, _ = compress_dataset(g, method, 0.5, s_min=4)
@@ -199,10 +198,12 @@ def test_criterion_09_direct_beats_completion_at_equal_budget():
             direct = _defined_cheb(restored.values, g.values, g.domain_mask)
             budget = archive.stored_elements
             rng = np.random.default_rng(1000 + seed)
-            pick = np.sort(rng.choice(defined_idx.shape[0], size=budget,
-                                      replace=False))
-            om = ObservationMask(g.dims, defined_idx[pick])
-            res = svp_complete(observed, om,
+            pick = rng.choice(g.defined_count, size=budget, replace=False)
+            sample = np.zeros(g.defined_count, dtype=bool)
+            sample[pick] = True
+            omega = np.zeros(g.dims, dtype=bool)
+            omega[full_mask] = sample
+            res = svp_complete(observed, omega,
                                SvpParams((8, 8, 4, 8), eps=1e-4, max_iters=120))
             diff = np.where(full_mask, res.completion - observed, 0.0)
             svp = chebyshev_norm(diff, full_mask)

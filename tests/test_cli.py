@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from tenblock.cli import _sample_defined, main
-from tenblock.completion import random_mask
-from tenblock.formats import read_gst
-from tenblock.tensor_core import chebyshev_norm
+from tenblock import cli
+from tenblock.cli import main
+from tenblock.formats import read_gst, write_gst
+from tenblock.tensor_core import GappyTensor4, chebyshev_norm
 
 DIMS = "24x20x3x12"
 
@@ -115,14 +115,30 @@ def test_complete_runs_and_writes_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cr, seed", [(3, 5), (1, 0), (7.5, 11)])
-def test_complete_sample_matches_the_broadcast_mask_draw(cr, seed):
-    # the draw over (defined cells, nl, nt) picks the same cells as indexing
-    # an argwhere of the whole broadcast 4-D mask, without building it
+def test_complete_sample_matches_the_broadcast_mask_draw(tmp_path, monkeypatch, cr, seed):
+    # the observed cells are the draw over an argwhere of the whole
+    # broadcast 4-D mask, although the CLI never builds that argwhere
     dims = (16, 12, 3, 8)
     mask = np.random.default_rng(3).random(dims[:2]) < 0.6
+    values = np.where(mask[:, :, None, None], np.ones(dims), np.nan)
+    write_gst(GappyTensor4(values, mask), str(tmp_path / "f.gst"))
+    seen = []
+    real = cli.svp_complete
+
+    def spy(observed, omega, *args, **kwargs):
+        seen.append(omega)
+        return real(observed, omega, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "svp_complete", spy)
+    assert run("complete", "--in", str(tmp_path / "f.gst"), "--cr", str(cr),
+               "--seed", str(seed), "--caps", "1,1,1,1", "--max-iters", "1") == 0
+
     defined = np.argwhere(np.broadcast_to(mask[:, :, None, None], dims))
-    picked = random_mask((len(defined),), cr, seed).indices[:, 0]
-    np.testing.assert_array_equal(_sample_defined(mask, 3, 8, cr, seed), defined[picked])
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(len(defined), size=int(len(defined) // cr), replace=False)
+    expected = np.zeros(dims, dtype=bool)
+    expected[tuple(defined[picked].T)] = True
+    np.testing.assert_array_equal(seen[0], expected)
 
 
 @pytest.mark.parametrize("cr", ["0", "nan", "0.5"])

@@ -3,7 +3,6 @@ import pytest
 
 from helpers import exact_tucker_tensor
 from tenblock.completion import (
-    ObservationMask,
     SvpParams,
     random_mask,
     svp_complete,
@@ -14,31 +13,30 @@ from tenblock.tensor_core import frobenius_norm
 
 def test_random_mask_count_and_bounds():
     m = random_mask((10, 10), 2, seed=0)
-    assert m.count == 50
-    dense = m.dense()
-    assert dense.shape == (10, 10)
-    assert dense.sum() == 50
+    assert m.dtype == bool and m.shape == (10, 10)
+    assert np.count_nonzero(m) == 50
 
 
 def test_random_mask_cr_one_observes_everything():
     m = random_mask((6, 7), 1, seed=1)
-    assert m.count == 42
-    assert m.dense().all()
+    assert m.shape == (6, 7) and m.all()
 
 
-def test_random_mask_indices_unique_and_sorted_flat():
+def test_random_mask_sets_the_cells_of_one_draw():
+    # floor(N / cr) flat cells drawn without replacement, in row-major order
     m = random_mask((8, 9, 4), 3, seed=2)
-    flat = np.ravel_multi_index(tuple(m.indices.T), (8, 9, 4))
-    assert len(np.unique(flat)) == m.count
-    assert np.all(np.diff(flat) > 0)
+    flat = np.random.default_rng(2).choice(8 * 9 * 4, size=96, replace=False)
+    expected = np.zeros(8 * 9 * 4, dtype=bool)
+    expected[flat] = True
+    np.testing.assert_array_equal(m, expected.reshape(8, 9, 4))
 
 
 def test_random_mask_deterministic():
     a = random_mask((5, 5, 5), 4, seed=7)
     b = random_mask((5, 5, 5), 4, seed=7)
-    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a, b)
     c = random_mask((5, 5, 5), 4, seed=8)
-    assert not np.array_equal(a.indices, c.indices)
+    assert not np.array_equal(a, c)
 
 
 def test_random_mask_validation():
@@ -113,9 +111,8 @@ def test_svp_full_rank_caps_interpolate_in_few_iterations():
     res = svp_complete(x, mask, params)
     assert res.converged
     assert res.n_iters <= 3
-    omega = mask.dense()
-    np.testing.assert_allclose(np.where(omega, res.completion, 0.0),
-                               np.where(omega, x, 0.0), atol=1e-9)
+    np.testing.assert_allclose(np.where(mask, res.completion, 0.0),
+                               np.where(mask, x, 0.0), atol=1e-9)
 
 
 def test_svp_nonconvergence_reports_best_iterate():
@@ -162,12 +159,6 @@ def test_svp_deterministic():
 
 def test_svp_input_validation():
     x = np.ones((4, 4))
-    empty = ObservationMask((4, 4), np.empty((0, 2), dtype=np.intp))
-    with pytest.raises(ValueError):
-        svp_complete(x, empty, SvpParams((2, 2)))
-    wrong_shape = random_mask((5, 5), 2, seed=0)
-    with pytest.raises(ValueError):
-        svp_complete(x, wrong_shape, SvpParams((2, 2)))
     bad = x.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
@@ -179,22 +170,12 @@ def test_svp_input_validation():
             svp_complete(y, random_mask(y.shape, 2, seed=0), SvpParams(caps))
 
 
-@pytest.mark.parametrize("indices", [
-    [[0, 0]],                        # too few columns: a whole fiber
-    [[0, 0, 0, 1]],                  # too many columns
-    [0, 1, 2],                       # not 2-D
-    [[0.0, 1.0, 2.0]],               # not integer
-    [[True, False, True]],           # bool, not integer
-    [[1, 2, 3], [0, 0, 0], [1, 2, 3]],  # a cell twice
-    [[-1, 0, 0]],                    # would wrap to the last index
-    [[0, 4, 0]],                     # past the extent
-])
-def test_observation_mask_rejects_bad_indices(indices):
-    with pytest.raises(ValueError):
-        ObservationMask((2, 4, 5), np.array(indices))
-
-
-def test_observation_mask_count_is_dense_cells():
-    m = ObservationMask((2, 4, 5), np.array([[1, 3, 4], [0, 0, 0]], dtype=np.int32))
-    assert m.count == 2 == m.dense().sum()
-    assert m.dense()[1, 3, 4] and m.dense()[0, 0, 0]
+@pytest.mark.parametrize("omega, message", [
+    (random_mask((4, 4), 2, seed=0).astype(float), "must be boolean"),  # 0/1 floats
+    (random_mask((5, 5), 2, seed=0), "mask shape"),
+    (random_mask((16,), 2, seed=0), "mask shape"),  # the same cells, raveled
+    (np.zeros((4, 4), dtype=bool), "empty observation mask"),
+], ids=["float", "larger", "raveled", "all_false"])
+def test_svp_rejects_bad_observation_mask(omega, message):
+    with pytest.raises(ValueError, match=message):
+        svp_complete(np.ones((4, 4)), omega, SvpParams((2, 2)))

@@ -3,6 +3,7 @@ import json
 import operator
 import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from tenblock.formats import (
     write_gsa,
     write_gst,
 )
-from tenblock.pipeline import compress_dataset, decompress_dataset
+from tenblock.partition import BlockIndex
+from tenblock.pipeline import BlockRecord, compress_dataset, decompress_dataset
 from tenblock.synth import SynthSpec, synth
-from tenblock.tensor_core import GappyTensor4, chebyshev_norm
+from tenblock.tensor_core import GappyTensor4, budgeted_search, chebyshev_norm
+from tenblock.tucker import TuckerFactorization
 
 PREFIX = struct.Struct("<4sIQ")
 
@@ -475,6 +478,24 @@ def test_gsa_rejects_bad_layout(tmp_path, tamper, message):
     payload = tamper(header, payload)
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError, match=message):
+        read_gsa(str(path))
+
+
+def test_gsa_rejects_overlapping_rectangles(tmp_path):
+    # a one-cell rectangle inside the first, factorized on its own: every
+    # array of the file reads, and only the layout rule rejects it.  The
+    # constructor refuses such an archive, so it is written from a copy
+    # of the fields.
+    g = small_field()
+    archive, _ = compress_dataset(g, "tucker", 0.5, s_min=4)
+    r = archive.blocks[0].rect
+    inner = BlockIndex(r.x_start, r.x_start + 1, r.y_start, r.y_start + 1)
+    cell = g.values[inner.x_start:inner.x_end, inner.y_start:inner.y_end]
+    fac = budgeted_search(TuckerFactorization, [cell], 0.5)[0][0]
+    fields = {**vars(archive), "blocks": archive.blocks + (BlockRecord(inner, 0, fac),)}
+    path = tmp_path / "arch.gsa"
+    write_gsa(SimpleNamespace(**fields), str(path))
+    with pytest.raises(FormatError, match="overlap"):
         read_gsa(str(path))
 
 

@@ -437,6 +437,17 @@ def test_decompress_rejects_inconsistent_archive(method, tamper):
         decompress_dataset(dataclasses.replace(archive, **tamper(archive)))
 
 
+def test_archive_rejects_overlapping_rectangles():
+    # a one-cell rectangle inside the first, with a record of its own: it
+    # lies on defined cells, and the leftover cells stay the same
+    archive, _ = compress_dataset(small_field(), "tucker", 0.5, s_min=4)
+    r = archive.blocks[0].rect
+    inner = BlockIndex(r.x_start, r.x_start + 1, r.y_start, r.y_start + 1)
+    blocks = archive.blocks + (BlockRecord(inner, 0, archive.blocks[0].fac),)
+    with pytest.raises(ValueError, match="overlap"):
+        dataclasses.replace(archive, blocks=blocks)
+
+
 def test_decompress_rejects_overflowing_factors():
     # every carriage finite in float32, their product beyond float64
     archive, _ = compress_dataset(small_field(), "qtt", 0.5, s_min=4)
