@@ -7,7 +7,10 @@ cells, the SHA-256 of the archive bytes, the SHA-256 of the restored
 field's float64 ``values`` bytes (``restored``, NaN under the mask
 included, so that two checkouts compare decompress bit for bit) and the
 ranks of every block record (``rect/interval: ranks``, rect-major,
-interval-minor).  Before a case's methods it prints ``field sha256=...``,
+interval-minor), and ``report sha256``, the SHA-256 of the compression
+report as ``json.dumps(report_to_dict(report), sort_keys=True)``, so that
+two checkouts compare every block's Chebyshev and relative Frobenius
+error bit for bit too.  Before a case's methods it prints ``field sha256=...``,
 the SHA-256 of the field's float64 ``values`` bytes (NaN under the mask
 included), so that two checkouts compare the synthesized inputs as well as
 the archives.
@@ -33,6 +36,7 @@ Usage: PYTHONPATH=src python3 benchmarks/parity.py [--seeds 1,2,3]
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import random
@@ -47,6 +51,7 @@ import numpy as np  # noqa: E402
 from tenblock import (SvpParams, SynthSpec, compress_dataset, decompress_dataset,  # noqa: E402
                       frobenius_norm, random_mask, read_gsa, read_gst, svp_complete, synth,
                       write_gsa, write_gst)
+from tenblock.pipeline import report_to_dict  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from helpers import exact_tucker_tensor  # noqa: E402
@@ -83,11 +88,13 @@ def run(g, method, eps_max, n_splits, work):
         sha = hashlib.sha256(f.read()).hexdigest()
     restored = decompress_dataset(read_gsa(path)[0])
     restored_sha = hashlib.sha256(restored.values.tobytes()).hexdigest()
+    report_sha = hashlib.sha256(
+        json.dumps(report_to_dict(report), sort_keys=True).encode()).hexdigest()
     diff = np.abs(restored.values - g.values)
     cheb = float(np.max(diff[g.domain_mask]))
     ranks = [f"{'.'.join(map(str, r.rect))}/{r.interval}:{'.'.join(map(str, r.fac.ranks))}"
              for r in archive.blocks]
-    return report.cr_all, cheb, sha, restored_sha, ranks
+    return report.cr_all, cheb, sha, restored_sha, report_sha, ranks
 
 
 def svp_line():
@@ -108,9 +115,11 @@ def main():
             field_sha = hashlib.sha256(g.values.tobytes()).hexdigest()
             print(f"{name:<12}field   sha256={field_sha}")
             for method in METHODS:
-                cr_all, cheb, sha, restored_sha, ranks = run(g, method, eps_max, n_splits, work)
+                cr_all, cheb, sha, restored_sha, report_sha, ranks = run(
+                    g, method, eps_max, n_splits, work)
                 print(f"{name:<12}{method:<8}cr_all={cr_all!r} cheb={cheb:.9g} sha256={sha}")
                 print(f"    restored sha256={restored_sha}")
+                print(f"    report sha256={report_sha}")
                 print("    ranks " + " ".join(ranks))
     print(svp_line())
 

@@ -32,6 +32,9 @@ def _dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+DEFAULT_CAPS = (5, 5, 4, 5)  # completion rank caps, before clipping to the extents
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p]
@@ -145,7 +148,9 @@ def _cmd_complete(args) -> int:
     n_defined = int(np.count_nonzero(data.domain_mask))
     omega = np.zeros(data.dims, dtype=bool)
     omega[data.domain_mask] = random_mask((n_defined, nl, nt), args.cr, args.seed)
-    params = SvpParams(tuple(args.caps), args.eps, args.delta, args.eta,
+    caps = (args.caps if args.caps is not None
+            else [min(c, n) for c, n in zip(DEFAULT_CAPS, data.dims)])
+    params = SvpParams(tuple(caps), args.eps, args.delta, args.eta,
                        args.max_iters, trace=args.trace_out is not None)
     observed = np.nan_to_num(data.values)
     result = svp_complete(observed, omega, params, reference=data.values)
@@ -219,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--cr", type=_ratio, required=True,
                    help="target ratio of defined cells to observed cells")
-    s.add_argument("--caps", type=_int_list, default=[5, 5, 4, 5], metavar="R1,R2,R3,R4")
+    s.add_argument("--caps", type=_int_list, metavar="R1,R2,R3,R4",
+                   help="rank caps (default 5,5,4,5, each clipped to its mode's extent)")
     s.add_argument("--eta", type=float, default=1.0)
     s.add_argument("--delta", type=int, default=1)
     s.add_argument("--eps", type=float, default=1e-3)

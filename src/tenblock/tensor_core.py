@@ -1,7 +1,8 @@
 """Dense multiway-array primitives: unfoldings, norms, left singular bases
 under one sign rule by the cheaper of a Gram eigendecomposition and a thin
-SVD (mode Grams formed from views, without an unfolding), and the interface
-and error-budgeted search shared by the block factorizations.
+SVD (mode Grams formed from views, without an unfolding), of one block or
+of each block of a stack in batched calls, and the interface and
+error-budgeted search shared by the block factorizations.
 
 Tensors are plain ``numpy.ndarray`` objects in float64.  In memory a
 block and every reconstruction are C-contiguous (the last index fastest),
@@ -92,9 +93,11 @@ class Factorization:
     """A block factorization kind (``kind`` names its method and archive
     records): ``dims``, ``ranks``, ``arrays()`` in archive order and
     ``reconstruct()``, C-contiguous like the search's stack, so that the
-    verify subtracts like-ordered arrays; per class ``search(stack, norms,
-    accept)``, which offers the budgeted search its candidates,
-    ``check_header`` and ``from_arrays``, the inverse of ``arrays()``."""
+    verify subtracts like-ordered arrays; per class ``check_header``,
+    ``from_arrays``, the inverse of ``arrays()``, and ``search(stack,
+    norms, accept)``, which offers candidates for the blocks ``stack[b]``,
+    of Frobenius norms ``norms[b]``, to ``accept(b, fac)``, smallest first,
+    until it returns True (the block is done) or the block has none left."""
 
     kind: ClassVar[str]
     pow2_blocks: ClassVar[bool] = False  # wants power-of-two block sides
@@ -105,21 +108,6 @@ class Factorization:
 
     def header_fields(self) -> dict:
         return {}
-
-    @classmethod
-    def search(cls, stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
-        """Offer candidates for the blocks ``stack[b]``, of Frobenius norms
-        ``norms[b]``, to ``accept(b, fac)``, smallest first, until it
-        returns True (the block is done) or the block has none left.  This
-        default runs the class's ``candidates(x)`` in rounds: the next
-        candidate of every block still searched, then ``accept`` on each (a
-        round keeps the candidates' SVDs together)."""
-        searches = {b: cls.candidates(x) for b, x in enumerate(stack)}
-        while searches:
-            found = [(b, next(s, None)) for b, s in searches.items()]
-            for b, fac in found:
-                if fac is None or accept(b, fac):
-                    del searches[b]
 
 
 def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_max: float,
@@ -133,8 +121,9 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
     fails the budget.  The Frobenius error is absolute for an all-zero block.
 
     The blocks are copied once into one C-contiguous stack ``(B, ..)``
-    and their norms taken once; ``cls.search`` searches the stack (TT and
-    QTT sweep all blocks still failing at once).  Each verify subtracts the
+    and their norms taken once; ``cls.search`` searches the stack (Tucker
+    takes the first bases of all its blocks in one stacked pass, TT and QTT
+    sweep all blocks still failing at once).  Each verify subtracts the
     candidate's reconstruction from the block's slice of the stack into one
     scratch block, so a strided block view is not copied again per
     candidate or per norm, and no candidate allocates a diff."""
@@ -189,11 +178,22 @@ def unfold(x: np.ndarray, mode: int) -> np.ndarray:
     """Matricize ``x`` along ``mode`` (0-based).
 
     Rows run over the ``mode`` index; columns run over the remaining
-    indices with the first one varying fastest.
+    indices with the first one varying fastest.  The result is an
+    F-contiguous copy.
     """
     x = np.asarray(x)
     _check_mode(x, mode)
-    return np.reshape(np.moveaxis(x, mode, 0), (x.shape[mode], -1), order="F")
+    return _stack_unfold(x[np.newaxis], mode)[0]
+
+
+def _stack_unfold(y: np.ndarray, mode: int) -> np.ndarray:
+    # unfold(y[b], mode) of each block of the stack y (B, n_1, .., n_d), as
+    # (B, n_mode, cols), each matrix F-contiguous: one C-order copy of y with
+    # the other modes last to first, then the mode
+    n_blocks, *dims = y.shape
+    others = [k + 1 for k in range(len(dims)) if k != mode]
+    c = np.ascontiguousarray(y.transpose([0] + others[::-1] + [mode + 1]))
+    return c.reshape(n_blocks, -1, dims[mode]).transpose(0, 2, 1)
 
 
 def frobenius_norm(x: np.ndarray) -> float:
@@ -280,29 +280,40 @@ def mode_gram(x: np.ndarray, mode: int) -> np.ndarray:
     only if ``x`` is not C-contiguous): ``x`` as ``(lead, n, trail)`` gives
     the sum over ``lead`` of its ``(n, trail)`` slices times their
     transposes.  A middle mode whose slices hold fewer than
-    ``GRAM_SLICE_MIN`` entries unfolds instead.
+    ``GRAM_SLICE_MIN`` entries unfolds instead.  This is the stacked
+    ``_stack_mode_gram`` on a stack of one.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     _check_mode(x, mode)
-    n = x.shape[mode]
+    return _stack_mode_gram(x[np.newaxis], mode)[0]
+
+
+def _stack_mode_gram(y: np.ndarray, mode: int) -> np.ndarray:
+    # mode_gram(y[b], mode) of each block of the stack y, (B, n, n): one
+    # batched matmul, which makes the same GEMM (or SYRK) call per block,
+    # on the same operands, as the block alone
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    n_blocks, *dims = y.shape
+    n = dims[mode]
     if mode == 0:
-        m = x.reshape(n, -1)
-        return m @ m.T
-    if mode == x.ndim - 1:
-        m = x.reshape(-1, n)
-        return m.T @ m
-    v = x.reshape(math.prod(x.shape[:mode]), n, -1)
-    if v[0].size < GRAM_SLICE_MIN:
-        m = unfold(x, mode)
-        return m @ m.T
-    return np.matmul(v, v.transpose(0, 2, 1)).sum(axis=0)
+        m = y.reshape(n_blocks, n, -1)
+        return np.matmul(m, m.transpose(0, 2, 1))
+    if mode == len(dims) - 1:
+        m = y.reshape(n_blocks, -1, n)
+        return np.matmul(m.transpose(0, 2, 1), m)
+    v = y.reshape(n_blocks, math.prod(dims[:mode]), n, -1)
+    if v[0, 0].size < GRAM_SLICE_MIN:
+        m = _stack_unfold(y, mode)
+        return np.matmul(m, m.transpose(0, 2, 1))
+    return np.matmul(v, v.transpose(0, 1, 3, 2)).sum(axis=1)
 
 
 def mode_left_svd(x: np.ndarray, mode: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors ``U`` (columns, sign rule of
     :func:`_column_signs`) and descending singular values ``S`` of
     ``unfold(x, mode)``, for a caller that truncates at ``s_i / s_1`` no
-    smaller than ``cut``.
+    smaller than ``cut``: the stacked ``_stack_mode_left_svd`` on a stack of
+    one.
 
     A wide unfolding with ``cut >= GRAM_CUT_FLOOR`` takes them from
     ``eigh`` of its Gram, formed by :func:`mode_gram` (pass a C-contiguous
@@ -312,10 +323,21 @@ def mode_left_svd(x: np.ndarray, mode: int, cut: float) -> tuple[np.ndarray, np.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_mode(x, mode)
-    n = x.shape[mode]
-    if _takes_gram(n, x.size // n, cut):
-        return _gram_left_svd(mode_gram(x, mode))
-    return _thin_left_svd(unfold(x, mode))
+    u, s = _stack_mode_left_svd(x[np.newaxis], mode, cut)
+    return u[0], s[0]
+
+
+def _stack_mode_left_svd(y: np.ndarray, mode: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """``mode_left_svd(y[b], mode, cut)`` of each block of the stack ``y``,
+    ``(B, n_1, .., n_d)``, as ``U`` ``(B, n_mode, k)`` and ``S`` ``(B, k)``:
+    one batched Gram and ``eigh``, or one batched thin SVD of the
+    unfoldings.  The blocks share a shape, hence a route, and each
+    block's LAPACK call gets the operands it would get alone, so its
+    ``U`` and ``S`` are those of the block alone, bit for bit."""
+    n = y.shape[mode + 1]
+    if _takes_gram(n, y[0].size // n, cut):
+        return _gram_left_svd(_stack_mode_gram(y, mode))
+    return _thin_left_svd(_stack_unfold(y, mode))
 
 
 def rank_from_spectrum(s: np.ndarray, tol: float) -> int:

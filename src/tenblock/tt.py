@@ -165,11 +165,26 @@ def _halving_search(sweep, stack: np.ndarray, norms: np.ndarray, accept: AcceptF
     # the sweep tolerance bounds the relative Frobenius error, not the
     # pointwise one, so it is halved until the budget holds or the floor;
     # each round sweeps the blocks still failing at once: the stack as it
-    # is given, then the failing blocks' slice of it
+    # is given, then the failing blocks' slice of it.  A block's first
+    # unfolding does not depend on the tolerance, and its basis depends on
+    # it only through the route (see _stack_left_svd), so the first round's
+    # first step serves every later round on the same route
     blocks, tol = list(range(len(stack))), TOL0
+    kept = None  # the first round's route and its (U, S) of every block
+
+    def first_step(c: np.ndarray, rows: list[int], cut: float):
+        nonlocal kept
+        gram = _takes_gram(rows[0], c.shape[2], cut)
+        if kept is None:
+            kept = gram, _stack_left_svd(c, rows, cut)
+        elif kept[0] != gram:
+            return _stack_left_svd(c, rows, cut)
+        u, s = kept[1]
+        return (u, s) if len(blocks) == len(stack) else (u[blocks], s[blocks])
+
     while True:
         sub = stack if len(blocks) == len(stack) else stack[blocks]
-        facs = sweep(sub, tol=tol, norms=norms[blocks])
+        facs = sweep(sub, tol=tol, norms=norms[blocks], first_step=first_step)
         blocks = [b for b, fac in zip(blocks, facs) if not accept(b, fac)]
         if not blocks or tol < TOL_FLOOR:
             return
@@ -198,10 +213,13 @@ def ttsvd(
 
 
 def _ttsvd_stack(x: np.ndarray, tol: float | None = None, ranks: Sequence[int] | None = None,
-                 norms: Sequence[float] | None = None) -> list[TTFactorization]:
+                 norms: Sequence[float] | None = None,
+                 first_step=None) -> list[TTFactorization]:
     """``ttsvd`` of every block ``x[b]`` of the stack ``x``, shape
     ``(B, n_1, .., n_d)``, in one sweep.  ``norms[b]``, when given, is the
     Frobenius norm of ``x[b]``; it sets the block's truncation at ``tol``.
+    ``first_step``, when given, stands in for ``_stack_left_svd`` at the
+    first step (the search's kept first bases).
 
     The sweep reads the stack in C order, the first (slowest) mode first.
     Each step's unfoldings form one C-contiguous stack ``(B, m, cols)``,
@@ -246,7 +264,8 @@ def _ttsvd_stack(x: np.ndarray, tol: float | None = None, ranks: Sequence[int] |
     c = np.reshape(x, (n_blocks, dims[0], -1))
     for k in range(d - 1):
         rows = [r * dims[k] for r in r_prev]
-        u, s = _stack_left_svd(c, rows, cut)
+        step = first_step if k == 0 and first_step is not None else _stack_left_svd
+        u, s = step(c, rows, cut)
         if delta is not None:
             tail = np.cumsum(s[:, ::-1] ** 2, axis=1)[:, ::-1]
             r = [max(keep, 1) for keep in (tail > delta[:, np.newaxis] ** 2).sum(axis=1).tolist()]

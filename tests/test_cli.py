@@ -141,6 +141,22 @@ def test_complete_sample_matches_the_broadcast_mask_draw(tmp_path, monkeypatch, 
     np.testing.assert_array_equal(seen[0], expected)
 
 
+def test_complete_default_caps_fit_a_field_of_three_levels(tmp_path, capsys):
+    # the default caps 5,5,4,5 are clipped to the extents, here 3 levels;
+    # explicit caps past an extent are still an error
+    field = tmp_path / "f.gst"
+    assert run("synth", "--dims", "16x12x3x8", "--out", str(field)) == 0
+    seen = []
+    real = cli.svp_complete
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "svp_complete", lambda *a, **kw: seen.append(a[2]) or real(*a, **kw))
+        assert run("complete", "--in", str(field), "--cr", "3", "--seed", "5") == 0
+    assert seen[0].target_ranks == (5, 5, 3, 5)
+    assert "masked rel error" in capsys.readouterr().out
+    assert run("complete", "--in", str(field), "--cr", "3", "--caps", "5,5,4,5") == 1
+    assert "exceeds its extent 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cr", ["0", "nan", "0.5"])
 def test_complete_rejects_bad_cr(tmp_path, capsys, cr):
     # a ratio that is not a finite number >= 1 is a usage error, not a

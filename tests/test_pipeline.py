@@ -336,7 +336,7 @@ def _assert_same_search(method, x, found, alone):
         assert (cheb, rel) == (ref_cheb, ref_rel)
 
 
-@pytest.mark.parametrize("method", ["tt", "qtt"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("which", [[11], [3, 7, 11], list(range(16))], ids=["B1", "B3", "B16"])
 def test_stacked_search_matches_each_block_alone(method, which):
     blocks = [interval_stack()[i] for i in which]

@@ -165,7 +165,7 @@ def test_left_svd_gram_route_matches_svd_reference():
 def test_left_svd_route(monkeypatch, shape, cut, gram):
     eigh = np.linalg.eigh
     calls = []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[-2:]) or eigh(a))
     m = np.random.default_rng(13).standard_normal(shape)
     u, s = mode_left_svd(m, 0, cut)
     assert calls == ([(shape[0], shape[0])] if gram else [])
@@ -223,11 +223,13 @@ class _Values(Factorization):
         return cls(arrays[0])
 
     @staticmethod
-    def candidates(x):
-        with_nan = x.copy()
-        with_nan[1, 2, 0] = np.nan
-        yield _Values(with_nan)
-        yield _Values(x + 0.25)
+    def search(stack, norms, accept):
+        # each block alone: a candidate with a NaN, then one 0.25 off
+        for b, x in enumerate(stack):
+            with_nan = x.copy()
+            with_nan[1, 2, 0] = np.nan
+            if not accept(b, _Values(with_nan)):
+                accept(b, _Values(x + 0.25))
 
 
 def test_budgeted_search_rejects_nan_reconstruction():

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -376,7 +377,7 @@ def test_halving_sweeps_share_the_search_stack(monkeypatch):
     norms = np.array([1.0, 2.0, 3.0])
     seen, offered = [], []
 
-    def sweep(a, tol, norms):
+    def sweep(a, tol, norms, first_step):
         seen.append((a, norms))
         return [tol] * len(a)
 
@@ -422,8 +423,8 @@ def test_halving_search_stops_below_the_floor():
         tols.append(tol)
         return False
 
-    _halving_search(lambda a, tol, norms: [tol] * len(a), np.zeros((1, 2, 2)), np.zeros(1),
-                    accept)
+    _halving_search(lambda a, tol, norms, first_step: [tol] * len(a), np.zeros((1, 2, 2)),
+                    np.zeros(1), accept)
     assert tols == [1e-2 / 2.0**k for k in range(48)]
     assert tols[-2] >= TOL_FLOOR > tols[-1]
 
@@ -510,3 +511,35 @@ def test_stacked_sweep_matches_each_block_alone(sweep):
         scale = max(1.0, float(np.max(np.abs(blocks[b]))))
         for g, h in zip(f.arrays(), alone.arrays()):
             assert np.max(np.abs(g - h)) <= 1e-9 * scale
+
+
+def test_halving_search_takes_each_first_step_once(monkeypatch):
+    # a block's first basis does not depend on the sweep tolerance: over a
+    # search of three or more rounds the first step runs once per block,
+    # and the search finds what sweeps that each recompute it find
+    x = synth_block()
+    blocks = [x[..., 0:8], x[..., 8:16], x[..., 16:24]]
+    first_cols = math.prod(blocks[0].shape[1:])  # the first unfolding's columns
+    firsts, rounds = [], []
+    left_svd, sweep = tt._stack_left_svd, tt._ttsvd_stack
+
+    def spy_left_svd(c, rows, cut):
+        if c.shape[2] == first_cols:
+            firsts.append(len(c))
+        return left_svd(c, rows, cut)
+
+    def spy_sweep(a, **kwargs):
+        rounds.append(len(a))
+        return sweep(a, **kwargs)
+
+    monkeypatch.setattr(tt, "_stack_left_svd", spy_left_svd)
+    monkeypatch.setattr(tt, "_ttsvd_stack", spy_sweep)
+    found = budgeted_search(TTFactorization, blocks, 2e-4)
+    assert len(rounds) >= 3 and firsts == [len(blocks)]
+    monkeypatch.setattr(tt, "_ttsvd_stack", lambda a, first_step, **kwargs: sweep(a, **kwargs))
+    fresh = budgeted_search(TTFactorization, blocks, 2e-4)
+    assert sum(firsts) == len(blocks) + sum(rounds)  # the fresh sweeps recompute it
+    for (fac, cheb, rel), (ref, ref_cheb, ref_rel) in zip(found, fresh):
+        for a, b in zip(fac.arrays(), ref.arrays()):
+            np.testing.assert_array_equal(a, b)
+        assert (cheb, rel) == (ref_cheb, ref_rel)

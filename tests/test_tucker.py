@@ -19,6 +19,23 @@ def tucker_compress_abs(x, eps_max, quantize=None):
     return budgeted_search(TuckerFactorization, [x], eps_max, quantize)[0][0]
 
 
+def offered(x, stop=lambda fac: False):
+    # the candidates the Tucker search offers block x alone, until stop(fac)
+    cands = []
+
+    def accept(b, fac):
+        cands.append(fac)
+        return stop(fac)
+
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    TuckerFactorization.search(x[np.newaxis], np.array([frobenius_norm(x)]), accept)
+    return cands
+
+
+def first_candidate(x):
+    return offered(x, stop=lambda fac: True)[0]
+
+
 def test_hosvd_rank_one_outer_product():
     u = np.array([1.0, 2.0, 3.0])
     v = np.array([1.0, -1.0])
@@ -120,7 +137,7 @@ def test_first_candidate_ranks_match_svd_reference():
     for k in range(x.ndim):
         s = np.linalg.svd(unfold(x, k), compute_uv=False)
         ref.append(int(np.count_nonzero(s >= TOL0 * s[0])))
-    assert next(TuckerFactorization.candidates(x)).ranks == tuple(ref)
+    assert first_candidate(x).ranks == tuple(ref)
 
 
 def test_tucker_reconstruct_zero_core():
@@ -227,7 +244,7 @@ def test_mode_bases_of_block_view(monkeypatch, field_shape, block, cut, gram):
     x = np.random.default_rng(23).standard_normal(field_shape)[block]
     eigh = np.linalg.eigh
     calls = []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[0]) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[-1]) or eigh(a))
     bases = [mode_left_svd(x, k, cut) for k in range(x.ndim)]
     assert calls == [n for n, g in zip(x.shape, gram) if g]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
@@ -272,7 +289,7 @@ def test_candidate_cores_are_projections(x):
     # the block projected onto that candidate's own (prefix) factors
     # hosvd at the first candidate's ranks is the same pass without headroom
     scale = np.max(np.abs(x))
-    cands = list(TuckerFactorization.candidates(x))
+    cands = offered(x)
     for fac in cands + [hosvd(x, cands[0].ranks)]:
         for u in fac.factors:
             np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
@@ -287,7 +304,7 @@ def test_noise_block_escalates_past_headroom_to_full_ranks(monkeypatch):
     run = tucker._truncated_pass
     monkeypatch.setattr(tucker, "_truncated_pass",
                         lambda *a: passes.append(a) or run(*a))
-    cands = list(TuckerFactorization.candidates(x))
+    cands = offered(x)
     ranks = [f.ranks for f in cands]
     assert ranks[0] == (1, 1, 1, 1)
     for a, b in zip(ranks, ranks[1:]):
@@ -300,3 +317,34 @@ def test_noise_block_escalates_past_headroom_to_full_ranks(monkeypatch):
     # and a budget only the full ranks meet ends the search there
     fac = tucker_compress_abs(x, 1e-10)
     assert fac.ranks == x.shape
+
+
+def test_stack_of_mixed_first_ranks_projects_in_groups_and_matches_each_block(monkeypatch):
+    # blocks of one shape whose first ranks differ, so the pass projects
+    # them in groups of equal headroom; a rank-one block over noise
+    # escalates past its headroom and reruns the pass from a sub-stack.
+    # Every block's result is bit for bit that of the block searched alone
+    dims = (10, 9, 6, 8)
+    blocks = [exact_tucker_tensor(dims, (1, 1, 1, 1), seed=31),
+              exact_tucker_tensor(dims, (2, 2, 2, 2), seed=32),
+              _rank_one_plus_noise(dims, 33),
+              exact_tucker_tensor(dims, (3, 2, 2, 3), seed=34),
+              exact_tucker_tensor(dims, (2, 2, 2, 2), seed=35),
+              np.zeros(dims)]
+    stacks, passes = [], []
+    project, run = tucker._project, tucker._truncated_pass
+    monkeypatch.setattr(tucker, "_project",
+                        lambda y, u, k: stacks.append(len(y)) or project(y, u, k))
+    monkeypatch.setattr(tucker, "_truncated_pass",
+                        lambda *a: passes.append(len(a[0])) or run(*a))
+    found = budgeted_search(TuckerFactorization, blocks, 1e-4)
+    monkeypatch.undo()
+    assert len({first_candidate(x).ranks for x in blocks}) == 3
+    assert min(stacks) < len(blocks) and passes[0] == len(blocks) and 1 in passes[1:]
+    assert found[2][0].ranks != first_candidate(blocks[2]).ranks
+    for x, (fac, cheb, rel) in zip(blocks, found):
+        ref, ref_cheb, ref_rel = budgeted_search(TuckerFactorization, [x], 1e-4)[0]
+        assert fac.ranks == ref.ranks
+        for a, b in zip(fac.arrays(), ref.arrays()):
+            np.testing.assert_array_equal(a, b)
+        assert (cheb, rel) == (ref_cheb, ref_rel)
