@@ -115,7 +115,8 @@ def _cmd_stats(args) -> int:
         print(f"GST dims {'x'.join(map(str, data.dims))}")
         print(f"{'defined cells':<22}{data.defined_count} "
               f"({_g(float(data.domain_mask.mean()))} of grid)")
-        print(f"{'value range':<22}[{_g(float(defined.min()))}, {_g(float(defined.max()))}]")
+        span = defined.size and f"[{_g(float(defined.min()))}, {_g(float(defined.max()))}]"
+        print(f"{'value range':<22}{span or 'absent'}")
         return 0
     archive, metrics = formats.read_gsa(args.infile)
     print(f"GSA method={archive.method} eps_max={_g(archive.eps_max)} "

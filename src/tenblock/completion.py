@@ -61,7 +61,7 @@ def random_mask(shape: Sequence[int], target_cr: float, seed: int) -> np.ndarray
     """Uniform sample of floor(N / target_cr) cells without replacement, as
     a boolean mask of ``shape`` that is True on the sampled cells."""
     shape = tuple(_integer("shape entry", n) for n in shape)
-    n_total = int(np.prod(shape, dtype=np.int64))
+    n_total = math.prod(shape)
     if target_cr < 1:
         raise ValueError("target_cr must be >= 1")
     count = int(n_total // target_cr)

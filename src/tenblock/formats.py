@@ -78,11 +78,11 @@ def _split_file(blob: memoryview, magic: bytes, what: str) -> tuple[dict, memory
     return header, blob[_PREFIX.size + hlen:]
 
 
-def _check_dims(dims) -> tuple[int, int, int, int]:
-    if (not isinstance(dims, list) or len(dims) != 4
-            or any(type(n) is not int or n < 1 for n in dims)):
-        raise FormatError(f"bad dims {dims!r}")
-    return tuple(dims)
+def _check_dims(value) -> tuple[int, int, int, int]:
+    if (not isinstance(value, list) or len(value) != 4
+            or any(type(n) is not int or n < 1 for n in value)):
+        raise FormatError(f"bad dims {value!r}")
+    return tuple(value)
 
 
 def write_gst(data: GappyTensor4, path: str) -> None:
@@ -108,7 +108,7 @@ def read_gst(path: str) -> GappyTensor4:
     for key, want in (("dtype", "float32"), ("missing", "nan"), ("order", "i1-fastest")):
         if header.get(key) != want:
             raise FormatError(f"unsupported {key} {header.get(key)!r}")
-    expected = 4 * int(np.prod(dims, dtype=np.int64))
+    expected = 4 * math.prod(dims)
     if len(payload) != expected:
         raise FormatError(f"payload is {len(payload)} bytes, header implies {expected}")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
@@ -133,7 +133,7 @@ def _encode_rle(mask: np.ndarray) -> list[int]:
 def _decode_rle(runs, shape) -> np.ndarray:
     if not isinstance(runs, list) or any(type(r) is not int or r < 0 for r in runs):
         raise FormatError("bad mask run-length data")
-    total = int(np.prod(shape, dtype=np.int64))
+    total = math.prod(shape)
     if sum(runs) != total:
         raise FormatError("mask run lengths do not cover the grid")
     flat = np.zeros(total, dtype=bool)
@@ -195,23 +195,20 @@ def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None
     _atomic_write(path, GSA_MAGIC, header, np.concatenate(chunks))
 
 
-def _check_block_entry(entry, cls, nl, splits, expected_offset: int):
+def _check_block_entry(entry, cls, expected_offset: int):
     """Validate one manifest block of kind ``cls``, as far as reading its
-    arrays needs, and return (rect, interval, block dims, array shapes,
-    next offset).  Where the rectangle lies is ``CompressedArchive``'s to
-    check."""
+    arrays needs, and return (rect, interval, array shapes, next offset).
+    Where the record lies, and that its shape fits there, is
+    ``CompressedArchive``'s to check."""
     if not isinstance(entry, dict):
         raise FormatError(f"block entry {entry!r} is not an object")
     rect = entry.get("rect")
     if (not isinstance(rect, list) or len(rect) != 4
             or any(type(c) is not int for c in rect)):
         raise FormatError(f"bad block rect {rect!r}")
-    x0, x1, y0, y1 = rect
     iv = entry.get("interval")
-    if type(iv) is not int or not 0 <= iv < len(splits):
+    if type(iv) is not int:
         raise FormatError(f"bad interval id {iv!r}")
-    t0, t1 = splits[iv]
-    block_dims = (x1 - x0, y1 - y0, nl, t1 - t0)
 
     if entry.get("kind") != cls.kind:
         raise FormatError(f"block kind {entry.get('kind')!r} in a {cls.kind} archive")
@@ -229,8 +226,8 @@ def _check_block_entry(entry, cls, nl, splits, expected_offset: int):
         shapes.append(tuple(shape))
         expected_offset += math.prod(shape)
 
-    cls.check_header(shapes, block_dims, entry)
-    return BlockIndex(*rect), iv, block_dims, shapes, expected_offset
+    cls.check_header(shapes, entry)
+    return BlockIndex(*rect), iv, shapes, expected_offset
 
 
 def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
@@ -263,9 +260,8 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     parsed = []
     offset = 0
     for entry in entries:
-        rect, iv, block_dims, shapes, offset = _check_block_entry(
-            entry, cls, nl, splits, offset)
-        parsed.append((rect, iv, block_dims, shapes, entry))
+        rect, iv, shapes, offset = _check_block_entry(entry, cls, offset)
+        parsed.append((rect, iv, shapes, entry))
 
     lo = header.get("leftover")
     if not isinstance(lo, dict) or type(lo.get("offset")) is not int or lo["offset"] != offset:
@@ -287,13 +283,13 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     factors = flat[:offset].astype(np.float64)
     records = []
     pos = 0
-    for rect, iv, block_dims, shapes, entry in parsed:
+    for rect, iv, shapes, entry in parsed:
         arrays = []
         for shape in shapes:
             size = math.prod(shape)
             arrays.append(factors[pos:pos + size].reshape(shape, order="F"))
             pos += size
-        records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, block_dims, entry)))
+        records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, entry)))
     leftover = flat[offset:].reshape((n_cells, nl, nt), order="F").copy()
 
     try:

@@ -48,9 +48,9 @@ class CompressedArchive:
     does not hold: ``domain_mask`` is an (nx, ny) grid (kept as bool); the
     time splits tile ``[0, nt)``; every rectangle lies in the grid on
     defined cells, overlaps no other rectangle and has exactly one record
-    per interval; the leftover store holds one (L, K) row per defined cell
-    no rectangle covers (``leftover_cells``).  Values are not checked
-    here."""
+    per interval, whose ``fac.dims`` are the rectangle x L x the interval's
+    length; the leftover store holds one (L, K) row per defined cell no
+    rectangle covers (``leftover_cells``).  Values are not checked here."""
 
     method: str
     eps_max: float
@@ -81,6 +81,12 @@ class CompressedArchive:
             if sorted(ivs) != list(range(len(splits))):
                 raise ValueError(f"block {r} has records for intervals {sorted(ivs)}, "
                                  f"expected one for each of {len(splits)}")
+        for rec in self.blocks:
+            r, (t0, t1) = rec.rect, splits[rec.interval]
+            shape = (r.x_end - r.x_start, r.y_end - r.y_start, nl, t1 - t0)
+            if rec.fac.dims != shape:
+                raise ValueError(f"block {r} interval {rec.interval} has a record of shape "
+                                 f"{rec.fac.dims}, expected {shape}")
         n_cells = leftover_cells(mask, intervals).shape[0]
         # the rectangles lie on defined cells, so their areas add up to the
         # covered cells exactly when no two of them overlap
@@ -229,7 +235,7 @@ def compress_dataset(
         tuple(records), leftover,
     )
 
-    total = int(np.prod(data.dims, dtype=np.int64))
+    total = math.prod(data.dims)
     before = sum(s.elements_before for s in stats)
     after = sum(s.elements_after for s in stats)
     if records:
@@ -249,22 +255,22 @@ def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
 
     Each cell is written once, in the field's memory order.  The field is
     allocated unfilled and NaN is written under land only: the archive's
-    layout was checked when it was built (see ``CompressedArchive``), so
-    every defined cell is covered by a rectangle x interval record or by
-    the leftover store.  A rectangle's records are written a run of
-    consecutive same-length intervals (``interval_runs``) at a time: each
-    block is placed in one run buffer, at most the rectangle's full-time
-    slab, and the run goes into the field with one copy (a run of one
-    interval is written straight into the field).
+    layout, record shapes included, was checked when it was built (see
+    ``CompressedArchive``), so every defined cell is covered by a record of
+    its rectangle x interval or by the leftover store.  A rectangle's
+    records are written a run of consecutive same-length intervals
+    (``interval_runs``) at a time: each block is placed in one run buffer,
+    at most the rectangle's full-time slab, and the run goes into the field
+    with one copy (a run of one interval is written straight into the
+    field).
 
     What is left to check is the values, on what this writes rather than
-    by a scan of the rebuilt field: every reconstructed block has its
-    rectangle x interval shape and is finite (checked right after it is
-    built, while it is still in cache, since finite float32 factors can
-    overflow), and the leftover store is finite.  Every defined cell is
-    then written finite and every other cell is NaN, so the result skips
-    ``GappyTensor4``'s own checks.  An archive that fails one raises
-    ``ValueError``."""
+    by a scan of the rebuilt field: every reconstructed block is finite
+    (checked right after it is built, while it is still in cache, since
+    finite float32 factors can overflow), and the leftover store is
+    finite.  Every defined cell is then written finite and every other
+    cell is NaN, so the result skips ``GappyTensor4``'s own checks.  An
+    archive that fails one raises ``ValueError``."""
     values = np.empty(archive.dims)
     values[~archive.domain_mask] = np.nan
     splits = archive.splits
@@ -284,9 +290,8 @@ def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
                    else np.empty((len(ivs),) + slab.shape[:3] + (t1 - t0,)))
             for out, iv in zip(run, ivs):
                 block = rect_facs[iv].reconstruct()
-                if block.shape != out.shape or not np.isfinite(block).all():
-                    raise ValueError(f"block {r} interval {iv} does not reconstruct "
-                                     f"to finite values of shape {out.shape}")
+                if not np.isfinite(block).all():
+                    raise ValueError(f"block {r} interval {iv} reconstructs to non-finite values")
                 out[...] = block
             if len(ivs) > 1:
                 dst[...] = run.transpose(1, 2, 3, 0, 4)

@@ -93,10 +93,12 @@ class Factorization:
     """A block factorization kind (``kind`` names its method and archive
     records): ``dims``, ``ranks``, ``arrays()`` in archive order and
     ``reconstruct()``, C-contiguous like the search's stack, so that the
-    verify subtracts like-ordered arrays; per class ``check_header``,
-    ``from_arrays``, the inverse of ``arrays()``, and ``search(stack,
-    norms, accept)``, which offers candidates for the blocks ``stack[b]``,
-    of Frobenius norms ``norms[b]``, to ``accept(b, fac)``, smallest first,
+    verify subtracts like-ordered arrays; per class ``check_header(shapes,
+    fields)``, a record's consistency in itself (its fit to its region is
+    ``CompressedArchive``'s), ``from_arrays(arrays, fields)``, the inverse
+    of ``arrays()`` and ``header_fields()``, and ``search(stack, norms,
+    accept)``, which offers candidates for the blocks ``stack[b]``, of
+    Frobenius norms ``norms[b]``, to ``accept(b, fac)``, smallest first,
     until it returns True (the block is done) or the block has none left."""
 
     kind: ClassVar[str]
@@ -145,8 +147,7 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
 
     def accept(b: int, fac: Factorization) -> bool:
         if quantize is not None:
-            fac = cls.from_arrays([quantize(a) for a in fac.arrays()],
-                                  fac.dims, fac.header_fields())
+            fac = cls.from_arrays([quantize(a) for a in fac.arrays()], fac.header_fields())
         # into the scratch block, never into reconstruct()'s output, which
         # a factorization may own; a NaN makes both extremes NaN
         diff = np.subtract(fac.reconstruct(), stack[b], out=scratch)

@@ -55,21 +55,17 @@ class TTFactorization(Factorization):
         return _carry(self.carriages).reshape(self.dims)
 
     @classmethod
-    def from_arrays(cls, arrays, dims, fields) -> TTFactorization:
+    def from_arrays(cls, arrays, fields) -> TTFactorization:
         return cls(tuple(arrays))
 
     @staticmethod
-    def check_header(shapes, dims, fields) -> None:
-        if len(shapes) != len(dims):
-            raise FormatError(f"{len(shapes)} carriages for {len(dims)} modes")
+    def check_header(shapes, fields) -> None:
         if any(len(s) != 3 for s in shapes):
             raise FormatError("carriages must be 3-D")
         if shapes[0][0] != 1 or shapes[-1][2] != 1:
             raise FormatError("boundary carriage ranks must be 1")
-        for k, (s, n) in enumerate(zip(shapes, dims)):
-            if s[1] != n:
-                raise FormatError(f"carriage {k} extent {s[1]}, expected {n}")
-            if k and shapes[k - 1][2] != s[0]:
+        for k in range(1, len(shapes)):
+            if shapes[k - 1][2] != shapes[k][0]:
                 raise FormatError(f"carriage {k} rank mismatch")
 
     @staticmethod
@@ -86,10 +82,13 @@ class QttFactorization(Factorization):
     extent into the prime factors of ``qtt_factorize_modes``."""
 
     tt: TTFactorization
-    dims: tuple[int, ...]
     mode_factors: tuple[tuple[int, ...], ...]
     kind = "qtt"
     pow2_blocks = True
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(math.prod(f) for f in self.mode_factors)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -128,22 +127,21 @@ class QttFactorization(Factorization):
         return {"mode_factors": [list(f) for f in self.mode_factors]}
 
     @classmethod
-    def from_arrays(cls, arrays, dims, fields) -> QttFactorization:
-        return cls(TTFactorization(tuple(arrays)), tuple(dims),
+    def from_arrays(cls, arrays, fields) -> QttFactorization:
+        return cls(TTFactorization(tuple(arrays)),
                    tuple(tuple(f) for f in fields["mode_factors"]))
 
     @staticmethod
-    def check_header(shapes, dims, fields) -> None:
+    def check_header(shapes, fields) -> None:
         mode_factors = fields.get("mode_factors")
-        if (not isinstance(mode_factors, list) or len(mode_factors) != len(dims)
+        if (not isinstance(mode_factors, list)
                 or any(not isinstance(f, list) or not f for f in mode_factors)):
             raise FormatError("qtt block needs mode_factors for each mode")
-        for f, n in zip(mode_factors, dims):
-            if any(type(p) is not int or p < 1 for p in f):
-                raise FormatError(f"bad mode factors {f!r}")
-            if math.prod(f) != n:
-                raise FormatError(f"mode factors {f} do not multiply to {n}")
-        TTFactorization.check_header(shapes, [p for f in mode_factors for p in f], fields)
+        TTFactorization.check_header(shapes, fields)
+        digits = [p for f in mode_factors for p in f]
+        if [s[1] for s in shapes] != digits or any(type(p) is not int for p in digits):
+            raise FormatError(f"carriage extents {[s[1] for s in shapes]} do not match "
+                              f"mode factors {mode_factors!r}")
 
     @staticmethod
     def search(stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
@@ -390,7 +388,7 @@ def _chain_stack(x: np.ndarray) -> np.ndarray:
 def _qtt_of_chain(dims: tuple[int, ...], chain: np.ndarray, **kwargs) -> list[QttFactorization]:
     # the stacked TT sweep of a chain-order stack of blocks of extents dims
     mode_factors = tuple(tuple(fs) for fs in qtt_factorize_modes(dims))
-    return [QttFactorization(f, dims, mode_factors) for f in _ttsvd_stack(chain, **kwargs)]
+    return [QttFactorization(f, mode_factors) for f in _ttsvd_stack(chain, **kwargs)]
 
 
 def qtt_compress(

@@ -62,28 +62,27 @@ class TuckerFactorization(Factorization):
         return x.reshape(self.dims)
 
     @classmethod
-    def from_arrays(cls, arrays, dims, fields) -> TuckerFactorization:
+    def from_arrays(cls, arrays, fields) -> TuckerFactorization:
         return cls(arrays[0], tuple(arrays[1:]))
 
     @staticmethod
-    def check_header(shapes, dims, fields) -> None:
-        d = len(dims)
-        if len(shapes) != d + 1 or len(shapes[0]) != d:
-            raise FormatError(f"tucker block needs a {d}-D core and {d} factors")
-        for k, (fshape, n, r) in enumerate(zip(shapes[1:], dims, shapes[0])):
-            if fshape != (n, r):
-                raise FormatError(f"factor {k} shape {fshape} does not match "
-                                  f"extent {n} and rank {r}")
+    def check_header(shapes, fields) -> None:
+        core, *factors = shapes
+        if len(factors) != len(core) or any(len(f) != 2 for f in factors):
+            raise FormatError("tucker block needs one 2-D factor per mode of its core")
+        for k, (f, r) in enumerate(zip(factors, core)):
+            if f[1] != r:
+                raise FormatError(f"factor {k} has {f[1]} columns for core rank {r}")
 
     @staticmethod
     def search(stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
-        """Offer each block slices of its ST-HOSVD core, in rounds: first
-        at the ranks each mode's spectrum keeps at ``TOL0``, then with every
-        mode rank grown by ``max(1, ceil(0.1 r))``, up to full ranks.  One
-        stacked pass serves the first candidates of every block; a round
-        offers the next candidate of every block still searched, and the
-        blocks whose ranks then pass their headroom rerun the pass from
-        those ranks, together."""
+        """Offer each block views of its ST-HOSVD core and factors, in
+        rounds: first at the ranks each mode's spectrum keeps at ``TOL0``,
+        then with every mode rank grown by ``max(1, ceil(0.1 r))``, up to
+        full ranks.  One stacked pass serves the first candidates of every
+        block; a round offers the next candidate of every block still
+        searched, and the blocks whose ranks then pass their headroom rerun
+        the pass from those ranks, together."""
         dims = list(stack.shape[1:])
         passes = _truncated_pass(stack)
         searched = range(len(stack))
@@ -91,9 +90,8 @@ class TuckerFactorization(Factorization):
             grown = []
             for b in searched:
                 core, factors, ranks, heads = passes[b]
-                fac = TuckerFactorization(
-                    np.ascontiguousarray(core[tuple(slice(r) for r in ranks)]),
-                    tuple(np.ascontiguousarray(u[:, :r]) for u, r in zip(factors, ranks)))
+                fac = TuckerFactorization(core[tuple(slice(r) for r in ranks)],
+                                          tuple(u[:, :r] for u, r in zip(factors, ranks)))
                 if not accept(b, fac) and ranks != dims:
                     passes[b] = core, factors, [_grow(r, n) for r, n in zip(ranks, dims)], heads
                     grown.append(b)
@@ -203,4 +201,4 @@ def tucker_storage_count(ranks: Sequence[int], dims: Sequence[int]) -> int:
     """Stored elements: core volume plus one n_k-by-r_k factor per mode."""
     dims = [_integer("dims entry", n) for n in dims]
     ranks = _check_ranks(dims, ranks)
-    return int(np.prod(ranks, dtype=np.int64)) + sum(n * r for n, r in zip(dims, ranks))
+    return math.prod(ranks) + sum(n * r for n, r in zip(dims, ranks))

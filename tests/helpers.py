@@ -6,7 +6,8 @@ import numpy as np
 from tenblock.partition import greedy_partition
 from tenblock.synth import SynthSpec, _smooth_unit, coastline_mask, synth
 from tenblock.tensor_core import GappyTensor4
-from tenblock.tt import TTFactorization, qtt_factorize_modes
+from tenblock.tt import QttFactorization, TTFactorization, qtt_factorize_modes
+from tenblock.tucker import TuckerFactorization
 
 
 def mode_product(x, a, mode):
@@ -115,3 +116,41 @@ def synth_reference(spec):
     values = values.astype(np.float32).astype(np.float64)
     values[~mask] = np.nan
     return GappyTensor4(values, mask)
+
+
+# Records that are each consistent in themselves (they pass their kind's
+# check_header) but have other dims than the record they are made from, so
+# only the archive's record-shape rule rejects them in that record's place;
+# by name, with the method whose record each takes
+
+
+def _tucker_factor_extent(fac):
+    u = fac.factors[0]
+    return TuckerFactorization(fac.core, (np.vstack([u, np.zeros((1, u.shape[1]))]),
+                                          *fac.factors[1:]))
+
+
+def _tucker_3d(fac):
+    return TuckerFactorization(fac.core[..., 0], fac.factors[:3])
+
+
+def _tt_three_carriages(fac):
+    # the last two carriages joined into one of their extents' product
+    *head, g, last = fac.carriages
+    joined = g.reshape(-1, g.shape[2]) @ last.reshape(last.shape[0], -1)
+    return TTFactorization((*head, joined.reshape(g.shape[0], -1, 1)))
+
+
+def _qtt_regrouped_digits(fac):
+    # mode 0's last digit moved to the front of mode 1: the chain of digits,
+    # and so every carriage, stays as it is
+    first, second, *rest = fac.mode_factors
+    return QttFactorization(fac.tt, (first[:-1], first[-1:] + second, *rest))
+
+
+MISFIT_RECORDS = {
+    "tucker_factor_extent": ("tucker", _tucker_factor_extent),
+    "tucker_3d": ("tucker", _tucker_3d),
+    "tt_three_carriages": ("tt", _tt_three_carriages),
+    "qtt_regrouped_digits": ("qtt", _qtt_regrouped_digits),
+}

@@ -77,6 +77,18 @@ def test_compress_decompress_stats_flow(tmp_path, capsys):
     assert "defined cells" in text
 
 
+def test_stats_of_an_all_land_field(tmp_path, capsys):
+    # no defined cell, so no value range to print
+    path = tmp_path / "land.gst"
+    write_gst(GappyTensor4(np.full((4, 3, 2, 2), np.nan), np.zeros((4, 3), dtype=bool)),
+              str(path))
+    assert run("stats", "--in", str(path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "GST dims 4x3x2x2"
+    assert lines[1].split()[2] == "0"
+    assert lines[2].split()[2] == "absent"
+
+
 def test_compress_qtt_small_mask_leftover_heavy(tmp_path):
     field = make_field(tmp_path, seed=9)
     arch = tmp_path / "q.gsa"

@@ -1,13 +1,16 @@
 import functools
 import json
+import math
 import operator
 import os
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from helpers import MISFIT_RECORDS
 from tenblock.formats import (
     FormatError,
     _RAVEL_CELLS,
@@ -116,6 +119,28 @@ def test_gst_rejects_dims_payload_mismatch(tmp_path):
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError):
         read_gst(str(path))
+
+
+def test_huge_dims_are_rejected_without_allocating(tmp_path):
+    # 65536**4 and 2**32 * 2**32 are 0 in int64 arithmetic, which matched
+    # an empty payload or mask; the exact sizes match neither
+    gst = tmp_path / "field.gst"
+    gst.write_bytes(join_blob(b"GSTT", 1, {"dims": [65536] * 4, "dtype": "float32",
+                                           "missing": "nan", "order": "i1-fastest"}, b""))
+    gsa, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
+    header["dims"] = [2**32, 2**32, 1, 1]
+    header["mask_rle"] = []
+    gsa.write_bytes(join_blob(magic, version, header, payload))
+    for read, path, message in ((read_gst, gst, "header implies 73786976294838206464"),
+                                (read_gsa, gsa, "do not cover the grid")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=message):
+                read(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_gst_rejects_partial_nan_column(tmp_path):
@@ -357,63 +382,79 @@ def test_gsa_rejects_bad_eps_max(tmp_path, eps_max):
         read_gsa(str(path))
 
 
-def set_shapes(block, shapes):
-    """Give a block record new array shapes, with offsets that stay
-    consistent within the record."""
-    offset = block["arrays"][0]["offset"]
-    block["arrays"] = []
+def set_shapes(header, payload, shapes):
+    """Give the first block record new array shapes, and its part of the
+    payload their sizes (cut, or padded with zeros), with every later offset
+    and count moved to match; returns the new payload."""
+    blocks = header["blocks"]
+    start = blocks[0]["arrays"][0]["offset"]
+    old = sum(math.prod(a["shape"]) for a in blocks[0]["arrays"])
+    blocks[0]["arrays"] = []
+    offset = start
     for shape in shapes:
-        block["arrays"].append({"shape": list(shape), "offset": offset})
-        offset += int(np.prod(shape))
+        blocks[0]["arrays"].append({"shape": list(shape), "offset": offset})
+        offset += math.prod(shape)
+    grown = offset - start - old
+    for block in blocks[1:]:
+        for a in block["arrays"]:
+            a["offset"] += grown
+    header["leftover"]["offset"] += grown
+    header["counts"]["block_elements"] += grown
+    header["counts"]["payload_elements"] += grown
+    record = payload[4 * start:4 * (start + old)] + bytes(4 * max(grown, 0))
+    return payload[:4 * start] + record[:4 * (offset - start)] + payload[4 * (start + old):]
 
 
-def shapes_of(block):
-    return [list(a["shape"]) for a in block["arrays"]]
+def shapes_of(header):
+    return [list(a["shape"]) for a in header["blocks"][0]["arrays"]]
 
 
-def unknown_kind(block):
-    block["kind"] = "zip"
+def unknown_kind(header, payload):
+    header["blocks"][0]["kind"] = "zip"
+    return payload
 
 
-def tucker_factor_extent(block):
-    shapes = shapes_of(block)
+def tucker_factor_extent(header, payload):
+    # every array still reads and the record is consistent in itself, but
+    # its factor 0 is one row longer than its rectangle
+    shapes = shapes_of(header)
     shapes[1][0] += 1
-    set_shapes(block, shapes)
+    return set_shapes(header, payload, shapes)
 
 
-def tt_boundary_rank(block):
-    shapes = shapes_of(block)
+def tt_boundary_rank(header, payload):
+    shapes = shapes_of(header)
     shapes[0][0] = 2
-    set_shapes(block, shapes)
+    return set_shapes(header, payload, shapes)
 
 
-def tt_rank_mismatch(block):
-    shapes = shapes_of(block)
+def tt_rank_mismatch(header, payload):
+    shapes = shapes_of(header)
     shapes[1][0] += 1
-    set_shapes(block, shapes)
+    return set_shapes(header, payload, shapes)
 
 
-def qtt_mode_factor_product(block):
-    block["mode_factors"][0].append(2)
+def qtt_mode_factor_product(header, payload):
+    header["blocks"][0]["mode_factors"][0].append(2)
+    return payload
 
 
-def non_object_entry(block):
-    return 1  # replaces the whole entry
+def non_object_entry(header, payload):
+    header["blocks"][0] = 1
+    return payload
 
 
 @pytest.mark.parametrize("method,tamper,message", [
     ("tucker", unknown_kind, "block kind 'zip'"),
-    ("tucker", tucker_factor_extent, "factor 0 shape"),
+    ("tucker", tucker_factor_extent, "record of shape"),
     ("tt", tt_boundary_rank, "boundary carriage ranks must be 1"),
     ("tt", tt_rank_mismatch, "carriage 1 rank mismatch"),
-    ("qtt", qtt_mode_factor_product, "do not multiply"),
+    ("qtt", qtt_mode_factor_product, "carriage extents"),
     ("tt", non_object_entry, "block entry 1 is not an object"),
 ])
 def test_gsa_rejects_bad_block_record(tmp_path, method, tamper, message):
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path, method)
-    replacement = tamper(header["blocks"][0])
-    if replacement is not None:
-        header["blocks"][0] = replacement
+    payload = tamper(header, payload)
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError, match=message):
         read_gsa(str(path))
@@ -496,6 +537,21 @@ def test_gsa_rejects_overlapping_rectangles(tmp_path):
     path = tmp_path / "arch.gsa"
     write_gsa(SimpleNamespace(**fields), str(path))
     with pytest.raises(FormatError, match="overlap"):
+        read_gsa(str(path))
+
+
+@pytest.mark.parametrize("name", MISFIT_RECORDS)
+def test_gsa_rejects_a_record_of_another_shape(tmp_path, name):
+    # every array of the file reads and the record is consistent in
+    # itself, so only the archive's record-shape rule rejects it; the
+    # archive is written from a copy of the fields, as above
+    method, misfit = MISFIT_RECORDS[name]
+    archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4)
+    rec = archive.blocks[0]
+    blocks = (BlockRecord(rec.rect, rec.interval, misfit(rec.fac)),) + archive.blocks[1:]
+    path = tmp_path / "arch.gsa"
+    write_gsa(SimpleNamespace(**{**vars(archive), "blocks": blocks}), str(path))
+    with pytest.raises(FormatError, match="has a record of shape"):
         read_gsa(str(path))
 
 

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import interval_stack
+from helpers import MISFIT_RECORDS, interval_stack
 from tenblock import pipeline
 from tenblock.cli import main
 from tenblock.formats import read_gst
@@ -381,7 +382,7 @@ def _inf_factor_entry(archive):
     rec = archive.blocks[0]
     arrays = [np.array(a) for a in rec.fac.arrays()]
     arrays[0].flat[0] = np.inf
-    fac = type(rec.fac).from_arrays(arrays, rec.fac.dims, rec.fac.header_fields())
+    fac = type(rec.fac).from_arrays(arrays, rec.fac.header_fields())
     return {"blocks": (BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:]}
 
 
@@ -438,13 +439,29 @@ def test_decompress_rejects_inconsistent_archive(method, tamper):
 
 
 def test_archive_rejects_overlapping_rectangles():
-    # a one-cell rectangle inside the first, with a record of its own: it
-    # lies on defined cells, and the leftover cells stay the same
-    archive, _ = compress_dataset(small_field(), "tucker", 0.5, s_min=4)
+    # a one-cell rectangle inside the first, with a record of its own that
+    # fits it: it lies on defined cells, and the leftover cells stay the same
+    g = small_field()
+    archive, _ = compress_dataset(g, "tucker", 0.5, s_min=4)
     r = archive.blocks[0].rect
     inner = BlockIndex(r.x_start, r.x_start + 1, r.y_start, r.y_start + 1)
-    blocks = archive.blocks + (BlockRecord(inner, 0, archive.blocks[0].fac),)
+    cell = g.values[inner.x_start:inner.x_end, inner.y_start:inner.y_end]
+    fac = budgeted_search(KINDS["tucker"], [cell], 0.5)[0][0]
+    blocks = archive.blocks + (BlockRecord(inner, 0, fac),)
     with pytest.raises(ValueError, match="overlap"):
+        dataclasses.replace(archive, blocks=blocks)
+
+
+@pytest.mark.parametrize("name", MISFIT_RECORDS)
+def test_archive_rejects_a_record_of_another_shape(name):
+    method, misfit = MISFIT_RECORDS[name]
+    archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4, n_splits=2)
+    rec = archive.blocks[0]
+    fac = misfit(rec.fac)
+    type(fac).check_header([a.shape for a in fac.arrays()], fac.header_fields())
+    blocks = (BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:]
+    message = re.escape(f"interval 0 has a record of shape {fac.dims}")
+    with pytest.raises(ValueError, match=message):
         dataclasses.replace(archive, blocks=blocks)
 
 
@@ -454,7 +471,7 @@ def test_decompress_rejects_overflowing_factors():
     rec = archive.blocks[0]
     arrays = [a * (1e37 / np.abs(a).max()) for a in rec.fac.arrays()]
     assert len(arrays) >= 9 and all(np.isfinite(a.astype(np.float32)).all() for a in arrays)
-    fac = type(rec.fac).from_arrays(arrays, rec.fac.dims, rec.fac.header_fields())
+    fac = type(rec.fac).from_arrays(arrays, rec.fac.header_fields())
     blocks = (BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:]
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         decompress_dataset(dataclasses.replace(archive, blocks=blocks))

@@ -219,7 +219,7 @@ class _Values(Factorization):
         return self.values
 
     @classmethod
-    def from_arrays(cls, arrays, dims, fields):
+    def from_arrays(cls, arrays, fields):
         return cls(arrays[0])
 
     @staticmethod

@@ -268,7 +268,7 @@ def test_qtt_reconstruct_matches_reference_loop(dims):
     fine = [p for f in factors for p in f]
     carriages = _random_carriages(fine, [min(3, 1 + k) for k in range(len(fine) - 1)])
     ref = np.reshape(_reference_tt_reconstruct(carriages), dims, order="F")
-    f = QttFactorization(TTFactorization(carriages), dims, tuple(tuple(p) for p in factors))
+    f = QttFactorization(TTFactorization(carriages), tuple(tuple(p) for p in factors))
     y = f.reconstruct()
     assert y.shape == dims
     assert y.flags.c_contiguous
@@ -451,7 +451,7 @@ def test_tt_and_qtt_reconstruct_c_ordered():
     q = qtt_compress(synth_block()[:, :, :, :8], tol=1e-2)
     assert q.reconstruct().flags.c_contiguous
     archived = QttFactorization(TTFactorization(tuple(np.asfortranarray(c) for c in q.arrays())),
-                                q.dims, q.mode_factors)
+                                q.mode_factors)
     assert archived.reconstruct().flags.c_contiguous
     np.testing.assert_array_equal(archived.reconstruct(), q.reconstruct())
 

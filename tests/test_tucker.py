@@ -151,6 +151,8 @@ def test_tucker_storage_count_examples():
     assert tucker_storage_count([15, 25, 10, 15], [62, 199, 20, 256]) == 66195
     assert tucker_storage_count([1, 1], [5, 5]) == 11
     assert tucker_storage_count([3, 4, 2], [10, 10, 10]) == 24 + 30 + 40 + 20
+    # exact past int64: a core of 2**64 elements
+    assert tucker_storage_count([2**16] * 4, [2**16] * 4) == 2**64 + 2**34
 
 
 def test_tucker_storage_count_validation():
