@@ -53,9 +53,9 @@ def _ratio(text: str) -> float:
 
 
 def _write_json(path: str, obj) -> None:
+    text = json.dumps(obj, indent=1, allow_nan=False)  # strict JSON, before the file is made
     with open(path, "w") as f:
-        json.dump(obj, f, indent=1)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _cmd_synth(args) -> int:
@@ -126,7 +126,7 @@ def _cmd_stats(args) -> int:
     print(f"{'stored elements':<22}{archive.stored_elements}")
     for key in ("block_elements_before", "block_elements_after", "leftover_count",
                 "cr_sub", "cr_all", "max_cheb_error"):
-        if key in metrics:
+        if metrics.get(key) is not None:  # an archive of no rectangles has a null cr_sub
             print(f"{key:<22}{_g(metrics[key])}")
     return 0
 

@@ -3,12 +3,13 @@ archive.  Both start with a 4-byte magic, a little-endian uint32 version
 and uint64 header length, then a JSON header and a payload of
 little-endian 32-bit floats raveled first-index-fastest.
 
-Every header claim that slicing the payload rests on is validated before
-the payload is touched; a header integer must be a JSON integer
-(``type(v) is int``), since ``true`` and ``2.0`` compare equal to ints but
-are not.  The archive's layout is checked by ``CompressedArchive`` itself,
-whose ``ValueError`` the reader raises as ``FormatError``.  Writes go to a
-temporary file renamed into place.
+The readers only decode: every header claim that slicing the payload rests
+on is validated before the payload is touched, and a header value must have
+its JSON type (an integer is ``type(v) is int``: ``true`` and ``2.0`` compare
+equal to ints but are not).  The types built check the rest (each
+factorization its arrays, ``CompressedArchive`` the archive), and the reader
+raises their ``ValueError`` as ``FormatError``.  Writes go to a temporary
+file renamed into place.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import json
 import math
 import os
 import struct
-import sys
 import tempfile
 
 import numpy as np
 
 from .partition import BlockIndex
-from .pipeline import KINDS, BlockRecord, CompressedArchive
-from .tensor_core import FormatError, GappyTensor4
+from .pipeline import KINDS, METHODS, BlockRecord, CompressedArchive
+from .tensor_core import GappyTensor4
 
 GST_MAGIC = b"GSTT"
 GSA_MAGIC = b"GSAR"
@@ -32,11 +32,16 @@ FORMAT_VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")
 
 
+class FormatError(ValueError):
+    """A malformed GST or GSA file: the readers decode, the types they build
+    check the values, and any ``ValueError`` of theirs is raised as this."""
+
+
 def _atomic_write(path: str, magic: bytes, header: dict, payload: np.ndarray) -> None:
     """Write the file of ``magic``, ``header`` and the 1-D contiguous
     ``payload`` array, whose buffer is written as it is, without a bytes
     copy."""
-    hb = json.dumps(header).encode()
+    hb = json.dumps(header, allow_nan=False).encode()
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tenblock-")
     try:
@@ -164,19 +169,26 @@ def _ravel_cells_f(values: np.ndarray) -> np.ndarray:
 
 
 def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None) -> None:
+    """Write ``archive`` with ``metrics`` in its header.  A payload value
+    that is not finite in float32 raises ``ValueError`` before any file is
+    made: ``decompress_dataset`` of the archive read back would reject it."""
     chunks = []
     blocks = []
     offset = 0
-    for rec in archive.blocks:
-        arrays = []
-        for a in rec.fac.arrays():
-            arrays.append({"shape": list(a.shape), "offset": offset})
-            chunks.append(np.asarray(a, dtype="<f4").ravel(order="F"))
-            offset += a.size
-        blocks.append({"rect": list(rec.rect), "interval": rec.interval,
-                       "kind": rec.fac.kind, "arrays": arrays, **rec.fac.header_fields()})
-    leftover = archive.leftover_values
-    chunks.append(_ravel_cells_f(leftover))
+    with np.errstate(over="ignore"):
+        for rec in archive.blocks:
+            arrays = []
+            for a in rec.fac.arrays():
+                arrays.append({"shape": list(a.shape), "offset": offset})
+                chunks.append(np.asarray(a, dtype="<f4").ravel(order="F"))
+                offset += a.size
+            blocks.append({"rect": list(rec.rect), "interval": rec.interval,
+                           "kind": rec.fac.kind, "arrays": arrays, **rec.fac.header_fields()})
+        leftover = archive.leftover_values
+        chunks.append(_ravel_cells_f(leftover))
+    payload = np.concatenate(chunks)
+    if not np.isfinite(payload).all():
+        raise ValueError("a payload value is not finite in float32")
     header = {
         "method": archive.method,
         "eps_max": archive.eps_max,
@@ -192,14 +204,14 @@ def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None
         },
         "metrics": metrics or {},
     }
-    _atomic_write(path, GSA_MAGIC, header, np.concatenate(chunks))
+    _atomic_write(path, GSA_MAGIC, header, payload)
 
 
-def _check_block_entry(entry, cls, expected_offset: int):
-    """Validate one manifest block of kind ``cls``, as far as reading its
-    arrays needs, and return (rect, interval, array shapes, next offset).
-    Where the record lies, and that its shape fits there, is
-    ``CompressedArchive``'s to check."""
+def _check_block_entry(entry, expected_offset: int):
+    """Validate one manifest block as far as reading its arrays needs, and
+    return (rect, interval, factorization class, array shapes, next
+    offset).  That the record's arrays are consistent is its class's to
+    check, and where it lies ``CompressedArchive``'s."""
     if not isinstance(entry, dict):
         raise FormatError(f"block entry {entry!r} is not an object")
     rect = entry.get("rect")
@@ -209,9 +221,9 @@ def _check_block_entry(entry, cls, expected_offset: int):
     iv = entry.get("interval")
     if type(iv) is not int:
         raise FormatError(f"bad interval id {iv!r}")
-
-    if entry.get("kind") != cls.kind:
-        raise FormatError(f"block kind {entry.get('kind')!r} in a {cls.kind} archive")
+    kind = entry.get("kind")
+    if kind not in METHODS:  # a tuple, so an unhashable kind is simply not in it
+        raise FormatError(f"unknown block kind {kind!r}")
     arrays = entry.get("arrays")
     if not isinstance(arrays, list) or not arrays:
         raise FormatError("block without arrays")
@@ -225,23 +237,15 @@ def _check_block_entry(entry, cls, expected_offset: int):
             raise FormatError(f"array offset {a.get('offset')!r}, expected {expected_offset}")
         shapes.append(tuple(shape))
         expected_offset += math.prod(shape)
-
-    cls.check_header(shapes, entry)
-    return BlockIndex(*rect), iv, shapes, expected_offset
+    return BlockIndex(*rect), iv, KINDS[kind], shapes, expected_offset
 
 
 def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     """Load an archive; returns it with the manifest's metrics dict."""
     header, payload = _split_file(_read_file(path), GSA_MAGIC, "GSA")
 
-    method = header.get("method")
-    cls = KINDS.get(method) if isinstance(method, str) else None
-    if cls is None:
-        raise FormatError(f"unknown method {method!r}")
     eps_max = header.get("eps_max")
-    # finite and positive; the upper bound also rejects an integer that no
-    # float can hold
-    if type(eps_max) not in (int, float) or not 0 < eps_max <= sys.float_info.max:
+    if type(eps_max) not in (int, float):
         raise FormatError(f"bad eps_max {eps_max!r}")
     dims = _check_dims(header.get("dims"))
     nx, ny, nl, nt = dims
@@ -260,8 +264,8 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     parsed = []
     offset = 0
     for entry in entries:
-        rect, iv, shapes, offset = _check_block_entry(entry, cls, offset)
-        parsed.append((rect, iv, shapes, entry))
+        rect, iv, cls, shapes, offset = _check_block_entry(entry, offset)
+        parsed.append((rect, iv, cls, shapes, entry))
 
     lo = header.get("leftover")
     if not isinstance(lo, dict) or type(lo.get("offset")) is not int or lo["offset"] != offset:
@@ -281,19 +285,18 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     flat = np.frombuffer(payload, dtype="<f4")
     # one float64 copy of the factor section; every array is a view of it
     factors = flat[:offset].astype(np.float64)
+    leftover = flat[offset:].reshape((n_cells, nl, nt), order="F").copy()
     records = []
     pos = 0
-    for rect, iv, shapes, entry in parsed:
-        arrays = []
-        for shape in shapes:
-            size = math.prod(shape)
-            arrays.append(factors[pos:pos + size].reshape(shape, order="F"))
-            pos += size
-        records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, entry)))
-    leftover = flat[offset:].reshape((n_cells, nl, nt), order="F").copy()
-
     try:
-        archive = CompressedArchive(method, float(eps_max), dims, mask, splits,
+        for rect, iv, cls, shapes, entry in parsed:
+            arrays = []
+            for shape in shapes:
+                size = math.prod(shape)
+                arrays.append(factors[pos:pos + size].reshape(shape, order="F"))
+                pos += size
+            records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, entry)))
+        archive = CompressedArchive(header.get("method"), eps_max, dims, mask, splits,
                                     tuple(records), leftover)
     except ValueError as e:
         raise FormatError(str(e)) from None

@@ -44,13 +44,15 @@ class BlockRecord:
 class CompressedArchive:
     """Block records of a partitioned field plus its leftover store.
 
-    The constructor checks the layout, and raises ``ValueError`` when it
-    does not hold: ``domain_mask`` is an (nx, ny) grid (kept as bool); the
-    time splits tile ``[0, nt)``; every rectangle lies in the grid on
-    defined cells, overlaps no other rectangle and has exactly one record
-    per interval, whose ``fac.dims`` are the rectangle x L x the interval's
-    length; the leftover store holds one (L, K) row per defined cell no
-    rectangle covers (``leftover_cells``).  Values are not checked here."""
+    The constructor checks all but the values (each ``fac`` checked its own
+    arrays), and raises ``ValueError`` when it does not hold: ``method`` is
+    a key of ``KINDS`` and every ``fac.kind``; ``0 < eps_max <=`` float64's
+    largest (kept as float); ``domain_mask`` is an (nx, ny) grid (kept as
+    bool); the time splits tile ``[0, nt)``; every rectangle lies in the
+    grid on defined cells, overlaps no other rectangle and has exactly one
+    record per interval, whose ``fac.dims`` are the rectangle x L x the
+    interval's length; the leftover store holds one (L, K) row per defined
+    cell no rectangle covers (``leftover_cells``)."""
 
     method: str
     eps_max: float
@@ -61,6 +63,11 @@ class CompressedArchive:
     leftover_values: np.ndarray  # (n_cells, L, K) float32, cells row-major
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        # float(): 10**400 against the NumPy scalar raises OverflowError
+        if not 0 < self.eps_max <= float(np.finfo(np.float64).max):
+            raise ValueError(f"bad eps_max {self.eps_max!r}")
         nx, ny, nl, nt = self.dims
         mask = np.asarray(self.domain_mask, dtype=bool)
         if mask.shape != (nx, ny):
@@ -72,6 +79,8 @@ class CompressedArchive:
             raise ValueError(f"time splits {splits} do not tile [0, {nt})")
         intervals = {}
         for rec in self.blocks:
+            if rec.fac.kind != self.method:
+                raise ValueError(f"block kind {rec.fac.kind!r} in a {self.method} archive")
             intervals.setdefault(rec.rect, []).append(rec.interval)
         for r, ivs in intervals.items():
             if not (0 <= r.x_start < r.x_end <= nx and 0 <= r.y_start < r.y_end <= ny):
@@ -96,6 +105,7 @@ class CompressedArchive:
             raise ValueError(f"leftover store of shape {self.leftover_values.shape}, "
                              f"mask and block list imply {(n_cells, nl, nt)}")
         object.__setattr__(self, "domain_mask", mask)
+        object.__setattr__(self, "eps_max", float(self.eps_max))
 
     @property
     def stored_elements(self) -> int:
@@ -204,7 +214,6 @@ def compress_dataset(
 
     records = []
     stats = []
-    max_cheb = 0.0
     for rect in part.blocks:
         block_vals = data.values[rect.x_start:rect.x_end, rect.y_start:rect.y_end]
         subs = [block_vals[:, :, :, t0:t1] for t0, t1 in splits]
@@ -214,18 +223,20 @@ def compress_dataset(
                                                   _quantize_f32)))
         for iv, sub in enumerate(subs):
             fac, cheb, rel_frob = found[iv]
-            max_cheb = max(max_cheb, cheb)
             stats.append(BlockStats(rect, iv, sub.size, fac.n_elements, rel_frob, cheb))
             records.append(BlockRecord(rect, iv, fac))
 
+    errors = [s.cheb_error for s in stats]
     cells = leftover_cells(mask, part.blocks)
     raw = data.values[cells[:, 0], cells[:, 1]]
     leftover = np.ascontiguousarray(raw, dtype=np.float32)
     if raw.size:
         # the float32 rounding error, in place on the gathered copy
         np.abs(np.subtract(raw, leftover, out=raw), out=raw)
-        max_cheb = max(max_cheb, float(np.max(raw)))
-    if max_cheb > eps_max:
+        errors.append(float(np.max(raw)))
+    # NumPy's max, which a NaN error (a non-finite reconstruction) wins
+    max_cheb = float(np.max(errors, initial=0.0))
+    if not max_cheb <= eps_max:
         raise ValueError(
             f"32-bit payloads cannot meet eps_max={eps_max:g}; "
             f"best achievable here is {max_cheb:g}")
@@ -369,7 +380,7 @@ def report_to_dict(report: CompressionReport) -> dict:
         "block_elements_after": report.elements_after_blocks,
         "leftover_count": report.leftover_count,
         "cr_all": report.cr_all,
-        "cr_sub": report.cr_sub,
+        "cr_sub": None if math.isnan(report.cr_sub) else report.cr_sub,  # NaN is not JSON
         "max_cheb_error": report.max_cheb_error,
         "blocks": [
             {

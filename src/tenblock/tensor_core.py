@@ -81,10 +81,6 @@ class GappyTensor4:
         return int(self.domain_mask.sum()) * self.values.shape[2] * self.values.shape[3]
 
 
-class FormatError(ValueError):
-    """Malformed file input (also raised by a factorization's record checks)."""
-
-
 QuantizeFn = Callable[[np.ndarray], np.ndarray]
 AcceptFn = Callable[[int, "Factorization"], bool]  # accept(b, fac): block b done?
 
@@ -93,13 +89,14 @@ class Factorization:
     """A block factorization kind (``kind`` names its method and archive
     records): ``dims``, ``ranks``, ``arrays()`` in archive order and
     ``reconstruct()``, C-contiguous like the search's stack, so that the
-    verify subtracts like-ordered arrays; per class ``check_header(shapes,
-    fields)``, a record's consistency in itself (its fit to its region is
-    ``CompressedArchive``'s), ``from_arrays(arrays, fields)``, the inverse
-    of ``arrays()`` and ``header_fields()``, and ``search(stack, norms,
+    verify subtracts like-ordered arrays; per class ``from_arrays(arrays,
+    fields)``, the inverse of ``arrays()`` and ``header_fields()`` (it
+    checks the JSON types of ``fields``), and ``search(stack, norms,
     accept)``, which offers candidates for the blocks ``stack[b]``, of
     Frobenius norms ``norms[b]``, to ``accept(b, fac)``, smallest first,
-    until it returns True (the block is done) or the block has none left."""
+    until it returns True (the block is done) or the block has none left.
+    The constructor raises ``ValueError`` on arrays inconsistent in
+    themselves (their fit to a region is ``CompressedArchive``'s)."""
 
     kind: ClassVar[str]
     pow2_blocks: ClassVar[bool] = False  # wants power-of-two block sides

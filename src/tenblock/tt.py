@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import (AcceptFn, Factorization, FormatError, _gram_left_svd, _integer,
+from .tensor_core import (AcceptFn, Factorization, _gram_left_svd, _integer,
                           _takes_gram, _thin_left_svd, frobenius_norm)
 
 TOL0 = 1e-2  # first sweep tolerance of the TT and QTT budgeted search
@@ -30,6 +30,16 @@ class TTFactorization(Factorization):
 
     carriages: tuple[np.ndarray, ...]
     kind = "tt"
+
+    def __post_init__(self):
+        shapes = [g.shape for g in self.carriages]
+        if not shapes or any(len(s) != 3 for s in shapes):
+            raise ValueError("carriages must be 3-D")
+        if shapes[0][0] != 1 or shapes[-1][2] != 1:
+            raise ValueError("boundary carriage ranks must be 1")
+        for k in range(1, len(shapes)):
+            if shapes[k - 1][2] != shapes[k][0]:
+                raise ValueError(f"carriage {k} rank mismatch")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -59,16 +69,6 @@ class TTFactorization(Factorization):
         return cls(tuple(arrays))
 
     @staticmethod
-    def check_header(shapes, fields) -> None:
-        if any(len(s) != 3 for s in shapes):
-            raise FormatError("carriages must be 3-D")
-        if shapes[0][0] != 1 or shapes[-1][2] != 1:
-            raise FormatError("boundary carriage ranks must be 1")
-        for k in range(1, len(shapes)):
-            if shapes[k - 1][2] != shapes[k][0]:
-                raise FormatError(f"carriage {k} rank mismatch")
-
-    @staticmethod
     def search(stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:
         _halving_search(_ttsvd_stack, stack, norms, accept)
 
@@ -85,6 +85,12 @@ class QttFactorization(Factorization):
     mode_factors: tuple[tuple[int, ...], ...]
     kind = "qtt"
     pow2_blocks = True
+
+    def __post_init__(self):
+        extents = [g.shape[1] for g in self.tt.carriages]
+        if extents != [p for f in self.mode_factors for p in f]:
+            raise ValueError(f"carriage extents {extents} do not match "
+                             f"mode factors {self.mode_factors!r}")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -128,20 +134,12 @@ class QttFactorization(Factorization):
 
     @classmethod
     def from_arrays(cls, arrays, fields) -> QttFactorization:
-        return cls(TTFactorization(tuple(arrays)),
-                   tuple(tuple(f) for f in fields["mode_factors"]))
-
-    @staticmethod
-    def check_header(shapes, fields) -> None:
         mode_factors = fields.get("mode_factors")
         if (not isinstance(mode_factors, list)
-                or any(not isinstance(f, list) or not f for f in mode_factors)):
-            raise FormatError("qtt block needs mode_factors for each mode")
-        TTFactorization.check_header(shapes, fields)
-        digits = [p for f in mode_factors for p in f]
-        if [s[1] for s in shapes] != digits or any(type(p) is not int for p in digits):
-            raise FormatError(f"carriage extents {[s[1] for s in shapes]} do not match "
-                              f"mode factors {mode_factors!r}")
+                or any(not isinstance(f, list) or not f or any(type(p) is not int for p in f)
+                       for f in mode_factors)):
+            raise ValueError("qtt block needs integer mode_factors for each mode")
+        return cls(TTFactorization(tuple(arrays)), tuple(tuple(f) for f in mode_factors))
 
     @staticmethod
     def search(stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_core import (AcceptFn, Factorization, FormatError, _integer, _stack_mode_left_svd,
+from .tensor_core import (AcceptFn, Factorization, _integer, _stack_mode_left_svd,
                           rank_from_spectrum)
 
 TOL0 = 1e-2  # spectrum tolerance of the first ranks the Tucker budgeted search tries
@@ -40,6 +40,13 @@ class TuckerFactorization(Factorization):
     core: np.ndarray
     factors: tuple[np.ndarray, ...]
     kind = "tucker"
+
+    def __post_init__(self):
+        if len(self.factors) != self.core.ndim or any(u.ndim != 2 for u in self.factors):
+            raise ValueError("tucker block needs one 2-D factor per mode of its core")
+        for k, (u, r) in enumerate(zip(self.factors, self.core.shape)):
+            if u.shape[1] != r:
+                raise ValueError(f"factor {k} has {u.shape[1]} columns for core rank {r}")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -64,15 +71,6 @@ class TuckerFactorization(Factorization):
     @classmethod
     def from_arrays(cls, arrays, fields) -> TuckerFactorization:
         return cls(arrays[0], tuple(arrays[1:]))
-
-    @staticmethod
-    def check_header(shapes, fields) -> None:
-        core, *factors = shapes
-        if len(factors) != len(core) or any(len(f) != 2 for f in factors):
-            raise FormatError("tucker block needs one 2-D factor per mode of its core")
-        for k, (f, r) in enumerate(zip(factors, core)):
-            if f[1] != r:
-                raise FormatError(f"factor {k} has {f[1]} columns for core rank {r}")
 
     @staticmethod
     def search(stack: np.ndarray, norms: np.ndarray, accept: AcceptFn) -> None:

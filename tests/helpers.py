@@ -118,10 +118,10 @@ def synth_reference(spec):
     return GappyTensor4(values, mask)
 
 
-# Records that are each consistent in themselves (they pass their kind's
-# check_header) but have other dims than the record they are made from, so
-# only the archive's record-shape rule rejects them in that record's place;
-# by name, with the method whose record each takes
+# Records that are each consistent in themselves (their constructor takes
+# them) but have other dims than the record they are made from, so only the
+# archive's record-shape rule rejects them in that record's place; by name,
+# with the method whose record each takes
 
 
 def _tucker_factor_extent(fac):

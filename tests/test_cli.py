@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -87,6 +88,31 @@ def test_stats_of_an_all_land_field(tmp_path, capsys):
     assert lines[0] == "GST dims 4x3x2x2"
     assert lines[1].split()[2] == "0"
     assert lines[2].split()[2] == "absent"
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_archive_of_no_rectangles_writes_strict_json(tmp_path, capsys):
+    # no 64x64 rectangle fits a 16x12 grid, so CR_sub is undefined: the GSA
+    # metrics and the report hold null for it, not the token NaN
+    field = tmp_path / "field.gst"
+    assert run("synth", "--dims", "16x12x3x8", "--out", str(field)) == 0
+    arch, report = tmp_path / "field.gsa", tmp_path / "report.json"
+    assert run("compress", "--in", str(field), "--method", "tucker", "--eps-max", "0.5",
+               "--s-min", "64", "--out", str(arch), "--report-out", str(report)) == 0
+    blob = arch.read_bytes()
+    prefix = struct.Struct("<4sIQ")
+    header = strict_json(blob[prefix.size:prefix.size + prefix.unpack_from(blob)[2]])
+    assert header["blocks"] == [] and header["metrics"]["cr_sub"] is None
+    assert strict_json(report.read_text())["cr_sub"] is None
+    capsys.readouterr()
+    assert run("stats", "--in", str(arch)) == 0
+    text = capsys.readouterr().out
+    assert "cr_all" in text and "cr_sub" not in text
 
 
 def test_compress_qtt_small_mask_leftover_heavy(tmp_path):

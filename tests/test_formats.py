@@ -1,17 +1,23 @@
+import dataclasses
 import functools
 import json
 import math
 import operator
 import os
 import struct
+import tempfile
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import MISFIT_RECORDS
 from tenblock.formats import (
+    GSA_MAGIC,
     FormatError,
     _RAVEL_CELLS,
     _decode_rle,
@@ -23,7 +29,7 @@ from tenblock.formats import (
     write_gst,
 )
 from tenblock.partition import BlockIndex
-from tenblock.pipeline import BlockRecord, compress_dataset, decompress_dataset
+from tenblock.pipeline import METHODS, BlockRecord, compress_dataset, decompress_dataset
 from tenblock.synth import SynthSpec, synth
 from tenblock.tensor_core import GappyTensor4, budgeted_search, chebyshev_norm
 from tenblock.tucker import TuckerFactorization
@@ -77,6 +83,40 @@ def test_gst_write_rejects_values_beyond_float32(tmp_path):
     values[0, 1] = 1e39
     with pytest.raises(ValueError, match="float32 range"):
         write_gst(GappyTensor4(values, mask), str(path))
+    assert os.listdir(tmp_path) == []
+
+
+def overflowing_leftover(archive):
+    values = archive.leftover_values.astype(np.float64) * 1e300
+    return dataclasses.replace(archive, leftover_values=values)
+
+
+def nan_leftover(archive):
+    values = archive.leftover_values.copy()
+    values[-1, 0, 0] = np.nan
+    return dataclasses.replace(archive, leftover_values=values)
+
+
+def overflowing_core(archive):
+    rec = archive.blocks[0]
+    core = rec.fac.core.copy()
+    core.flat[0] = 1e39
+    fac = TuckerFactorization(core, rec.fac.factors)
+    return dataclasses.replace(
+        archive, blocks=(BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:])
+
+
+@pytest.mark.parametrize("tamper", [overflowing_leftover, overflowing_core, nan_leftover])
+def test_gsa_write_rejects_a_non_finite_payload(tmp_path, tamper):
+    # float32 would store the value as inf or NaN, which only decompress
+    # would reject; the cast's overflow warning is suppressed
+    archive, _ = compress_dataset(small_field(), "tucker", 0.5, s_min=4)
+    assert archive.leftover_values.size
+    archive = tamper(archive)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite in float32"):
+            write_gsa(archive, str(tmp_path / "arch.gsa"))
     assert os.listdir(tmp_path) == []
 
 
@@ -564,3 +604,52 @@ def test_ravel_cells_matches_fortran_ravel(n_cells):
         flat = _ravel_cells_f(a)
         assert flat.dtype == np.dtype("<f4")
         assert flat.tobytes() == np.asarray(a, dtype="<f4").ravel(order="F").tobytes()
+
+
+# values a fuzzed header field is replaced with: every JSON type, integers
+# of the wrong size, NaN and the kind names
+FUZZ_VALUES = [None, True, False, 0, 1, -1, 2, 3, 2**40, 1.5, float("nan"), "tucker", "tt",
+               "qtt", "", [], [0], [2, 2], [[2, 2]], [[0, 1], [1, 2]], {"shape": [1]}]
+
+
+def header_paths(node, path=()):
+    # the path of every value in the JSON tree, containers included
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from header_paths(child, path + (key,))
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_archive(method):
+    """The header text, payload and fuzzed paths of a small two-interval
+    archive.  ``dims`` and ``mask_rle`` are left alone: the mask is
+    allocated at the grid size they claim before the payload is checked."""
+    archive, _ = compress_dataset(synth(SynthSpec(dims=(12, 10, 2, 8), seed=7)), method, 0.5,
+                                  s_min=4, n_splits=2)
+    assert archive.blocks
+    with tempfile.TemporaryDirectory() as work:
+        write_gsa(archive, os.path.join(work, "arch.gsa"))
+        with open(os.path.join(work, "arch.gsa"), "rb") as f:
+            _, _, header, payload = split_blob(f.read())
+    paths = [p for p in header_paths(header) if p[0] not in ("dims", "mask_rle")]
+    return json.dumps(header), payload, paths
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(METHODS), st.data())
+def test_gsa_reader_raises_only_format_error(method, data):
+    text, payload, paths = fuzz_archive(method)
+    header = json.loads(text)
+    *outer, key = data.draw(st.sampled_from(paths), label="path")
+    functools.reduce(operator.getitem, outer, header)[key] = data.draw(
+        st.sampled_from(FUZZ_VALUES), label="value")
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "arch.gsa")
+        with open(path, "wb") as f:
+            f.write(join_blob(GSA_MAGIC, 1, header, payload))
+        try:
+            read_gsa(path)
+        except FormatError:
+            pass

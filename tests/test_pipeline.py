@@ -184,6 +184,17 @@ def test_compress_rejects_sub_f32_budget():
         compress_dataset(g, "tucker", 1e-9, s_min=4)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_compress_rejects_blocks_that_overflow_float32(method):
+    # finite in float64, beyond float32: every block's stored arrays are
+    # infinite and its error NaN, with no leftover cell to show it otherwise
+    values = 1e39 * (1.0 + np.random.default_rng(0).random((8, 8, 2, 4)))
+    g = GappyTensor4(values, np.ones((8, 8), dtype=bool))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="32-bit payloads cannot meet eps_max"):
+            compress_dataset(g, method, 0.5, s_min=1)
+
+
 def test_archive_stored_elements():
     g = small_field()
     archive, report = compress_dataset(g, "tucker", 0.5, s_min=4)
@@ -452,13 +463,31 @@ def test_archive_rejects_overlapping_rectangles():
         dataclasses.replace(archive, blocks=blocks)
 
 
+@pytest.mark.parametrize("method,field,value,message", [
+    ("tt", "method", "tucker", "block kind 'tt' in a tucker archive"),
+    ("tucker", "method", "nope", "unknown method 'nope'"),
+    *[("tucker", "eps_max", v, "bad eps_max") for v in (math.nan, -1.0, 0, math.inf, 10**400)],
+], ids=["tt_records_in_tucker", "unknown_method", "eps_max_nan", "eps_max_negative",
+        "eps_max_zero", "eps_max_inf", "eps_max_int_past_float_range"])
+def test_archive_rejects_a_bad_method_or_eps_max(method, field, value, message):
+    # each would be written, and then rejected on reading
+    archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(archive, **{field: value})
+
+
+def test_archive_keeps_eps_max_as_float():
+    archive, _ = compress_dataset(small_field(), "tucker", 0.5, s_min=4)
+    eps_max = dataclasses.replace(archive, eps_max=2).eps_max
+    assert type(eps_max) is float and eps_max == 2.0
+
+
 @pytest.mark.parametrize("name", MISFIT_RECORDS)
 def test_archive_rejects_a_record_of_another_shape(name):
     method, misfit = MISFIT_RECORDS[name]
     archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4, n_splits=2)
     rec = archive.blocks[0]
     fac = misfit(rec.fac)
-    type(fac).check_header([a.shape for a in fac.arrays()], fac.header_fields())
     blocks = (BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:]
     message = re.escape(f"interval 0 has a record of shape {fac.dims}")
     with pytest.raises(ValueError, match=message):

@@ -1,7 +1,8 @@
 """The scripts under benchmarks/ import private names of tenblock and of the
 tests; a refactor that renames one breaks the script only when it is run,
-so import each here."""
+so import each here.  The layering of the package is pinned here too."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,32 @@ def test_benchmark_script_imports(script):
     proc = subprocess.run([sys.executable, "-c", IMPORT, str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+PACKAGE = ROOT / "src" / "tenblock"
+
+
+def imports_formats(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "formats" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if ((node.module or "").split(".")[-1] == "formats"
+                    or any(a.name == "formats" for a in node.names)):
+                return True
+    return False
+
+
+def test_only_formats_knows_the_file_format():
+    # each factorization checks itself with ValueError; the file format,
+    # and FormatError with it, belongs to formats.py, which the tensor
+    # layers do not import
+    modules = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {"formats.py", "tensor_core.py", "tucker.py", "tt.py"} <= set(modules)
+    defining = {name for name, tree in modules.items()
+                if any(isinstance(n, ast.ClassDef) and n.name == "FormatError"
+                       for n in ast.walk(tree))}
+    assert defining == {"formats.py"}
+    for name in ("tensor_core.py", "tucker.py", "tt.py"):
+        assert not imports_formats(modules[name]), name

@@ -244,6 +244,36 @@ def _random_carriages(dims, ranks, seed=21):
                  for k, n in enumerate(dims))
 
 
+def test_tt_rejects_carriages_that_do_not_chain():
+    g = _random_carriages((4, 3, 5), (2, 3))
+    with pytest.raises(ValueError, match="carriage 1 rank mismatch"):
+        TTFactorization((g[0], g[1][:1], g[2]))
+    with pytest.raises(ValueError, match="boundary carriage ranks must be 1"):
+        TTFactorization(g[1:])
+    for carriages in ((), (g[0][0],)):
+        with pytest.raises(ValueError, match="carriages must be 3-D"):
+            TTFactorization(carriages)
+
+
+def test_qtt_rejects_digits_other_than_its_carriage_extents():
+    chain = TTFactorization(_random_carriages((2, 2, 3), (2, 2)))
+    assert QttFactorization(chain, ((2, 2), (3,))).dims == (4, 3)
+    with pytest.raises(ValueError, match="carriage extents"):
+        QttFactorization(chain, ((2,), (2, 3), (2,)))
+    with pytest.raises(ValueError, match="carriage extents"):
+        QttFactorization(chain, ((2, 2), (2,)))
+
+
+@pytest.mark.parametrize("mode_factors", [None, [1, 2, 3], [[1], [], [2, 3]],
+                                          [[1], [2.0], [3]], [[True], [2], [3]]])
+def test_qtt_from_arrays_rejects_ill_typed_mode_factors(mode_factors):
+    # a float or bool digit compares equal to an int, so only the type check stops it
+    arrays = list(_random_carriages((1, 2, 3), (2, 2)))
+    assert QttFactorization.from_arrays(arrays, {"mode_factors": [[1], [2], [3]]}).dims == (1, 2, 3)
+    with pytest.raises(ValueError, match="integer mode_factors"):
+        QttFactorization.from_arrays(arrays, {"mode_factors": mode_factors})
+
+
 @pytest.mark.parametrize("dims,ranks", [
     ((4, 3, 5, 2), (2, 3, 2)),
     ((7,), ()),

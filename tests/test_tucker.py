@@ -147,6 +147,16 @@ def test_tucker_reconstruct_zero_core():
     np.testing.assert_array_equal(f.reconstruct(), np.zeros((3, 4)))
 
 
+def test_tucker_rejects_factors_that_do_not_fit_its_core():
+    # one column more than its core rank: reconstruct would fail in matmul
+    core = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="factor 1 has 3 columns for core rank 2"):
+        TuckerFactorization(core, (np.eye(3)[:, :2], np.eye(4)[:, :3]))
+    for factors in ((np.eye(3)[:, :2],), (np.eye(3)[:, :2], np.ones((4, 2, 1)))):
+        with pytest.raises(ValueError, match="one 2-D factor per mode of its core"):
+            TuckerFactorization(core, factors)
+
+
 def test_tucker_storage_count_examples():
     assert tucker_storage_count([15, 25, 10, 15], [62, 199, 20, 256]) == 66195
     assert tucker_storage_count([1, 1], [5, 5]) == 11
