@@ -78,7 +78,8 @@ def search_stacks(values, blocks, splits):
 
 
 def first_tuckers(stack):
-    # the first candidate the Tucker search offers each block of the stack
+    # the first candidate the Tucker search offers each block of the stack:
+    # an accept that finds every candidate within budget ends each block there
     found = []
     TuckerFactorization.search(stack, np.ones(len(stack)),
                                lambda b, fac: found.append(fac) or True)

@@ -81,22 +81,27 @@ class GappyTensor4:
         return int(self.domain_mask.sum()) * self.values.shape[2] * self.values.shape[3]
 
 
-QuantizeFn = Callable[[np.ndarray], np.ndarray]
-AcceptFn = Callable[[int, "Factorization"], bool]  # accept(b, fac): block b done?
+QuantizeFn = Callable[[np.ndarray], np.ndarray]  # to an array of the same shape
+# accept(b, fac): is candidate fac of block b within budget?  The kind's
+# search stops offering the block candidates at True; the budgeted search
+# keeps the cheapest candidate within budget (else the least error)
+AcceptFn = Callable[[int, "Factorization"], bool]
 
 
 class Factorization:
     """A block factorization kind (``kind`` names its method and archive
     records): ``dims``, ``ranks``, ``arrays()`` in archive order and
     ``reconstruct()``, C-contiguous like the search's stack, so that the
-    verify subtracts like-ordered arrays; per class ``from_arrays(arrays,
-    fields)``, the inverse of ``arrays()`` and ``header_fields()`` (it
-    checks the JSON types of ``fields``), and ``search(stack, norms,
-    accept)``, which offers candidates for the blocks ``stack[b]``, of
-    Frobenius norms ``norms[b]``, to ``accept(b, fac)``, smallest first,
-    until it returns True (the block is done) or the block has none left.
-    The constructor raises ``ValueError`` on arrays inconsistent in
-    themselves (their fit to a region is ``CompressedArchive``'s)."""
+    verify subtracts like-ordered arrays; ``with_arrays(arrays)``, itself
+    with each array replaced by one of its shape; per class ``search(stack,
+    norms, accept)``, which offers candidates for the blocks ``stack[b]``,
+    of Frobenius norms ``norms[b]``, to ``accept(b, fac)`` (``AcceptFn``),
+    smallest first, until it returns True or the block has none left; and
+    for the reader and writer ``from_arrays(arrays, fields)``, the inverse
+    of ``arrays()`` and ``header_fields()`` (it checks the JSON types of
+    ``fields``).  The constructor raises ``ValueError`` on arrays whose
+    shapes are inconsistent (their fit to a region is
+    ``CompressedArchive``'s), so ``with_arrays`` needs no check."""
 
     kind: ClassVar[str]
     pow2_blocks: ClassVar[bool] = False  # wants power-of-two block sides
@@ -108,16 +113,25 @@ class Factorization:
     def header_fields(self) -> dict:
         return {}
 
+    def _unchecked(self, **fields) -> Factorization:
+        # this kind with these fields, past the constructor's checks (for
+        # with_arrays, whose arrays have the shapes already checked)
+        other = object.__new__(type(self))
+        other.__dict__.update(fields)
+        return other
+
 
 def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_max: float,
                     quantize: QuantizeFn | None = None
                     ) -> list[tuple[Factorization, float, float]]:
-    """For each of the same-shaped ``blocks``, the first of its candidates
-    within ``eps_max`` in the Chebyshev norm (else its last), as
-    ``(fac, cheb_error, rel_frob_error)`` in the order of ``blocks``,
-    measured after ``quantize`` (e.g. a float32 round trip) of its arrays.
-    Blocks are fully defined, so a NaN in a reconstruction is an error and
-    fails the budget.  The Frobenius error is absolute for an all-zero block.
+    """For each of the same-shaped ``blocks``, the candidate of least
+    ``n_elements`` within ``eps_max`` in the Chebyshev norm (the earliest
+    on ties), else the one of least Chebyshev error (a NaN error never
+    wins), as ``(fac, cheb_error, rel_frob_error)`` in the order of
+    ``blocks``, measured after ``quantize`` (e.g. a float32 round trip) of
+    its arrays.  Blocks are fully defined, so a NaN in a reconstruction is
+    an error and fails the budget.  The Frobenius error is absolute for an
+    all-zero block, and taken only for a candidate that is kept.
 
     The blocks are copied once into one C-contiguous stack ``(B, ..)``
     and their norms taken once; ``cls.search`` searches the stack (Tucker
@@ -141,16 +155,21 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
     norms = np.array([frobenius_norm(x) for x in stack])
     scratch = np.empty(shape)
     results = [None] * len(blocks)
+    costs = [(math.inf,)] * len(blocks)  # of each block's kept candidate
 
     def accept(b: int, fac: Factorization) -> bool:
         if quantize is not None:
-            fac = cls.from_arrays([quantize(a) for a in fac.arrays()], fac.header_fields())
+            fac = fac.with_arrays([quantize(a) for a in fac.arrays()])
         # into the scratch block, never into reconstruct()'s output, which
         # a factorization may own; a NaN makes both extremes NaN
         diff = np.subtract(fac.reconstruct(), stack[b], out=scratch)
         cheb = float(max(diff.max(), -diff.min()))
-        results[b] = (fac, cheb, frobenius_norm(diff) / (norms[b] or 1.0))
-        return cheb <= eps_max
+        passed = cheb <= eps_max
+        # within budget by size, else by error, a NaN error last
+        cost = (0, fac.n_elements) if passed else (2,) if math.isnan(cheb) else (1, cheb)
+        if cost < costs[b]:
+            results[b], costs[b] = (fac, cheb, frobenius_norm(diff) / (norms[b] or 1.0)), cost
+        return passed
 
     cls.search(stack, norms, accept)
     return results

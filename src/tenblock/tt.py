@@ -64,6 +64,9 @@ class TTFactorization(Factorization):
         ``r_{k-1} * n_k * r_k`` entries."""
         return _carry(self.carriages).reshape(self.dims)
 
+    def with_arrays(self, arrays) -> TTFactorization:
+        return self._unchecked(carriages=tuple(arrays))
+
     @classmethod
     def from_arrays(cls, arrays, fields) -> TTFactorization:
         return cls(tuple(arrays))
@@ -128,6 +131,9 @@ class QttFactorization(Factorization):
         y = np.reshape(y, fine[:j] + [-1]).transpose(_digit_axes(mode_factors[:m], 0) + [j])
         z = np.reshape(z, [-1] + fine[j:]).transpose([0] + _digit_axes(mode_factors[m:], 1))
         return (y.reshape(size[j], -1) @ z.reshape(inner[j], -1)).reshape(self.dims)
+
+    def with_arrays(self, arrays) -> QttFactorization:
+        return self._unchecked(tt=self.tt.with_arrays(arrays), mode_factors=self.mode_factors)
 
     def header_fields(self) -> dict:
         return {"mode_factors": [list(f) for f in self.mode_factors]}

@@ -68,6 +68,9 @@ class TuckerFactorization(Factorization):
             x = np.matmul(self.factors[k], x.reshape(math.prod(ranks[:k]), ranks[k], -1))
         return x.reshape(self.dims)
 
+    def with_arrays(self, arrays) -> TuckerFactorization:
+        return self._unchecked(core=arrays[0], factors=tuple(arrays[1:]))
+
     @classmethod
     def from_arrays(cls, arrays, fields) -> TuckerFactorization:
         return cls(arrays[0], tuple(arrays[1:]))

@@ -30,6 +30,7 @@ from tenblock.pipeline import (
 )
 from tenblock.synth import SynthSpec, synth
 from tenblock.tensor_core import GappyTensor4, budgeted_search, chebyshev_norm, frobenius_norm
+from tenblock.tt import QttFactorization, TTFactorization
 
 
 def small_field(seed=42, dims=(32, 24, 4, 16)):
@@ -176,6 +177,32 @@ def test_compress_rejects_non_integer_counts(method, kwargs, name):
     # truncates a float or takes a bool as a count
     with pytest.raises(ValueError, match=name):
         compress_dataset(small_field(), method, 0.5, **kwargs)
+
+
+def test_qtt_compress_builds_each_candidate_once(monkeypatch):
+    # each candidate the QTT search offers is constructed, with its TT,
+    # once; accept quantizes it into the same kind without a second
+    # construction, and nothing in compress goes through from_arrays
+    counts = dict.fromkeys(("tt", "qtt", "accept"), 0)
+    for cls in (TTFactorization, QttFactorization):
+        def counted(self, check=cls.__post_init__, kind=cls.kind):
+            counts[kind] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for cls in KINDS.values():
+        monkeypatch.setattr(cls, "from_arrays", classmethod(lambda *a: pytest.fail("from_arrays")))
+    search = QttFactorization.search
+
+    def counting_search(stack, norms, accept):
+        def counted(b, fac):
+            counts["accept"] += 1
+            return accept(b, fac)
+        search(stack, norms, counted)
+
+    monkeypatch.setattr(QttFactorization, "search", staticmethod(counting_search))
+    archive, _ = compress_dataset(small_field(dims=(32, 24, 4, 16)), "qtt", 0.05, 8, 2)
+    assert counts["accept"] > len(archive.blocks)  # some block takes a second candidate
+    assert counts["tt"] == counts["qtt"] == counts["accept"]
 
 
 def test_compress_rejects_sub_f32_budget():

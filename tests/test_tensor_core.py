@@ -218,9 +218,8 @@ class _Values(Factorization):
     def reconstruct(self):
         return self.values
 
-    @classmethod
-    def from_arrays(cls, arrays, fields):
-        return cls(arrays[0])
+    def with_arrays(self, arrays):
+        return _Values(arrays[0])
 
     @staticmethod
     def search(stack, norms, accept):
@@ -247,6 +246,70 @@ def test_budgeted_search_returns_last_candidate_when_all_fail():
     np.testing.assert_array_equal(fac.values, x + 0.25)
     assert cheb == pytest.approx(0.25)
     assert rel == pytest.approx(0.25 * np.sqrt(x.size) / np.linalg.norm(x))
+
+
+@dataclass(frozen=True)
+class _Offered(Factorization):
+    """Stub factorization: its reconstruction, and ``pad`` elements more
+    stored.  Its search offers each block every candidate of ``offers``,
+    ``(offset, pad size)``, whatever ``accept`` returns."""
+
+    values: np.ndarray
+    pad: np.ndarray
+    kind = "offered"
+    offers = ()
+
+    @property
+    def dims(self):
+        return self.values.shape
+
+    def arrays(self):
+        return [self.values, self.pad]
+
+    def reconstruct(self):
+        return self.values
+
+    def with_arrays(self, arrays):
+        return type(self)(*arrays)
+
+    @classmethod
+    def search(cls, stack, norms, accept):
+        for b, x in enumerate(stack):
+            for offset, pad in cls.offers:
+                accept(b, cls(x + offset, np.zeros(pad)))
+
+
+def _offering(*offers):
+    return type("_Offering", (_Offered,), {"offers": offers})
+
+
+def _kept(offers, eps_max):
+    x = np.random.default_rng(16).standard_normal((3, 4, 2))
+    [(fac, cheb, rel)] = budgeted_search(_offering(*offers), [x], eps_max)
+    assert rel == pytest.approx(cheb * np.sqrt(x.size) / np.linalg.norm(x), nan_ok=True)
+    return fac.pad.size, cheb
+
+
+def test_budgeted_search_keeps_the_cheapest_candidate_within_budget():
+    # a cheaper pass after a pass is kept; a dearer pass, a tie (the
+    # earlier stays) and a cheaper failure offered after it are not
+    assert _kept([(0.3, 5), (0.2, 2), (0.1, 3), (0.1, 2), (0.9, 0)], 0.5) == pytest.approx((2, 0.2))
+    # with a quantize, the kept candidate is the quantized one
+    x = np.random.default_rng(17).standard_normal((3, 4, 2))
+    [(fac, _, _)] = budgeted_search(_offering((0.25, 1)), [x], 0.5, np.round)
+    np.testing.assert_array_equal(fac.values, np.round(x + 0.25))
+
+
+def test_budgeted_search_keeps_the_least_error_when_all_fail():
+    # an earlier candidate of smaller error than the last, with its own
+    # errors
+    assert _kept([(0.9, 1), (-0.3, 2), (0.6, 3)], 0.1) == pytest.approx((2, 0.3))
+
+
+def test_budgeted_search_never_keeps_a_nan_error_over_a_finite_one():
+    nan = float("nan")
+    assert _kept([(nan, 1), (0.9, 2), (nan, 0)], 0.1) == pytest.approx((2, 0.9))
+    assert _kept([(nan, 1), (nan, 0)], 0.1)[0] == 1
 
 
 def test_rank_from_spectrum():

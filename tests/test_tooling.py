@@ -66,3 +66,14 @@ def test_only_formats_knows_the_file_format():
     assert defining == {"formats.py"}
     for name in ("tensor_core.py", "tucker.py", "tt.py"):
         assert not imports_formats(modules[name]), name
+
+
+def test_only_formats_calls_the_file_round_trip():
+    # from_arrays and header_fields turn a record into header fields and
+    # back; the search builds its quantized candidates with with_arrays
+    modules = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    calling = {name for name, tree in modules.items()
+               if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and n.func.attr in ("from_arrays", "header_fields")
+                      for n in ast.walk(tree))}
+    assert calling == {"formats.py"}
