@@ -3,7 +3,8 @@
 For each case and method (tucker, tt, qtt) it compresses the field, writes
 the archive (no metrics in the header), reads it back and decompresses it,
 and prints CR_all, the largest read-back Chebyshev error over the defined
-cells, the SHA-256 of the archive bytes, the SHA-256 of the restored
+cells, the archive's size in bytes and the SHA-256 of its bytes (so that a
+format change shows its size in the diff), the SHA-256 of the restored
 field's float64 ``values`` bytes (``restored``, NaN under the mask
 included, so that two checkouts compare decompress bit for bit) and the
 ranks of every block record (``rect/interval: ranks``, rect-major,
@@ -85,7 +86,8 @@ def run(g, method, eps_max, n_splits, work):
     path = os.path.join(work, "archive.gsa")
     write_gsa(archive, path)
     with open(path, "rb") as f:
-        sha = hashlib.sha256(f.read()).hexdigest()
+        blob = f.read()
+    size, sha = len(blob), hashlib.sha256(blob).hexdigest()
     restored = decompress_dataset(read_gsa(path)[0])
     restored_sha = hashlib.sha256(restored.values.tobytes()).hexdigest()
     report_sha = hashlib.sha256(
@@ -94,7 +96,7 @@ def run(g, method, eps_max, n_splits, work):
     cheb = float(np.max(diff[g.domain_mask]))
     ranks = [f"{'.'.join(map(str, r.rect))}/{r.interval}:{'.'.join(map(str, r.fac.ranks))}"
              for r in archive.blocks]
-    return report.cr_all, cheb, sha, restored_sha, report_sha, ranks
+    return report.cr_all, cheb, size, sha, restored_sha, report_sha, ranks
 
 
 def svp_line():
@@ -115,9 +117,10 @@ def main():
             field_sha = hashlib.sha256(g.values.tobytes()).hexdigest()
             print(f"{name:<12}field   sha256={field_sha}")
             for method in METHODS:
-                cr_all, cheb, sha, restored_sha, report_sha, ranks = run(
+                cr_all, cheb, size, sha, restored_sha, report_sha, ranks = run(
                     g, method, eps_max, n_splits, work)
-                print(f"{name:<12}{method:<8}cr_all={cr_all!r} cheb={cheb:.9g} sha256={sha}")
+                print(f"{name:<12}{method:<8}cr_all={cr_all!r} cheb={cheb:.9g} "
+                      f"bytes={size} sha256={sha}")
                 print(f"    restored sha256={restored_sha}")
                 print(f"    report sha256={report_sha}")
                 print("    ranks " + " ".join(ranks))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -58,6 +59,14 @@ def _write_json(path: str, obj) -> None:
         f.write(text + "\n")
 
 
+def _print_bytes(path: str, defined_elements: int) -> None:
+    # the archive's size, and cr_bytes: the raw float32 bytes of the
+    # defined cells over it
+    size = os.path.getsize(path)
+    print(f"{'archive bytes':<22}{size}")
+    print(f"{'cr_bytes':<22}{_g(4 * defined_elements / size)}")
+
+
 def _cmd_synth(args) -> int:
     spec = SynthSpec(args.dims, args.seed, args.roughness, args.amplitude,
                      args.phase, args.depth_decay, args.noise, args.background_rank)
@@ -93,6 +102,7 @@ def _cmd_compress(args) -> int:
     metrics = pipeline.report_to_dict(report)
     formats.write_gsa(archive, args.out, metrics)
     print(pipeline.render_report(report))
+    _print_bytes(args.out, report.defined_elements)
     if args.report_out:
         _write_json(args.report_out, metrics)
     return 0
@@ -124,6 +134,8 @@ def _cmd_stats(args) -> int:
     print(f"{'time splits':<22}{len(archive.splits)}")
     print(f"{'block payloads':<22}{len(archive.blocks)}")
     print(f"{'stored elements':<22}{archive.stored_elements}")
+    _, _, nl, nt = archive.dims
+    _print_bytes(args.infile, np.count_nonzero(archive.domain_mask) * nl * nt)
     for key in ("block_elements_before", "block_elements_after", "leftover_count",
                 "cr_sub", "cr_all", "max_cheb_error"):
         if metrics.get(key) is not None:  # an archive of no rectangles has a null cr_sub

@@ -1,7 +1,14 @@
 """Binary containers: GST holds a raw gappy 4-D field, GSA a compressed
 archive.  Both start with a 4-byte magic, a little-endian uint32 version
-and uint64 header length, then a JSON header and a payload of
-little-endian 32-bit floats raveled first-index-fastest.
+and uint64 header length, then a JSON header padded with spaces so that
+the payload starts on an 8-byte boundary, and a payload of little-endian
+32-bit floats.  Every array is flattened in C order (last index fastest),
+the order the field and the archive have in memory, so neither writing
+nor reading transposes: the writers hand float32 array buffers to the file,
+and ``read_gsa`` returns the leftover store as a view of the file's bytes
+and every factor array as a view of one float64 copy of the factor
+section.  Only version 2 is read; a version 1 file (first index fastest)
+is rejected.
 
 The readers only decode: every header claim that slicing the payload rests
 on is validated before the payload is touched, and a header value must have
@@ -28,7 +35,7 @@ from .tensor_core import GappyTensor4
 
 GST_MAGIC = b"GSTT"
 GSA_MAGIC = b"GSAR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _PREFIX = struct.Struct("<4sIQ")
 
 
@@ -37,18 +44,20 @@ class FormatError(ValueError):
     check the values, and any ``ValueError`` of theirs is raised as this."""
 
 
-def _atomic_write(path: str, magic: bytes, header: dict, payload: np.ndarray) -> None:
-    """Write the file of ``magic``, ``header`` and the 1-D contiguous
-    ``payload`` array, whose buffer is written as it is, without a bytes
-    copy."""
+def _atomic_write(path: str, magic: bytes, header: dict, payload: list[np.ndarray]) -> None:
+    """Write the file of ``magic``, ``header`` and the C-contiguous
+    ``payload`` arrays in turn, whose buffers are written as they are,
+    without a bytes copy or a concatenation."""
     hb = json.dumps(header, allow_nan=False).encode()
+    hb += b" " * (-(_PREFIX.size + len(hb)) % 8)  # the payload starts 8-byte aligned
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tenblock-")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(_PREFIX.pack(magic, FORMAT_VERSION, len(hb)))
             f.write(hb)
-            f.write(payload)
+            for a in payload:
+                f.write(a)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,7 +80,8 @@ def _split_file(blob: memoryview, magic: bytes, what: str) -> tuple[dict, memory
     if got != magic:
         raise FormatError(f"bad magic {got!r}, not a {what} file")
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported {what} version {version}")
+        raise FormatError(f"unsupported {what} version {version}, "
+                          f"this reader reads version {FORMAT_VERSION}")
     if len(blob) < _PREFIX.size + hlen:
         raise FormatError(f"truncated {what} header")
     try:
@@ -95,29 +105,28 @@ def write_gst(data: GappyTensor4, path: str) -> None:
     raises ``ValueError`` before any file is made: it would be stored as
     infinite, and ``read_gst`` rejects that."""
     with np.errstate(over="ignore"):
-        payload = np.asarray(data.values, dtype="<f4").ravel(order="F")
+        payload = np.ascontiguousarray(data.values, dtype="<f4")
     if np.isinf(payload).any():
         raise ValueError("a defined value lies beyond float32 range")
     header = {
         "dims": list(data.dims),
         "dtype": "float32",
         "missing": "nan",
-        "order": "i1-fastest",
+        "order": "C",
     }
-    _atomic_write(path, GST_MAGIC, header, payload)
+    _atomic_write(path, GST_MAGIC, header, [payload])
 
 
 def read_gst(path: str) -> GappyTensor4:
     header, payload = _split_file(_read_file(path), GST_MAGIC, "GST")
     dims = _check_dims(header.get("dims"))
-    for key, want in (("dtype", "float32"), ("missing", "nan"), ("order", "i1-fastest")):
+    for key, want in (("dtype", "float32"), ("missing", "nan"), ("order", "C")):
         if header.get(key) != want:
             raise FormatError(f"unsupported {key} {header.get(key)!r}")
     expected = 4 * math.prod(dims)
     if len(payload) != expected:
         raise FormatError(f"payload is {len(payload)} bytes, header implies {expected}")
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    values = values.reshape(dims, order="F")
+    values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
     mask = ~np.isnan(values[:, :, 0, 0])
     try:
         return GappyTensor4(values, mask)
@@ -126,9 +135,9 @@ def read_gst(path: str) -> GappyTensor4:
 
 
 def _encode_rle(mask: np.ndarray) -> list[int]:
-    # alternating run lengths over the first-index-fastest flattening,
-    # starting with the (possibly zero) undefined run
-    flat = mask.ravel(order="F")
+    # alternating run lengths over the C-order flattening, starting with
+    # the (possibly zero) undefined run
+    flat = mask.ravel()
     change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     bounds = np.concatenate([[0], change, [flat.size]])
     runs = np.diff(bounds).tolist()
@@ -148,46 +157,33 @@ def _decode_rle(runs, shape) -> np.ndarray:
         flat[pos:pos + r] = value
         pos += r
         value = not value
-    return flat.reshape(shape, order="F")
-
-
-# cells per transposed copy when raveling the leftover store: slab by slab
-# beats one strided pass (974x16x128: 8.2 -> 2.5 ms on a 2-core x86 VM),
-# and slabs of 64 to 256 cells time alike
-_RAVEL_CELLS = 64
-
-
-def _ravel_cells_f(values: np.ndarray) -> np.ndarray:
-    """``values.ravel(order="F")`` of an (n, L, K) array as little-endian
-    float32, transposed slab by slab of ``_RAVEL_CELLS`` cells into a
-    (K, L, n) buffer instead of in one strided pass."""
-    values = np.asarray(values, dtype="<f4")
-    out = np.empty(values.shape[::-1], dtype="<f4")
-    for c in range(0, values.shape[0], _RAVEL_CELLS):
-        out[..., c:c + _RAVEL_CELLS] = values[c:c + _RAVEL_CELLS].T
-    return out.reshape(-1)
+    return flat.reshape(shape)
 
 
 def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None) -> None:
-    """Write ``archive`` with ``metrics`` in its header.  A payload value
-    that is not finite in float32 raises ``ValueError`` before any file is
-    made: ``decompress_dataset`` of the archive read back would reject it."""
-    chunks = []
+    """Write ``archive`` with ``metrics`` in its header: the block records'
+    arrays, then the leftover store, each flattened in C order.  A payload
+    value that is not finite in float32 raises ``ValueError`` before any
+    file is made: ``decompress_dataset`` of the archive read back would
+    reject it."""
+    arrays = []
     blocks = []
     offset = 0
+    for rec in archive.blocks:
+        entries = []
+        for a in rec.fac.arrays():
+            entries.append({"shape": list(a.shape), "offset": offset})
+            arrays.append(a)
+            offset += a.size
+        blocks.append({"rect": list(rec.rect), "interval": rec.interval,
+                       "kind": rec.fac.kind, "arrays": entries, **rec.fac.header_fields()})
     with np.errstate(over="ignore"):
-        for rec in archive.blocks:
-            arrays = []
-            for a in rec.fac.arrays():
-                arrays.append({"shape": list(a.shape), "offset": offset})
-                chunks.append(np.asarray(a, dtype="<f4").ravel(order="F"))
-                offset += a.size
-            blocks.append({"rect": list(rec.rect), "interval": rec.interval,
-                           "kind": rec.fac.kind, "arrays": arrays, **rec.fac.header_fields()})
-        leftover = archive.leftover_values
-        chunks.append(_ravel_cells_f(leftover))
-    payload = np.concatenate(chunks)
-    if not np.isfinite(payload).all():
+        # the record arrays, raveled in C order, in one small float32 buffer;
+        # the leftover store as compress made it (C-contiguous float32), uncopied
+        factors = (np.concatenate(arrays, axis=None, dtype="<f4", casting="same_kind")
+                   if arrays else np.empty(0, dtype="<f4"))
+        leftover = np.ascontiguousarray(archive.leftover_values, dtype="<f4")
+    if not (np.isfinite(factors).all() and np.isfinite(leftover).all()):
         raise ValueError("a payload value is not finite in float32")
     header = {
         "method": archive.method,
@@ -204,7 +200,7 @@ def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None
         },
         "metrics": metrics or {},
     }
-    _atomic_write(path, GSA_MAGIC, header, payload)
+    _atomic_write(path, GSA_MAGIC, header, [factors, leftover])
 
 
 def _check_block_entry(entry, expected_offset: int):
@@ -283,9 +279,10 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
                           f"{4 * total_elements}")
 
     flat = np.frombuffer(payload, dtype="<f4")
-    # one float64 copy of the factor section; every array is a view of it
+    # one float64 copy of the factor section, every array a C view of it;
+    # the leftover store is a view of the file's bytes, not copied
     factors = flat[:offset].astype(np.float64)
-    leftover = flat[offset:].reshape((n_cells, nl, nt), order="F").copy()
+    leftover = flat[offset:].reshape(n_cells, nl, nt)
     records = []
     pos = 0
     try:
@@ -293,7 +290,7 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
             arrays = []
             for shape in shapes:
                 size = math.prod(shape)
-                arrays.append(factors[pos:pos + size].reshape(shape, order="F"))
+                arrays.append(factors[pos:pos + size].reshape(shape))
                 pos += size
             records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, entry)))
         archive = CompressedArchive(header.get("method"), eps_max, dims, mask, splits,

@@ -59,9 +59,9 @@ class TTFactorization(Factorization):
 
         The partial product is carried in C order, ``(n_1*..*n_k, r_k)``
         with the last index fastest, so each step is one matmul and the
-        reshapes of the carry are views; a carriage that is not
-        C-contiguous (as archived, in F order) is copied, at
-        ``r_{k-1} * n_k * r_k`` entries."""
+        reshapes of the carry and of each carriage are views: the search
+        and ``read_gsa`` both make C-contiguous carriages, so none is
+        copied."""
         return _carry(self.carriages).reshape(self.dims)
 
     def with_arrays(self, arrays) -> TTFactorization:

@@ -78,6 +78,43 @@ def test_compress_decompress_stats_flow(tmp_path, capsys):
     assert "defined cells" in text
 
 
+def test_compress_and_stats_print_bytes(tmp_path, capsys):
+    # the written archive's size and cr_bytes, the raw float32 bytes of
+    # the defined cells over it, after compress's report and in stats
+    field = make_field(tmp_path)
+    arch = tmp_path / "field.gsa"
+    capsys.readouterr()
+    assert run("compress", "--in", str(field), "--method", "tucker", "--eps-max", "0.5",
+               "--s-min", "4", "--out", str(arch)) == 0
+    compress_out = capsys.readouterr().out
+    assert run("stats", "--in", str(arch)) == 0
+    stats_out = capsys.readouterr().out
+    size = arch.stat().st_size
+    cr_bytes = 4 * read_gst(str(field)).defined_count / size
+    for out in (compress_out, stats_out):
+        lines = dict(line.rsplit(maxsplit=1) for line in out.splitlines()
+                     if line.startswith(("archive bytes ", "cr_bytes ")))
+        assert int(lines["archive bytes"]) == size
+        assert float(lines["cr_bytes"]) == pytest.approx(cr_bytes, rel=1e-5)
+    assert compress_out.splitlines()[-2:] == [f"{'archive bytes':<22}{size}",
+                                              f"{'cr_bytes':<22}{cr_bytes:.6g}"]
+
+
+@pytest.mark.parametrize("what", ["GST", "GSA"])
+def test_stats_of_a_version_1_file_exits_one(tmp_path, capsys, what):
+    path = make_field(tmp_path)
+    if what == "GSA":
+        field, path = path, tmp_path / "field.gsa"
+        assert run("compress", "--in", str(field), "--method", "tt", "--eps-max", "0.5",
+                   "--s-min", "4", "--out", str(path)) == 0
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    capsys.readouterr()
+    assert run("stats", "--in", str(path)) == 1
+    assert (capsys.readouterr().err
+            == f"error: unsupported {what} version 1, this reader reads version 2\n")
+
+
 def test_stats_of_an_all_land_field(tmp_path, capsys):
     # no defined cell, so no value range to print
     path = tmp_path / "land.gst"

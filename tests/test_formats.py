@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from helpers import MISFIT_RECORDS
 from tenblock.formats import (
+    FORMAT_VERSION,
     GSA_MAGIC,
+    GST_MAGIC,
     FormatError,
-    _RAVEL_CELLS,
     _decode_rle,
     _encode_rle,
-    _ravel_cells_f,
     read_gsa,
     read_gst,
     write_gsa,
@@ -165,8 +165,8 @@ def test_huge_dims_are_rejected_without_allocating(tmp_path):
     # 65536**4 and 2**32 * 2**32 are 0 in int64 arithmetic, which matched
     # an empty payload or mask; the exact sizes match neither
     gst = tmp_path / "field.gst"
-    gst.write_bytes(join_blob(b"GSTT", 1, {"dims": [65536] * 4, "dtype": "float32",
-                                           "missing": "nan", "order": "i1-fastest"}, b""))
+    header = {"dims": [65536] * 4, "dtype": "float32", "missing": "nan", "order": "C"}
+    gst.write_bytes(join_blob(GST_MAGIC, FORMAT_VERSION, header, b""))
     gsa, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
     header["dims"] = [2**32, 2**32, 1, 1]
     header["mask_rle"] = []
@@ -189,10 +189,9 @@ def test_gst_rejects_partial_nan_column(tmp_path):
     write_gst(g, str(path))
     magic, version, header, payload = split_blob(path.read_bytes())
     vals = np.frombuffer(payload, dtype="<f4").copy()
-    nx, ny, nl, nt = g.dims
-    ij = np.argwhere(g.domain_mask)[0]
+    i, j = np.argwhere(g.domain_mask)[0]
     # poison one level of one defined column: NaN at (i, j, 0, 1) only
-    flat = ij[0] + nx * (ij[1] + ny * (0 + nl * 1))
+    flat = np.ravel_multi_index((i, j, 0, 1), g.dims)
     vals[flat] = np.nan
     path.write_bytes(join_blob(magic, version, header, vals.tobytes()))
     with pytest.raises(FormatError):
@@ -265,6 +264,74 @@ def test_gsa_rewrite_byte_identical(tmp_path):
     back, _ = read_gsa(str(p1))
     write_gsa(back, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_gsa_payload_is_c_order_and_aligned(tmp_path, method):
+    # version 2: every record's arrays in turn, then the leftover store,
+    # each as its little-endian float32 bytes in C order, from an 8-byte
+    # aligned offset
+    archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4, n_splits=2)
+    path = tmp_path / "arch.gsa"
+    write_gsa(archive, str(path))
+    blob = path.read_bytes()
+    _, version, _, payload = split_blob(blob)
+    assert version == FORMAT_VERSION == 2
+    assert (len(blob) - len(payload)) % 8 == 0
+    records = b"".join(a.astype("<f4").tobytes()
+                       for rec in archive.blocks for a in rec.fac.arrays())
+    assert payload == records + archive.leftover_values.astype("<f4").tobytes()
+
+
+def test_gst_payload_is_c_order_and_aligned(tmp_path):
+    g = small_field()
+    path = tmp_path / "field.gst"
+    write_gst(g, str(path))
+    blob = path.read_bytes()
+    _, _, header, payload = split_blob(blob)
+    assert header["order"] == "C"
+    assert (len(blob) - len(payload)) % 8 == 0
+    assert payload == g.values.astype("<f4").tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_read_gsa_copies_only_the_factor_section(tmp_path, method):
+    # the leftover store is a view of the file's bytes and every factor
+    # array a C view of one float64 copy of the factor section, so a read
+    # holds the file, that copy and little else; the field leaves more
+    # leftover than the 1 MiB slack, so a copy of the store would show
+    g = synth(SynthSpec(dims=(32, 24, 4, 256), seed=7))
+    archive, _ = compress_dataset(g, method, 0.5)
+    path = tmp_path / "arch.gsa"
+    write_gsa(archive, str(path))
+    factor_bytes = 4 * split_blob(path.read_bytes())[2]["leftover"]["offset"]
+    assert archive.leftover_values.nbytes > 2**20 + 2 * factor_bytes
+    tracemalloc.start()
+    try:
+        back, _ = read_gsa(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size + 2 * factor_bytes + 2**20
+    assert all(a.flags.c_contiguous for rec in back.blocks for a in rec.fac.arrays())
+
+
+def as_version_1(path):
+    # the file with its version field set to 1, the first-index-fastest layout
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+
+
+def test_version_1_files_are_rejected(tmp_path):
+    g = small_field()
+    gst, gsa = tmp_path / "field.gst", tmp_path / "arch.gsa"
+    write_gst(g, str(gst))
+    write_gsa(compress_dataset(g, "tucker", 0.5, s_min=4)[0], str(gsa))
+    for read, path, what in ((read_gst, gst, "GST"), (read_gsa, gsa, "GSA")):
+        as_version_1(path)
+        with pytest.raises(FormatError, match=f"unsupported {what} version 1, "
+                                              f"this reader reads version 2"):
+            read(str(path))
 
 
 def gsa_blob_parts(tmp_path, method="tucker", n_splits=1):
@@ -595,17 +662,6 @@ def test_gsa_rejects_a_record_of_another_shape(tmp_path, name):
         read_gsa(str(path))
 
 
-@pytest.mark.parametrize("n_cells", [0, 1, _RAVEL_CELLS, 2 * _RAVEL_CELLS + 5])
-def test_ravel_cells_matches_fortran_ravel(n_cells):
-    # the slab-wise copy of the leftover store writes the bytes of
-    # ravel(order="F"), also for a partial last slab and no cells at all
-    values = np.random.default_rng(3).standard_normal((n_cells, 3, 7)).astype(np.float32)
-    for a in (values, values.astype(np.float64), np.asfortranarray(values)):
-        flat = _ravel_cells_f(a)
-        assert flat.dtype == np.dtype("<f4")
-        assert flat.tobytes() == np.asarray(a, dtype="<f4").ravel(order="F").tobytes()
-
-
 # values a fuzzed header field is replaced with: every JSON type, integers
 # of the wrong size, NaN and the kind names
 FUZZ_VALUES = [None, True, False, 0, 1, -1, 2, 3, 2**40, 1.5, float("nan"), "tucker", "tt",
@@ -648,7 +704,7 @@ def test_gsa_reader_raises_only_format_error(method, data):
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "arch.gsa")
         with open(path, "wb") as f:
-            f.write(join_blob(GSA_MAGIC, 1, header, payload))
+            f.write(join_blob(GSA_MAGIC, FORMAT_VERSION, header, payload))
         try:
             read_gsa(path)
         except FormatError:
