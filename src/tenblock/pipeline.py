@@ -5,10 +5,14 @@ storage of leftover cells, archive assembly and accounting.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -186,6 +190,65 @@ def interval_runs(splits: Sequence[tuple[int, int]]) -> list[list[int]]:
                                             lambda iv: splits[iv][1] - splits[iv][0])]
 
 
+def _cpu_count() -> int:
+    # the CPUs this process may run on: its affinity set where the platform
+    # has one, so `taskset -c 0` gives one
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _search_rectangles(search: Callable[[BlockIndex], list],
+                       rects: Sequence[BlockIndex]) -> list[list]:
+    """``[search(r) for r in rects]``, on the calling thread and one helper
+    thread per further CPU (``_cpu_count``), at most one thread per
+    rectangle.  The threads take rectangles from one queue sorted by area:
+    the caller from the large end, the helpers from the small end, so the
+    last ones taken are small and the threads finish close together.  Much
+    of a search is LAPACK and BLAS calls, which release the GIL.  The
+    caller searches too, so there is one thread, and one glibc malloc
+    arena, fewer than with a pool and an idle caller.
+
+    The first exception of any thread empties the queue, so no thread takes
+    another rectangle, and is raised here once every helper has joined.
+    Helpers run in a copy of the caller's context, so ``np.errstate``
+    holds in them too."""
+    results = [None] * len(rects)
+    # deque's pop, popleft and clear are atomic, so the queue needs no lock
+    queue = deque(sorted(range(len(rects)), key=lambda i: rects[i].area))
+    errors = []
+
+    def work(take: Callable[[], int]) -> None:
+        while True:
+            try:
+                i = take()
+            except IndexError:  # the queue is empty
+                return
+            try:
+                results[i] = search(rects[i])
+            except BaseException as exc:
+                errors.append(exc)
+                queue.clear()
+                return
+
+    started = []
+    try:
+        for _ in range(min(_cpu_count(), len(rects)) - 1):
+            helper = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(work, queue.popleft))
+            helper.start()
+            started.append(helper)
+        work(queue.pop)
+    finally:
+        queue.clear()
+        for helper in started:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def compress_dataset(
     data: GappyTensor4,
     method: str,
@@ -198,7 +261,14 @@ def compress_dataset(
     block x interval subtensor to within eps_max in the Chebyshev norm,
     and store the uncovered defined cells raw.  Each run of consecutive
     same-length intervals of a rectangle is searched together
-    (``interval_runs``)."""
+    (``interval_runs``).
+
+    Rectangles are searched concurrently, one thread per CPU in the
+    process's affinity set (``os.sched_getaffinity``), the calling thread
+    included; every helper thread is joined before this returns or raises.
+    Records and report are built in partition order, so the output does not
+    depend on the number of threads.  BLAS's own threads come on top of
+    these; pin them (``OPENBLAS_NUM_THREADS=1``) to keep one per CPU."""
     cls = KINDS.get(method)
     if cls is None:
         raise ValueError(f"unknown method {method!r}")
@@ -211,19 +281,23 @@ def compress_dataset(
 
     part = (pow2_partition if cls.pow2_blocks else greedy_partition)(mask, s_min)
     splits = temporal_split(nt, n_splits)
+    runs = interval_runs(splits)
 
-    records = []
-    stats = []
-    for rect in part.blocks:
+    def search(rect: BlockIndex) -> list:
+        # (fac, cheb, rel_frob) of each interval of one rectangle
         block_vals = data.values[rect.x_start:rect.x_end, rect.y_start:rect.y_end]
         subs = [block_vals[:, :, :, t0:t1] for t0, t1 in splits]
         found = {}
-        for ivs in interval_runs(splits):
+        for ivs in runs:
             found.update(zip(ivs, budgeted_search(cls, [subs[iv] for iv in ivs], eps_max,
                                                   _quantize_f32)))
-        for iv, sub in enumerate(subs):
-            fac, cheb, rel_frob = found[iv]
-            stats.append(BlockStats(rect, iv, sub.size, fac.n_elements, rel_frob, cheb))
+        return [found[iv] for iv in range(len(subs))]
+
+    records = []
+    stats = []
+    for rect, found in zip(part.blocks, _search_rectangles(search, part.blocks)):
+        for iv, (fac, cheb, rel_frob) in enumerate(found):
+            stats.append(BlockStats(rect, iv, math.prod(fac.dims), fac.n_elements, rel_frob, cheb))
             records.append(BlockRecord(rect, iv, fac))
 
     errors = [s.cheb_error for s in stats]

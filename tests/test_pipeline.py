@@ -2,7 +2,11 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from helpers import MISFIT_RECORDS, interval_stack
 from tenblock import pipeline
 from tenblock.cli import main
-from tenblock.formats import read_gst
+from tenblock.formats import read_gst, write_gsa
 from tenblock.partition import BlockIndex, greedy_partition, pow2_partition
 from tenblock.pipeline import (
     KINDS,
@@ -35,6 +39,13 @@ from tenblock.tt import QttFactorization, TTFactorization
 
 def small_field(seed=42, dims=(32, 24, 4, 16)):
     return synth(SynthSpec(dims=dims, seed=seed))
+
+
+@pytest.fixture
+def one_thread(monkeypatch):
+    # compress searches every rectangle on the calling thread, so a spy
+    # that records calls sees them in partition order
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
 
 
 def defined_cheb(a, b, mask):
@@ -179,7 +190,7 @@ def test_compress_rejects_non_integer_counts(method, kwargs, name):
         compress_dataset(small_field(), method, 0.5, **kwargs)
 
 
-def test_qtt_compress_builds_each_candidate_once(monkeypatch):
+def test_qtt_compress_builds_each_candidate_once(monkeypatch, one_thread):
     # each candidate the QTT search offers is constructed, with its TT,
     # once; accept quantizes it into the same kind without a second
     # construction, and nothing in compress goes through from_arrays
@@ -388,7 +399,7 @@ def test_stacked_search_matches_each_block_alone(method, which):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_compress_searches_same_length_intervals_as_one_stack(monkeypatch, method):
+def test_compress_searches_same_length_intervals_as_one_stack(monkeypatch, one_thread, method):
     # 20 steps in 3 splits: intervals of 6, 6 and 8 steps, so each
     # rectangle makes one search of two intervals and one of one
     g = small_field(dims=(32, 24, 4, 20))
@@ -414,6 +425,115 @@ def test_compress_searches_same_length_intervals_as_one_stack(monkeypatch, metho
         x = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
         alone = budgeted_search(KINDS[method], [x], 0.25, _quantize_f32)[0]
         _assert_same_search(method, x, (rec.fac, s.cheb_error, s.rel_frob_error), alone)
+
+
+def _spy_threads(monkeypatch, cpus, helper=False, fail_on=None):
+    """Make ``compress_dataset`` see ``cpus`` CPUs, and record each thread
+    it starts and the thread of each rectangle search it makes.  With
+    ``helper``, the first search of the caller and of each helper waits
+    until the other kind has entered one, so both search.  ``fail_on``
+    ("caller" or "helper") makes that thread's first search raise."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+    started, searches = [], []
+    entered = {"caller": threading.Event(), "helper": threading.Event()}
+    search = pipeline.budgeted_search
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def spy(*args):
+        who = "caller" if threading.current_thread() is threading.main_thread() else "helper"
+        searches.append(who)
+        entered[who].set()
+        if who == fail_on and searches.count(who) == 1:
+            raise RuntimeError(f"search failed on the {who}")
+        if helper:
+            assert entered["helper" if who == "caller" else "caller"].wait(timeout=60)
+        return search(*args)
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    monkeypatch.setattr(pipeline, "budgeted_search", spy)
+    return started, searches
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_compress_output_does_not_depend_on_the_thread_count(monkeypatch, tmp_path, method):
+    g = small_field(dims=(32, 24, 4, 16))
+    out = []
+    for cpus in (1, 3):
+        started, searches = _spy_threads(monkeypatch, cpus, helper=cpus > 1)
+        archive, report = compress_dataset(g, method, 0.25, 4, 2)
+        monkeypatch.undo()
+        assert len(started) == cpus - 1
+        assert set(searches) == ({"caller"} if cpus == 1 else {"caller", "helper"})
+        write_gsa(archive, tmp_path / f"{cpus}.gsa")
+        out.append(((tmp_path / f"{cpus}.gsa").read_bytes(),
+                    json.dumps(report_to_dict(report), sort_keys=True)))
+    assert len({rec.rect for rec in archive.blocks}) > 3
+    assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("fail_on", ["caller", "helper"])
+def test_compress_raises_a_search_error_after_joining_its_helpers(monkeypatch, fail_on):
+    # the failing thread empties the queue: each other thread finishes the
+    # rectangle it holds and takes no other
+    g = small_field(dims=(32, 24, 4, 16))
+    assert len(greedy_partition(g.domain_mask, 4).blocks) == 8
+    before = threading.active_count()
+    started, searches = _spy_threads(monkeypatch, 3, helper=True, fail_on=fail_on)
+    with pytest.raises(RuntimeError, match=f"search failed on the {fail_on}"):
+        compress_dataset(g, "tucker", 0.25, 4, 2)
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+    assert searches.count(fail_on) == 1 and len(searches) <= 3
+
+
+@pytest.mark.parametrize("cpus,s_min", [(1, 4), (4, 8)], ids=["one_cpu", "one_rectangle"])
+def test_compress_on_one_cpu_or_rectangle_starts_no_thread(monkeypatch, cpus, s_min):
+    g = small_field(dims=(32, 24, 4, 16))
+    started, searches = _spy_threads(monkeypatch, cpus)
+    archive, _ = compress_dataset(g, "tt", 0.5, s_min)
+    assert not started
+    assert len(archive.blocks) == (8 if cpus == 1 else 1)
+    assert searches == ["caller"] * len(archive.blocks)
+
+
+def test_rectangle_queue_hands_out_each_rectangle_once(monkeypatch):
+    # more threads than cores, switching as often as the interpreter can:
+    # a rectangle taken twice or lost shows in the counts and the results
+    rects = [BlockIndex(i, i + 1 + i % 7, 0, 1 + i % 5) for i in range(300)]
+    taken = []
+
+    def search(rect):
+        taken.append(rect)
+        return [rect]
+
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = pipeline._search_rectangles(search, rects)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[r] for r in rects]
+    assert Counter(taken) == Counter(rects) and len(set(rects)) == len(rects)
+
+
+def test_compress_helpers_keep_the_callers_numpy_error_state(monkeypatch):
+    # every block overflows float32; under the caller's errstate no thread
+    # warns, so compress reaches its own budget check
+    g = small_field(dims=(32, 24, 4, 16))
+    rng = np.random.default_rng(0)
+    values = np.where(g.domain_mask[:, :, None, None], 1e39 * (1.0 + rng.random(g.dims)), np.nan)
+    started, searches = _spy_threads(monkeypatch, 2, helper=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="32-bit payloads cannot meet eps_max"):
+                compress_dataset(GappyTensor4(values, g.domain_mask), "tucker", 0.5, 4)
+    assert len(started) == 1 and "helper" in searches
 
 
 def _inf_factor_entry(archive):

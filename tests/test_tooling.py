@@ -77,3 +77,43 @@ def test_only_formats_calls_the_file_round_trip():
                       and n.func.attr in ("from_arrays", "header_fields")
                       for n in ast.walk(tree))}
     assert calling == {"formats.py"}
+
+
+def test_the_package_reads_no_environment_variable():
+    # compress takes its thread count from the process's CPUs; no variable
+    # of the environment changes what the library does
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            assert not {"environ", "getenv"} & set(names), path.name
+
+
+def test_compress_dataset_takes_no_thread_option():
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text())
+    [fn] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "compress_dataset"]
+    args = fn.args
+    assert [a.arg for a in args.posonlyargs + args.args] == [
+        "data", "method", "eps_max", "s_min", "n_splits"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg)
+
+
+def _import_time_calls(node):
+    # the calls a module makes when it is imported: not those inside a
+    # function body, which run only when the function is called
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Call):
+            yield child
+        yield from _import_time_calls(child)
+
+
+def test_no_module_starts_a_thread_at_import():
+    # compress starts and joins its helper threads inside the call; there
+    # is no module-level pool
+    pools = {"Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool", "ThreadPool"}
+    for path in PACKAGE.glob("*.py"):
+        for call in _import_time_calls(ast.parse(path.read_text())):
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            assert name not in pools, f"{path.name}:{call.lineno} calls {name} at import"
