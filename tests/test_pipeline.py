@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -519,6 +520,32 @@ def test_rectangle_queue_hands_out_each_rectangle_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert results == [[r] for r in rects]
     assert Counter(taken) == Counter(rects) and len(set(rects)) == len(rects)
+
+
+def test_each_helper_keeps_to_a_cpu_the_caller_is_not_on(monkeypatch):
+    # two CPUs free of the caller for three helpers: the third is left to
+    # the scheduler, and a refused pin leaves its helper searching
+    rects = [BlockIndex(i, i + 1, 0, 1) for i in range(8)]
+    pins = []
+
+    def set_affinity(pid, cpus):
+        pins.append((threading.current_thread(), pid, cpus))
+        raise OSError("refused")
+
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(pipeline, "_helper_cpus", lambda: [5, 7])
+    monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
+    results = pipeline._search_rectangles(lambda rect: [rect], rects)
+    assert results == [[r] for r in rects]
+    assert sorted((pid, tuple(cpus)) for _, pid, cpus in pins) == [(0, (5,)), (0, (7,))]
+    assert not any(t is threading.main_thread() for t, _, _ in pins)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_helper_cpus_are_the_affinity_set_less_the_callers_cpu():
+    cpus = pipeline._helper_cpus()
+    assert cpus == sorted(cpus) and set(cpus) <= os.sched_getaffinity(0)
+    assert len(cpus) == len(os.sched_getaffinity(0)) - 1
 
 
 def test_compress_helpers_keep_the_callers_numpy_error_state(monkeypatch):
