@@ -7,8 +7,9 @@ cells, the archive's size in bytes and the SHA-256 of its bytes (so that a
 format change shows its size in the diff), the SHA-256 of the restored
 field's float64 ``values`` bytes (``restored``, NaN under the mask
 included, so that two checkouts compare decompress bit for bit) and the
-ranks of every block record (``rect/interval: ranks``, rect-major,
-interval-minor), and ``report sha256``, the SHA-256 of the compression
+ranks of every rectangle's record (``rect/interval: ranks``, rect-major,
+interval-minor, the interval being the index of the record's time span
+among its rectangle's), and ``report sha256``, the SHA-256 of the compression
 report as ``json.dumps(report_to_dict(report), sort_keys=True)``, so that
 two checkouts compare every block's Chebyshev and relative Frobenius
 error bit for bit too.  Before a case's methods it prints ``field sha256=...``,
@@ -94,8 +95,13 @@ def run(g, method, eps_max, n_splits, work):
         json.dumps(report_to_dict(report), sort_keys=True).encode()).hexdigest()
     diff = np.abs(restored.values - g.values)
     cheb = float(np.max(diff[g.domain_mask]))
-    ranks = [f"{'.'.join(map(str, r.rect))}/{r.interval}:{'.'.join(map(str, r.fac.ranks))}"
-             for r in archive.blocks]
+    # rectangle records only, each labelled by its span's index among its
+    # rectangle's spans; the leftover record's size shows in cr_all
+    spans = {}
+    for r in archive.blocks:
+        spans.setdefault(r.rect, []).append(r.span)
+    ranks = [f"{'.'.join(map(str, r.rect))}/{sorted(spans[r.rect]).index(r.span)}:"
+             f"{'.'.join(map(str, r.fac.ranks))}" for r in archive.blocks if r.rect is not None]
     return report.cr_all, cheb, size, sha, restored_sha, report_sha, ranks
 
 

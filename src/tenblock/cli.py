@@ -131,8 +131,10 @@ def _cmd_stats(args) -> int:
     archive, metrics = formats.read_gsa(args.infile)
     print(f"GSA method={archive.method} eps_max={_g(archive.eps_max)} "
           f"dims {'x'.join(map(str, archive.dims))}")
-    print(f"{'time splits':<22}{len(archive.splits)}")
-    print(f"{'block payloads':<22}{len(archive.blocks)}")
+    leftover = [rec.fac for rec in archive.blocks if rec.rect is None]
+    print(f"{'records':<22}{len(archive.blocks)}")
+    print(f"{'leftover cells':<22}{leftover[0].dims[0] if leftover else 0}")
+    print(f"{'leftover elements':<22}{sum(fac.n_elements for fac in leftover)}")
     print(f"{'stored elements':<22}{archive.stored_elements}")
     _, _, nl, nt = archive.dims
     _print_bytes(args.infile, np.count_nonzero(archive.domain_mask) * nl * nt)

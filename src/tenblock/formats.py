@@ -4,11 +4,12 @@ and uint64 header length, then a JSON header padded with spaces so that
 the payload starts on an 8-byte boundary, and a payload of little-endian
 32-bit floats.  Every array is flattened in C order (last index fastest),
 the order the field and the archive have in memory, so neither writing
-nor reading transposes: the writers hand float32 array buffers to the file,
-and ``read_gsa`` returns the leftover store as a view of the file's bytes
-and every factor array as a view of one float64 copy of the factor
-section.  Only version 2 is read; a version 1 file (first index fastest)
-is rejected.
+nor reading transposes.  A GSA header lists the records, each with its
+region (a rectangle, or null for the leftover), time span, kind and array
+shapes, and the payload holds their arrays in that order.  ``read_gsa``
+returns a raw record's array as a view of the file's bytes and the other
+arrays as views of one float64 copy per run of records.  Only GST version
+2 and GSA version 3 are read.
 
 The readers only decode: every header claim that slicing the payload rests
 on is validated before the payload is touched, and a header value must have
@@ -26,16 +27,18 @@ import math
 import os
 import struct
 import tempfile
+from itertools import groupby
 
 import numpy as np
 
 from .partition import BlockIndex
-from .pipeline import KINDS, METHODS, BlockRecord, CompressedArchive
+from .pipeline import KINDS, BlockRecord, CompressedArchive, RawFactorization
 from .tensor_core import GappyTensor4
 
 GST_MAGIC = b"GSTT"
 GSA_MAGIC = b"GSAR"
-FORMAT_VERSION = 2
+GST_VERSION = 2
+GSA_VERSION = 3
 _PREFIX = struct.Struct("<4sIQ")
 
 
@@ -44,7 +47,8 @@ class FormatError(ValueError):
     check the values, and any ``ValueError`` of theirs is raised as this."""
 
 
-def _atomic_write(path: str, magic: bytes, header: dict, payload: list[np.ndarray]) -> None:
+def _atomic_write(path: str, magic: bytes, version: int, header: dict,
+                  payload: list[np.ndarray]) -> None:
     """Write the file of ``magic``, ``header`` and the C-contiguous
     ``payload`` arrays in turn, whose buffers are written as they are,
     without a bytes copy or a concatenation."""
@@ -54,7 +58,7 @@ def _atomic_write(path: str, magic: bytes, header: dict, payload: list[np.ndarra
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tenblock-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(_PREFIX.pack(magic, FORMAT_VERSION, len(hb)))
+            f.write(_PREFIX.pack(magic, version, len(hb)))
             f.write(hb)
             for a in payload:
                 f.write(a)
@@ -72,16 +76,17 @@ def _read_file(path: str) -> memoryview:
     return memoryview(np.fromfile(path, dtype=np.uint8))
 
 
-def _split_file(blob: memoryview, magic: bytes, what: str) -> tuple[dict, memoryview]:
+def _split_file(blob: memoryview, magic: bytes, version: int,
+                what: str) -> tuple[dict, memoryview]:
     """The header and, as a view of ``blob``, the payload of a file."""
     if len(blob) < _PREFIX.size:
         raise FormatError(f"truncated {what} file")
-    got, version, hlen = _PREFIX.unpack_from(blob)
+    got, got_version, hlen = _PREFIX.unpack_from(blob)
     if got != magic:
         raise FormatError(f"bad magic {got!r}, not a {what} file")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported {what} version {version}, "
-                          f"this reader reads version {FORMAT_VERSION}")
+    if got_version != version:
+        raise FormatError(f"unsupported {what} version {got_version}, "
+                          f"this reader reads version {version}")
     if len(blob) < _PREFIX.size + hlen:
         raise FormatError(f"truncated {what} header")
     try:
@@ -114,11 +119,11 @@ def write_gst(data: GappyTensor4, path: str) -> None:
         "missing": "nan",
         "order": "C",
     }
-    _atomic_write(path, GST_MAGIC, header, [payload])
+    _atomic_write(path, GST_MAGIC, GST_VERSION, header, [payload])
 
 
 def read_gst(path: str) -> GappyTensor4:
-    header, payload = _split_file(_read_file(path), GST_MAGIC, "GST")
+    header, payload = _split_file(_read_file(path), GST_MAGIC, GST_VERSION, "GST")
     dims = _check_dims(header.get("dims"))
     for key, want in (("dtype", "float32"), ("missing", "nan"), ("order", "C")):
         if header.get(key) != want:
@@ -161,140 +166,105 @@ def _decode_rle(runs, shape) -> np.ndarray:
 
 
 def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None) -> None:
-    """Write ``archive`` with ``metrics`` in its header: the block records'
-    arrays, then the leftover store, each flattened in C order.  A payload
-    value that is not finite in float32 raises ``ValueError`` before any
-    file is made: ``decompress_dataset`` of the archive read back would
-    reject it."""
-    arrays = []
-    blocks = []
-    offset = 0
-    for rec in archive.blocks:
-        entries = []
-        for a in rec.fac.arrays():
-            entries.append({"shape": list(a.shape), "offset": offset})
-            arrays.append(a)
-            offset += a.size
-        blocks.append({"rect": list(rec.rect), "interval": rec.interval,
-                       "kind": rec.fac.kind, "arrays": entries, **rec.fac.header_fields()})
+    """Write ``archive`` with ``metrics`` in its header: every record's
+    arrays in turn, flattened in C order, a raw array uncopied (compress
+    makes it C-contiguous float32) and each run of the others cast into one
+    small float32 buffer.  A payload value not finite in float32 raises
+    ``ValueError`` before any file is made: ``decompress_dataset`` of the
+    archive read back would reject it."""
+    payload = []
     with np.errstate(over="ignore"):
-        # the record arrays, raveled in C order, in one small float32 buffer;
-        # the leftover store as compress made it (C-contiguous float32), uncopied
-        factors = (np.concatenate(arrays, axis=None, dtype="<f4", casting="same_kind")
-                   if arrays else np.empty(0, dtype="<f4"))
-        leftover = np.ascontiguousarray(archive.leftover_values, dtype="<f4")
-    if not (np.isfinite(factors).all() and np.isfinite(leftover).all()):
+        for raw, run in groupby(archive.blocks, key=lambda r: isinstance(r.fac, RawFactorization)):
+            arrays = [a for rec in run for a in rec.fac.arrays()]
+            if raw:
+                payload += [np.ascontiguousarray(a, dtype="<f4") for a in arrays]
+            else:
+                payload.append(np.concatenate(arrays, axis=None, dtype="<f4", casting="same_kind"))
+    if not all(np.isfinite(a).all() for a in payload):
         raise ValueError("a payload value is not finite in float32")
     header = {
         "method": archive.method,
         "eps_max": archive.eps_max,
         "dims": list(archive.dims),
         "mask_rle": _encode_rle(archive.domain_mask),
-        "splits": [list(s) for s in archive.splits],
-        "blocks": blocks,
-        "leftover": {"offset": offset, "cells": int(leftover.shape[0])},
-        "counts": {
-            "block_elements": offset,
-            "leftover_values": int(leftover.size),
-            "payload_elements": offset + int(leftover.size),
-        },
+        "records": [{"rect": None if rec.rect is None else list(rec.rect),
+                     "span": list(rec.span), "kind": rec.fac.kind,
+                     "shapes": [list(a.shape) for a in rec.fac.arrays()],
+                     **rec.fac.header_fields()} for rec in archive.blocks],
+        "payload_elements": sum(a.size for a in payload),
         "metrics": metrics or {},
     }
-    _atomic_write(path, GSA_MAGIC, header, [factors, leftover])
+    _atomic_write(path, GSA_MAGIC, GSA_VERSION, header, payload)
 
 
-def _check_block_entry(entry, expected_offset: int):
-    """Validate one manifest block as far as reading its arrays needs, and
-    return (rect, interval, factorization class, array shapes, next
-    offset).  That the record's arrays are consistent is its class's to
-    check, and where it lies ``CompressedArchive``'s."""
+def _check_record_entry(entry):
+    """Validate one manifest record as far as reading its arrays needs, and
+    return (rect or None, span, factorization class, array shapes).  That
+    the record's arrays are consistent is its class's to check, and where
+    it lies ``CompressedArchive``'s."""
     if not isinstance(entry, dict):
         raise FormatError(f"block entry {entry!r} is not an object")
-    rect = entry.get("rect")
-    if (not isinstance(rect, list) or len(rect) != 4
-            or any(type(c) is not int for c in rect)):
+    rect = entry.get("rect", ())  # null is the leftover; a missing rect is no rect
+    if rect is not None and (not isinstance(rect, list) or len(rect) != 4
+                             or any(type(c) is not int for c in rect)):
         raise FormatError(f"bad block rect {rect!r}")
-    iv = entry.get("interval")
-    if type(iv) is not int:
-        raise FormatError(f"bad interval id {iv!r}")
+    span = entry.get("span")
+    if not isinstance(span, list) or len(span) != 2 or any(type(t) is not int for t in span):
+        raise FormatError(f"bad time span {span!r}")
     kind = entry.get("kind")
-    if kind not in METHODS:  # a tuple, so an unhashable kind is simply not in it
+    if kind not in tuple(KINDS):  # a tuple, so an unhashable kind is simply not in it
         raise FormatError(f"unknown block kind {kind!r}")
-    arrays = entry.get("arrays")
-    if not isinstance(arrays, list) or not arrays:
+    shapes = entry.get("shapes")
+    if not isinstance(shapes, list) or not shapes:
         raise FormatError("block without arrays")
-    shapes = []
-    for a in arrays:
-        shape = a.get("shape") if isinstance(a, dict) else None
+    for shape in shapes:
         if (not isinstance(shape, list) or not shape
                 or any(type(n) is not int or n < 1 for n in shape)):
             raise FormatError(f"bad array shape {shape!r}")
-        if type(a.get("offset")) is not int or a["offset"] != expected_offset:
-            raise FormatError(f"array offset {a.get('offset')!r}, expected {expected_offset}")
-        shapes.append(tuple(shape))
-        expected_offset += math.prod(shape)
-    return BlockIndex(*rect), iv, KINDS[kind], shapes, expected_offset
+    return (None if rect is None else BlockIndex(*rect), tuple(span), KINDS[kind],
+            [tuple(shape) for shape in shapes])
 
 
 def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     """Load an archive; returns it with the manifest's metrics dict."""
-    header, payload = _split_file(_read_file(path), GSA_MAGIC, "GSA")
+    header, payload = _split_file(_read_file(path), GSA_MAGIC, GSA_VERSION, "GSA")
 
     eps_max = header.get("eps_max")
     if type(eps_max) not in (int, float):
         raise FormatError(f"bad eps_max {eps_max!r}")
     dims = _check_dims(header.get("dims"))
-    nx, ny, nl, nt = dims
-    mask = _decode_rle(header.get("mask_rle"), (nx, ny))
+    mask = _decode_rle(header.get("mask_rle"), dims[:2])
 
-    splits = header.get("splits")
-    if (not isinstance(splits, list)
-            or any(not isinstance(s, list) or len(s) != 2 or any(type(t) is not int for t in s)
-                   for s in splits)):
-        raise FormatError(f"bad time splits {splits!r}")
-    splits = tuple(tuple(s) for s in splits)
-
-    entries = header.get("blocks")
+    entries = header.get("records")
     if not isinstance(entries, list):
-        raise FormatError("missing block list")
-    parsed = []
-    offset = 0
-    for entry in entries:
-        rect, iv, cls, shapes, offset = _check_block_entry(entry, offset)
-        parsed.append((rect, iv, cls, shapes, entry))
-
-    lo = header.get("leftover")
-    if not isinstance(lo, dict) or type(lo.get("offset")) is not int or lo["offset"] != offset:
-        raise FormatError("bad leftover descriptor")
-    n_cells = lo.get("cells")
-    if type(n_cells) is not int or n_cells < 0:
-        raise FormatError(f"bad leftover cell count {n_cells!r}")
-    total_elements = offset + n_cells * nl * nt
-    counts = header.get("counts")
-    if counts != {"block_elements": offset, "leftover_values": n_cells * nl * nt,
-                  "payload_elements": total_elements}:
-        raise FormatError("manifest element counts do not match block list")
+        raise FormatError("missing record list")
+    parsed = [(*_check_record_entry(entry), entry) for entry in entries]
+    total_elements = sum(math.prod(shape) for *_, shapes, _ in parsed for shape in shapes)
+    count = header.get("payload_elements")
+    if type(count) is not int or count != total_elements:
+        raise FormatError("manifest element count does not match the record list")
     if len(payload) != 4 * total_elements:
         raise FormatError(f"payload is {len(payload)} bytes, manifest implies "
                           f"{4 * total_elements}")
 
     flat = np.frombuffer(payload, dtype="<f4")
-    # one float64 copy of the factor section, every array a C view of it;
-    # the leftover store is a view of the file's bytes, not copied
-    factors = flat[:offset].astype(np.float64)
-    leftover = flat[offset:].reshape(n_cells, nl, nt)
     records = []
-    pos = 0
     try:
-        for rect, iv, cls, shapes, entry in parsed:
-            arrays = []
-            for shape in shapes:
-                size = math.prod(shape)
-                arrays.append(factors[pos:pos + size].reshape(shape))
-                pos += size
-            records.append(BlockRecord(rect, iv, cls.from_arrays(arrays, entry)))
-        archive = CompressedArchive(header.get("method"), eps_max, dims, mask, splits,
-                                    tuple(records), leftover)
+        # a raw record's array is a view of the file's bytes, not copied;
+        # each run of other records takes one float64 copy, every array a
+        # C view of it
+        for raw, run in groupby(parsed, key=lambda p: p[2] is RawFactorization):
+            run = list(run)
+            size = sum(math.prod(shape) for *_, shapes, _ in run for shape in shapes)
+            section, flat = flat[:size], flat[size:]
+            section = section if raw else section.astype(np.float64)
+            for rect, span, cls, shapes, entry in run:
+                arrays = []
+                for shape in shapes:
+                    arrays.append(section[:math.prod(shape)].reshape(shape))
+                    section = section[math.prod(shape):]
+                records.append(BlockRecord(rect, span, cls.from_arrays(arrays, entry)))
+        archive = CompressedArchive(header.get("method"), eps_max, dims, mask, tuple(records))
     except ValueError as e:
         raise FormatError(str(e)) from None
     metrics = header.get("metrics")

@@ -1,6 +1,8 @@
 """End-to-end compression of a gappy 4-D field: spatial partition,
-per-block low-rank compression under an absolute error budget, raw
-storage of leftover cells, archive assembly and accounting.
+per-block low-rank compression under an absolute error budget, archive
+assembly and accounting.  An archive is a list of records, each a region
+(a rectangle of the partition, or the leftover: the defined cells no
+rectangle covers, stored raw), a time span and a factorization.
 """
 
 from __future__ import annotations
@@ -27,9 +29,35 @@ from .tensor_core import Factorization, GappyTensor4, budgeted_search
 from .tt import QttFactorization, TTFactorization
 from .tucker import TuckerFactorization
 
-# block factorization classes by kind; a method compresses into its kind
-KINDS = {cls.kind: cls for cls in (TuckerFactorization, TTFactorization, QttFactorization)}
-METHODS = tuple(KINDS)
+
+@dataclass(frozen=True)
+class RawFactorization(Factorization):
+    """A record stored as it is: one float32 array, which ``reconstruct``
+    returns.  It has no search: no method makes it."""
+
+    values: np.ndarray
+    kind = "raw"
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.values.shape
+
+    def arrays(self) -> list[np.ndarray]:
+        return [self.values]
+
+    def reconstruct(self) -> np.ndarray:
+        return self.values
+
+    @classmethod
+    def from_arrays(cls, arrays, fields) -> RawFactorization:
+        [values] = arrays  # ValueError unless there is exactly one
+        return cls(values)
+
+
+# record classes by kind: each method's, for its rectangles, and the leftover's
+KINDS = {cls.kind: cls for cls in (TuckerFactorization, TTFactorization, QttFactorization,
+                                   RawFactorization)}
+METHODS = tuple(kind for kind in KINDS if kind != RawFactorization.kind)
 
 
 def _quantize_f32(a: np.ndarray) -> np.ndarray:
@@ -40,32 +68,30 @@ def _quantize_f32(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockRecord:
-    rect: BlockIndex
-    interval: int
+    rect: BlockIndex | None  # None: the leftover cells, as ``leftover_cells`` orders them
+    span: tuple[int, int]  # the time steps [t0, t1)
     fac: Factorization
 
 
 @dataclass(frozen=True)
 class CompressedArchive:
-    """Block records of a partitioned field plus its leftover store.
+    """The records of a partitioned field.
 
     The constructor checks all but the values (each ``fac`` checked its own
     arrays), and raises ``ValueError`` when it does not hold: ``method`` is
-    a key of ``KINDS`` and every ``fac.kind``; ``0 < eps_max <=`` float64's
-    largest (kept as float); ``domain_mask`` is an (nx, ny) grid (kept as
-    bool); the time splits tile ``[0, nt)``; every rectangle lies in the
-    grid on defined cells, overlaps no other rectangle and has exactly one
-    record per interval, whose ``fac.dims`` are the rectangle x L x the
-    interval's length; the leftover store holds one (L, K) row per defined
-    cell no rectangle covers (``leftover_cells``)."""
+    one of ``METHODS``; ``0 < eps_max <=`` float64's largest (kept as
+    float); ``domain_mask`` is an (nx, ny) grid (kept as bool); rectangles
+    lie in the grid on defined cells and do not overlap; there are leftover
+    records exactly when some defined cell is uncovered, all raw, and
+    rectangle records are of the method's kind; each region's spans tile
+    ``[0, nt)``; and each ``fac.dims`` is its region's shape (its sides, or
+    the leftover's cell count) x L x its span's length."""
 
     method: str
     eps_max: float
     dims: tuple[int, int, int, int]
     domain_mask: np.ndarray
-    splits: tuple[tuple[int, int], ...]
     blocks: tuple[BlockRecord, ...]
-    leftover_values: np.ndarray  # (n_cells, L, K) float32, cells row-major
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -77,44 +103,47 @@ class CompressedArchive:
         mask = np.asarray(self.domain_mask, dtype=bool)
         if mask.shape != (nx, ny):
             raise ValueError(f"mask shape {mask.shape} does not match grid {(nx, ny)}")
-        splits = self.splits
-        ends = [t1 for _, t1 in splits]
-        if ends[-1:] != [nt] or any(t0 != prev or t1 <= t0
-                                    for (t0, t1), prev in zip(splits, [0] + ends)):
-            raise ValueError(f"time splits {splits} do not tile [0, {nt})")
-        intervals = {}
+        regions = {}
         for rec in self.blocks:
-            if rec.fac.kind != self.method:
-                raise ValueError(f"block kind {rec.fac.kind!r} in a {self.method} archive")
-            intervals.setdefault(rec.rect, []).append(rec.interval)
-        for r, ivs in intervals.items():
+            regions.setdefault(rec.rect, []).append(rec)
+        rects = [r for r in regions if r is not None]
+        for r in rects:
             if not (0 <= r.x_start < r.x_end <= nx and 0 <= r.y_start < r.y_end <= ny):
                 raise ValueError(f"block {r} lies outside the {nx}x{ny} grid")
             if not mask[r.x_start:r.x_end, r.y_start:r.y_end].all():
                 raise ValueError(f"block {r} covers undefined cells")
-            if sorted(ivs) != list(range(len(splits))):
-                raise ValueError(f"block {r} has records for intervals {sorted(ivs)}, "
-                                 f"expected one for each of {len(splits)}")
-        for rec in self.blocks:
-            r, (t0, t1) = rec.rect, splits[rec.interval]
-            shape = (r.x_end - r.x_start, r.y_end - r.y_start, nl, t1 - t0)
-            if rec.fac.dims != shape:
-                raise ValueError(f"block {r} interval {rec.interval} has a record of shape "
-                                 f"{rec.fac.dims}, expected {shape}")
-        n_cells = leftover_cells(mask, intervals).shape[0]
+        n_cells = leftover_cells(mask, rects).shape[0]
         # the rectangles lie on defined cells, so their areas add up to the
         # covered cells exactly when no two of them overlap
-        if sum(r.area for r in intervals) + n_cells != np.count_nonzero(mask):
+        if sum(r.area for r in rects) + n_cells != np.count_nonzero(mask):
             raise ValueError("block rectangles overlap")
-        if self.leftover_values.shape != (n_cells, nl, nt):
-            raise ValueError(f"leftover store of shape {self.leftover_values.shape}, "
-                             f"mask and block list imply {(n_cells, nl, nt)}")
+        if (None in regions) != (n_cells > 0):
+            raise ValueError(f"{n_cells} defined cells are uncovered, and there are "
+                             f"{'' if None in regions else 'no '}leftover records")
+        for r, recs in regions.items():
+            kind, shape = ((RawFactorization.kind, (n_cells,)) if r is None
+                           else (self.method, (r.x_end - r.x_start, r.y_end - r.y_start)))
+            where = r or "the leftover"
+            spans = sorted(tuple(rec.span) for rec in recs)
+            ends = [t1 for _, t1 in spans]
+            if ends[-1] != nt or any(t0 != prev or t1 <= t0
+                                     for (t0, t1), prev in zip(spans, [0] + ends)):
+                raise ValueError(f"{where} has records for time spans {spans}, "
+                                 f"which do not tile [0, {nt})")
+            for rec in recs:
+                if rec.fac.kind != kind:
+                    raise ValueError(f"{where} has a record of kind {rec.fac.kind!r} "
+                                     f"in a {self.method} archive, expected {kind!r}")
+                t0, t1 = rec.span
+                if rec.fac.dims != shape + (nl, t1 - t0):
+                    raise ValueError(f"{where} span {(t0, t1)} has a record of shape "
+                                     f"{rec.fac.dims}, expected {shape + (nl, t1 - t0)}")
         object.__setattr__(self, "domain_mask", mask)
         object.__setattr__(self, "eps_max", float(self.eps_max))
 
     @property
     def stored_elements(self) -> int:
-        return sum(b.fac.n_elements for b in self.blocks) + self.leftover_values.size
+        return sum(b.fac.n_elements for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -293,9 +322,9 @@ def compress_dataset(
     """Partition the horizontal domain (greedy rectangles; power-of-two
     sides for qtt), split time into n_splits intervals, compress every
     block x interval subtensor to within eps_max in the Chebyshev norm,
-    and store the uncovered defined cells raw.  Each run of consecutive
-    same-length intervals of a rectangle is searched together
-    (``interval_runs``).
+    and store the uncovered defined cells as one float32 raw record for all
+    time, the last record.  Each run of consecutive same-length intervals
+    of a rectangle is searched together (``interval_runs``).
 
     Rectangles are searched concurrently, one thread per CPU in the
     process's affinity set (``os.sched_getaffinity``), the calling thread
@@ -303,9 +332,9 @@ def compress_dataset(
     before this returns or raises.  Records and report are built in partition order, so the output does not
     depend on the number of threads.  BLAS's own threads come on top of
     these; pin them (``OPENBLAS_NUM_THREADS=1``) to keep one per CPU."""
-    cls = KINDS.get(method)
-    if cls is None:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    cls = KINDS[method]
     if not (math.isfinite(eps_max) and eps_max > 0):
         raise ValueError(f"eps_max must be finite and positive, got {eps_max!r}")
     mask = data.domain_mask
@@ -321,18 +350,17 @@ def compress_dataset(
         # (fac, cheb, rel_frob) of each interval of one rectangle
         block_vals = data.values[rect.x_start:rect.x_end, rect.y_start:rect.y_end]
         subs = [block_vals[:, :, :, t0:t1] for t0, t1 in splits]
-        found = {}
+        found = []  # the runs are consecutive, so this is in interval order
         for ivs in runs:
-            found.update(zip(ivs, budgeted_search(cls, [subs[iv] for iv in ivs], eps_max,
-                                                  _quantize_f32)))
-        return [found[iv] for iv in range(len(subs))]
+            found += budgeted_search(cls, [subs[iv] for iv in ivs], eps_max, _quantize_f32)
+        return found
 
     records = []
     stats = []
     for rect, found in zip(part.blocks, _search_rectangles(search, part.blocks)):
-        for iv, (fac, cheb, rel_frob) in enumerate(found):
+        for iv, (span, (fac, cheb, rel_frob)) in enumerate(zip(splits, found)):
             stats.append(BlockStats(rect, iv, math.prod(fac.dims), fac.n_elements, rel_frob, cheb))
-            records.append(BlockRecord(rect, iv, fac))
+            records.append(BlockRecord(rect, span, fac))
 
     errors = [s.cheb_error for s in stats]
     cells = leftover_cells(mask, part.blocks)
@@ -342,6 +370,7 @@ def compress_dataset(
         # the float32 rounding error, in place on the gathered copy
         np.abs(np.subtract(raw, leftover, out=raw), out=raw)
         errors.append(float(np.max(raw)))
+        records.append(BlockRecord(None, (0, nt), RawFactorization(leftover)))
     # NumPy's max, which a NaN error (a non-finite reconstruction) wins
     max_cheb = float(np.max(errors, initial=0.0))
     if not max_cheb <= eps_max:
@@ -349,78 +378,74 @@ def compress_dataset(
             f"32-bit payloads cannot meet eps_max={eps_max:g}; "
             f"best achievable here is {max_cheb:g}")
 
-    archive = CompressedArchive(
-        method, float(eps_max), data.dims, mask, tuple(splits),
-        tuple(records), leftover,
-    )
+    archive = CompressedArchive(method, float(eps_max), data.dims, mask, tuple(records))
 
     total = math.prod(data.dims)
     before = sum(s.elements_before for s in stats)
     after = sum(s.elements_after for s in stats)
-    if records:
-        cr_all, cr_sub = cr_metrics(total, before, after, leftover.size)
-    else:
-        cr_all, cr_sub = total / leftover.size, math.nan
+    # CR_sub is undefined when no rectangle was placed
+    cr_sub = before / after if stats else math.nan
     report = CompressionReport(
-        method, float(eps_max), data.dims, n_splits, total,
-        data.defined_count, tuple(stats), leftover.size, cr_all, cr_sub, max_cheb,
+        method, float(eps_max), data.dims, n_splits, total, data.defined_count,
+        tuple(stats), leftover.size, total / archive.stored_elements, cr_sub, max_cheb,
     )
     return archive, report
 
 
 def decompress_dataset(archive: CompressedArchive) -> GappyTensor4:
-    """Rebuild the field: block cells from their factorizations, leftover
-    cells from the raw store, land cells NaN.
+    """Rebuild the field: every record's cells from its factorization, land
+    cells NaN.
 
     Each cell is written once, in the field's memory order.  The field is
     allocated unfilled and NaN is written under land only: the archive's
-    layout, record shapes included, was checked when it was built (see
-    ``CompressedArchive``), so every defined cell is covered by a record of
-    its rectangle x interval or by the leftover store.  A rectangle's
-    records are written a run of consecutive same-length intervals
-    (``interval_runs``) at a time: each block is placed in one run buffer,
-    at most the rectangle's full-time slab, and the run goes into the field
-    with one copy (a run of one interval is written straight into the
-    field).
+    layout was checked when it was built (``CompressedArchive``), so one
+    record covers each defined cell.  A rectangle's run of consecutive
+    same-length spans (``interval_runs``) goes through one buffer, at most
+    its full-time slab, into the field with one copy; any other record goes
+    straight in, the leftover's by the index of its cells.
 
     What is left to check is the values, on what this writes rather than
-    by a scan of the rebuilt field: every reconstructed block is finite
+    by a scan of the rebuilt field: every reconstructed record is finite
     (checked right after it is built, while it is still in cache, since
-    finite float32 factors can overflow), and the leftover store is
-    finite.  Every defined cell is then written finite and every other
-    cell is NaN, so the result skips ``GappyTensor4``'s own checks.  An
-    archive that fails one raises ``ValueError``."""
+    finite float32 factors can overflow).  Every defined cell is then
+    written finite and every other cell is NaN, so the result skips
+    ``GappyTensor4``'s own checks.  An archive that fails one raises
+    ``ValueError``."""
     values = np.empty(archive.dims)
     values[~archive.domain_mask] = np.nan
-    splits = archive.splits
-    runs = interval_runs(splits)
-    facs = {}
+    regions = {}
     for rec in archive.blocks:
-        facs.setdefault(rec.rect, {})[rec.interval] = rec.fac
-    for r, rect_facs in facs.items():
-        slab = values[r.x_start:r.x_end, r.y_start:r.y_end]
-        for ivs in runs:
-            (t0, t1), t_end = splits[ivs[0]], splits[ivs[-1]][1]
+        regions.setdefault(rec.rect, []).append(rec)
+
+    def finite(rec: BlockRecord) -> np.ndarray:
+        block = rec.fac.reconstruct()
+        if not np.isfinite(block).all():
+            raise ValueError(f"{rec.rect or 'the leftover'} span {rec.span} reconstructs "
+                             f"to non-finite values")
+        return block
+
+    for r, recs in regions.items():
+        recs.sort(key=lambda rec: rec.span)
+        if r is None:
+            cells = tuple(leftover_cells(archive.domain_mask, filter(None, regions)).T)
+        else:
+            cells = (slice(r.x_start, r.x_end), slice(r.y_start, r.y_end))
+        for run in interval_runs([rec.span for rec in recs]):
+            (t0, t1), t_end = recs[run[0]].span, recs[run[-1]].span[1]
+            if r is None or len(run) == 1:
+                for iv in run:
+                    values[cells + (slice(None), slice(*recs[iv].span))] = finite(recs[iv])
+                continue
             # the field is C-ordered, so splitting the slab's contiguous time
             # range into (interval, step) is a view: writing dst writes the field
-            dst = slab[:, :, :, t0:t_end].reshape(slab.shape[:3] + (len(ivs), t1 - t0))
-            # a run of one interval has nothing to interleave and goes straight in
-            run = (dst.transpose(3, 0, 1, 2, 4) if len(ivs) == 1
-                   else np.empty((len(ivs),) + slab.shape[:3] + (t1 - t0,)))
-            for out, iv in zip(run, ivs):
-                block = rect_facs[iv].reconstruct()
-                if not np.isfinite(block).all():
-                    raise ValueError(f"block {r} interval {iv} reconstructs to non-finite values")
-                out[...] = block
-            if len(ivs) > 1:
-                dst[...] = run.transpose(1, 2, 3, 0, 4)
-            # free this run's arrays before the next run builds its own
-            del run, out, block
-    leftover = archive.leftover_values
-    if not np.isfinite(leftover).all():
-        raise ValueError("leftover store holds non-finite values")
-    cells = leftover_cells(archive.domain_mask, facs)
-    values[cells[:, 0], cells[:, 1]] = leftover
+            slab = values[cells + (slice(None), slice(t0, t_end))]
+            dst = slab.reshape(slab.shape[:3] + (len(run), t1 - t0))
+            buf = np.empty((len(run),) + slab.shape[:3] + (t1 - t0,))
+            for out, iv in zip(buf, run):
+                out[...] = finite(recs[iv])
+            dst[...] = buf.transpose(1, 2, 3, 0, 4)
+            # free this run's buffer before the next run builds its own
+            del buf, out
     return GappyTensor4._unchecked(values, archive.domain_mask)
 
 

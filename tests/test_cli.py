@@ -6,7 +6,8 @@ import pytest
 
 from tenblock import cli
 from tenblock.cli import main
-from tenblock.formats import read_gst, write_gst
+from tenblock.formats import read_gsa, read_gst, write_gst
+from tenblock.pipeline import leftover_cells
 from tenblock.tensor_core import GappyTensor4, chebyshev_norm
 
 DIMS = "24x20x3x12"
@@ -100,6 +101,26 @@ def test_compress_and_stats_print_bytes(tmp_path, capsys):
                                               f"{'cr_bytes':<22}{cr_bytes:.6g}"]
 
 
+def test_stats_prints_records_and_the_leftover(tmp_path, capsys):
+    # the record count, rectangles' and leftover's, and the leftover's
+    # cells and stored elements, before the archive's stored elements
+    field = make_field(tmp_path)
+    arch = tmp_path / "field.gsa"
+    assert run("compress", "--in", str(field), "--method", "tt", "--eps-max", "0.5",
+               "--s-min", "4", "--splits", "2", "--out", str(arch)) == 0
+    archive, _ = read_gsa(str(arch))
+    rects = [rec.rect for rec in archive.blocks if rec.rect is not None]
+    cells = len(leftover_cells(archive.domain_mask, rects))
+    assert cells > 0 and len(archive.blocks) == len(rects) + 1
+    capsys.readouterr()
+    assert run("stats", "--in", str(arch)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:5] == [f"{'records':<22}{len(rects) + 1}",
+                          f"{'leftover cells':<22}{cells}",
+                          f"{'leftover elements':<22}{cells * 3 * 12}",
+                          f"{'stored elements':<22}{archive.stored_elements}"]
+
+
 @pytest.mark.parametrize("what", ["GST", "GSA"])
 def test_stats_of_a_version_1_file_exits_one(tmp_path, capsys, what):
     path = make_field(tmp_path)
@@ -111,8 +132,9 @@ def test_stats_of_a_version_1_file_exits_one(tmp_path, capsys, what):
     path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
     capsys.readouterr()
     assert run("stats", "--in", str(path)) == 1
+    version = {"GST": 2, "GSA": 3}[what]
     assert (capsys.readouterr().err
-            == f"error: unsupported {what} version 1, this reader reads version 2\n")
+            == f"error: unsupported {what} version 1, this reader reads version {version}\n")
 
 
 def test_stats_of_an_all_land_field(tmp_path, capsys):
@@ -144,7 +166,8 @@ def test_archive_of_no_rectangles_writes_strict_json(tmp_path, capsys):
     blob = arch.read_bytes()
     prefix = struct.Struct("<4sIQ")
     header = strict_json(blob[prefix.size:prefix.size + prefix.unpack_from(blob)[2]])
-    assert header["blocks"] == [] and header["metrics"]["cr_sub"] is None
+    [record] = header["records"]
+    assert record["rect"] is None and header["metrics"]["cr_sub"] is None
     assert strict_json(report.read_text())["cr_sub"] is None
     capsys.readouterr()
     assert run("stats", "--in", str(arch)) == 0

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from helpers import MISFIT_RECORDS
 from tenblock.formats import (
-    FORMAT_VERSION,
     GSA_MAGIC,
+    GSA_VERSION,
     GST_MAGIC,
+    GST_VERSION,
     FormatError,
     _decode_rle,
     _encode_rle,
@@ -29,7 +30,8 @@ from tenblock.formats import (
     write_gst,
 )
 from tenblock.partition import BlockIndex
-from tenblock.pipeline import METHODS, BlockRecord, compress_dataset, decompress_dataset
+from tenblock.pipeline import (KINDS, METHODS, BlockRecord, CompressedArchive, RawFactorization,
+                               compress_dataset, decompress_dataset)
 from tenblock.synth import SynthSpec, synth
 from tenblock.tensor_core import GappyTensor4, budgeted_search, chebyshev_norm
 from tenblock.tucker import TuckerFactorization
@@ -86,15 +88,27 @@ def test_gst_write_rejects_values_beyond_float32(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def leftover_values(archive):
+    # the values of the leftover record, the last one compress makes
+    rec = archive.blocks[-1]
+    assert rec.rect is None and rec.fac.kind == "raw"
+    return rec.fac.values
+
+
+def with_leftover(archive, values):
+    *records, rec = archive.blocks
+    return dataclasses.replace(
+        archive, blocks=(*records, BlockRecord(None, rec.span, RawFactorization(values))))
+
+
 def overflowing_leftover(archive):
-    values = archive.leftover_values.astype(np.float64) * 1e300
-    return dataclasses.replace(archive, leftover_values=values)
+    return with_leftover(archive, leftover_values(archive).astype(np.float64) * 1e300)
 
 
 def nan_leftover(archive):
-    values = archive.leftover_values.copy()
+    values = leftover_values(archive).copy()
     values[-1, 0, 0] = np.nan
-    return dataclasses.replace(archive, leftover_values=values)
+    return with_leftover(archive, values)
 
 
 def overflowing_core(archive):
@@ -103,7 +117,7 @@ def overflowing_core(archive):
     core.flat[0] = 1e39
     fac = TuckerFactorization(core, rec.fac.factors)
     return dataclasses.replace(
-        archive, blocks=(BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:])
+        archive, blocks=(BlockRecord(rec.rect, rec.span, fac),) + archive.blocks[1:])
 
 
 @pytest.mark.parametrize("tamper", [overflowing_leftover, overflowing_core, nan_leftover])
@@ -111,7 +125,7 @@ def test_gsa_write_rejects_a_non_finite_payload(tmp_path, tamper):
     # float32 would store the value as inf or NaN, which only decompress
     # would reject; the cast's overflow warning is suppressed
     archive, _ = compress_dataset(small_field(), "tucker", 0.5, s_min=4)
-    assert archive.leftover_values.size
+    assert leftover_values(archive).size
     archive = tamper(archive)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -166,7 +180,7 @@ def test_huge_dims_are_rejected_without_allocating(tmp_path):
     # an empty payload or mask; the exact sizes match neither
     gst = tmp_path / "field.gst"
     header = {"dims": [65536] * 4, "dtype": "float32", "missing": "nan", "order": "C"}
-    gst.write_bytes(join_blob(GST_MAGIC, FORMAT_VERSION, header, b""))
+    gst.write_bytes(join_blob(GST_MAGIC, GST_VERSION, header, b""))
     gsa, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
     header["dims"] = [2**32, 2**32, 1, 1]
     header["mask_rle"] = []
@@ -241,12 +255,11 @@ def test_gsa_roundtrip(tmp_path, method, splits):
     assert back.method == archive.method
     assert back.eps_max == archive.eps_max
     assert back.dims == archive.dims
-    assert back.splits == archive.splits
     np.testing.assert_array_equal(back.domain_mask, archive.domain_mask)
-    np.testing.assert_array_equal(back.leftover_values, archive.leftover_values)
+    np.testing.assert_array_equal(leftover_values(back), leftover_values(archive))
     assert len(back.blocks) == len(archive.blocks)
     for a, b in zip(archive.blocks, back.blocks):
-        assert a.rect == b.rect and a.interval == b.interval
+        assert a.rect == b.rect and a.span == b.span and a.fac.kind == b.fac.kind
     assert got_metrics == pytest.approx(metrics)
 
     # the restored archive still meets the budget
@@ -268,19 +281,24 @@ def test_gsa_rewrite_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_gsa_payload_is_c_order_and_aligned(tmp_path, method):
-    # version 2: every record's arrays in turn, then the leftover store,
-    # each as its little-endian float32 bytes in C order, from an 8-byte
-    # aligned offset
+    # version 3: every record's arrays in turn, the leftover's last, each
+    # as its little-endian float32 bytes in C order, from an 8-byte aligned
+    # offset; the header holds no offsets
     archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4, n_splits=2)
     path = tmp_path / "arch.gsa"
     write_gsa(archive, str(path))
     blob = path.read_bytes()
-    _, version, _, payload = split_blob(blob)
-    assert version == FORMAT_VERSION == 2
+    _, version, header, payload = split_blob(blob)
+    assert version == GSA_VERSION == 3
     assert (len(blob) - len(payload)) % 8 == 0
-    records = b"".join(a.astype("<f4").tobytes()
-                       for rec in archive.blocks for a in rec.fac.arrays())
-    assert payload == records + archive.leftover_values.astype("<f4").tobytes()
+    assert archive.blocks[-1].rect is None
+    assert payload == b"".join(a.astype("<f4").tobytes()
+                               for rec in archive.blocks for a in rec.fac.arrays())
+    assert set(header) == {"method", "eps_max", "dims", "mask_rle", "records",
+                           "payload_elements", "metrics"}
+    assert [set(r) for r in header["records"]] == [
+        {"rect", "span", "kind", "shapes"} | set(rec.fac.header_fields())
+        for rec in archive.blocks]
 
 
 def test_gst_payload_is_c_order_and_aligned(tmp_path):
@@ -296,16 +314,17 @@ def test_gst_payload_is_c_order_and_aligned(tmp_path):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_read_gsa_copies_only_the_factor_section(tmp_path, method):
-    # the leftover store is a view of the file's bytes and every factor
-    # array a C view of one float64 copy of the factor section, so a read
+    # the raw leftover record is a view of the file's bytes and every factor
+    # array a C view of one float64 copy of the factor records, so a read
     # holds the file, that copy and little else; the field leaves more
-    # leftover than the 1 MiB slack, so a copy of the store would show
+    # leftover than the 1 MiB slack, so a copy of the raw record would show
     g = synth(SynthSpec(dims=(32, 24, 4, 256), seed=7))
     archive, _ = compress_dataset(g, method, 0.5)
     path = tmp_path / "arch.gsa"
     write_gsa(archive, str(path))
-    factor_bytes = 4 * split_blob(path.read_bytes())[2]["leftover"]["offset"]
-    assert archive.leftover_values.nbytes > 2**20 + 2 * factor_bytes
+    leftover = leftover_values(archive)
+    factor_bytes = 4 * split_blob(path.read_bytes())[2]["payload_elements"] - leftover.nbytes
+    assert leftover.nbytes > 2**20 + 2 * factor_bytes
     tracemalloc.start()
     try:
         back, _ = read_gsa(str(path))
@@ -314,24 +333,43 @@ def test_read_gsa_copies_only_the_factor_section(tmp_path, method):
         tracemalloc.stop()
     assert peak < path.stat().st_size + 2 * factor_bytes + 2**20
     assert all(a.flags.c_contiguous for rec in back.blocks for a in rec.fac.arrays())
+    assert leftover_values(back).dtype == "<f4"  # the file's bytes, not the float64 copy
 
 
-def as_version_1(path):
-    # the file with its version field set to 1, the first-index-fastest layout
+def as_version(path, version):
+    # the file with its version field set to another version's
     blob = path.read_bytes()
-    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
 
 
 def test_version_1_files_are_rejected(tmp_path):
+    # version 1 is the first-index-fastest layout
     g = small_field()
     gst, gsa = tmp_path / "field.gst", tmp_path / "arch.gsa"
     write_gst(g, str(gst))
     write_gsa(compress_dataset(g, "tucker", 0.5, s_min=4)[0], str(gsa))
-    for read, path, what in ((read_gst, gst, "GST"), (read_gsa, gsa, "GSA")):
-        as_version_1(path)
+    for read, path, what, version in ((read_gst, gst, "GST", 2), (read_gsa, gsa, "GSA", 3)):
+        as_version(path, 1)
         with pytest.raises(FormatError, match=f"unsupported {what} version 1, "
-                                              f"this reader reads version 2"):
+                                              f"this reader reads version {version}"):
             read(str(path))
+
+
+def test_each_container_reads_its_own_version(tmp_path):
+    # GSA version 2 kept the leftover in a section of its own and is
+    # rejected like version 1; the GST layout is still version 2's
+    g = small_field()
+    gst, gsa = tmp_path / "field.gst", tmp_path / "arch.gsa"
+    write_gst(g, str(gst))
+    write_gsa(compress_dataset(g, "tucker", 0.5, s_min=4)[0], str(gsa))
+    assert (split_blob(gst.read_bytes())[1], split_blob(gsa.read_bytes())[1]) == (2, 3)
+    np.testing.assert_array_equal(read_gst(str(gst)).values, g.values)
+    as_version(gsa, 2)
+    with pytest.raises(FormatError, match="unsupported GSA version 2, this reader reads version 3"):
+        read_gsa(str(gsa))
+    as_version(gst, 3)
+    with pytest.raises(FormatError, match="unsupported GST version 3, this reader reads version 2"):
+        read_gst(str(gst))
 
 
 def gsa_blob_parts(tmp_path, method="tucker", n_splits=1):
@@ -351,24 +389,30 @@ def test_gsa_rejects_truncated_payload(tmp_path):
 
 
 def test_gsa_rejects_tampered_offsets(tmp_path):
+    # offsets follow from the shapes in order: swapping two arrays' shapes
+    # keeps the payload's length and moves the arrays between them
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
-    header["blocks"][0]["arrays"][0]["offset"] += 1
+    shapes = header["records"][0]["shapes"]
+    assert shapes[0] != shapes[1]
+    shapes[0], shapes[1] = shapes[1], shapes[0]
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError):
         read_gsa(str(path))
 
 
 def test_gsa_rejects_bad_interval(tmp_path):
+    # a span of the record's length past the end of time
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
-    header["blocks"][0]["interval"] = 5
+    t0, t1 = header["records"][0]["span"]
+    header["records"][0]["span"] = [t0 + 5, t1 + 5]
     path.write_bytes(join_blob(magic, version, header, payload))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="do not tile"):
         read_gsa(str(path))
 
 
 def test_gsa_rejects_block_outside_mask(tmp_path):
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
-    header["blocks"][0]["rect"] = [0, 5000, 0, 5000]
+    header["records"][0]["rect"] = [0, 5000, 0, 5000]
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError):
         read_gsa(str(path))
@@ -376,7 +420,8 @@ def test_gsa_rejects_block_outside_mask(tmp_path):
 
 def test_gsa_rejects_leftover_count_mismatch(tmp_path):
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
-    header["leftover"]["cells"] += 1
+    assert header["records"][-1]["rect"] is None
+    header["records"][-1]["shapes"][0][0] += 1
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError):
         read_gsa(str(path))
@@ -384,7 +429,7 @@ def test_gsa_rejects_leftover_count_mismatch(tmp_path):
 
 def test_gsa_rejects_counts_mismatch(tmp_path):
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
-    header["counts"]["payload_elements"] += 3
+    header["payload_elements"] += 3
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError):
         read_gsa(str(path))
@@ -400,7 +445,7 @@ def test_gsa_rejects_unknown_method(tmp_path):
 
 def test_gsa_rejects_duplicate_block(tmp_path):
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path)
-    header["blocks"][1] = header["blocks"][0]
+    header["records"][1] = header["records"][0]
     path.write_bytes(join_blob(magic, version, header, payload))
     with pytest.raises(FormatError):
         read_gsa(str(path))
@@ -431,7 +476,7 @@ def test_gsa_rejects_blocks_of_another_kind(tmp_path):
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path, "tt")
     header["method"] = "tucker"
     path.write_bytes(join_blob(magic, version, header, payload))
-    with pytest.raises(FormatError, match="block kind 'tt' in a tucker archive"):
+    with pytest.raises(FormatError, match="has a record of kind 'tt' in a tucker archive"):
         read_gsa(str(path))
 
 
@@ -448,24 +493,26 @@ def test_gst_rejects_bool_dims(tmp_path):
 
 
 # every integer a GSA header holds, by its path in the header of a
-# two-interval archive (block 1 is in interval 1)
-GSA_INT_FIELDS = [
-    ("tucker", ("dims", 2)),
-    ("tucker", ("mask_rle", 1)),
-    ("tucker", ("splits", 1, 0)),
-    ("tucker", ("blocks", 1, "rect", 1)),
-    ("tucker", ("blocks", 1, "interval")),
-    ("tucker", ("blocks", 1, "arrays", 0, "shape", 0)),
-    ("tucker", ("blocks", 1, "arrays", 1, "offset")),
-    ("tucker", ("leftover", "offset")),
-    ("tucker", ("leftover", "cells")),
-    ("qtt", ("blocks", 1, "mode_factors", 0, 0)),
-]
+# two-interval archive (record 1 is the first rectangle's interval 1, the
+# last record the leftover's).  Each is labelled by the version 2 header
+# field it replaces, so that a test id names the same check across the
+# format change; the payload elements and the leftover's span are new.
+GSA_INT_FIELDS = {
+    "dims.2": ("tucker", ("dims", 2)),
+    "mask_rle.1": ("tucker", ("mask_rle", 1)),
+    "splits.1.0": ("tucker", ("records", 1, "span", 0)),
+    "blocks.1.rect.1": ("tucker", ("records", 1, "rect", 1)),
+    "blocks.1.interval": ("tucker", ("records", 1, "span", 1)),
+    "blocks.1.arrays.0.shape.0": ("tucker", ("records", 1, "shapes", 0, 0)),
+    "leftover.cells": ("tucker", ("records", -1, "shapes", 0, 0)),
+    "records.-1.span.1": ("tucker", ("records", -1, "span", 1)),
+    "payload_elements": ("tucker", ("payload_elements",)),
+    "blocks.1.mode_factors.0.0": ("qtt", ("records", 1, "mode_factors", 0, 0)),
+}
 
 
 @pytest.mark.parametrize("as_type", [bool, float])
-@pytest.mark.parametrize("method,field", GSA_INT_FIELDS,
-                         ids=[".".join(map(str, f)) for _, f in GSA_INT_FIELDS])
+@pytest.mark.parametrize("method,field", GSA_INT_FIELDS.values(), ids=GSA_INT_FIELDS)
 def test_gsa_rejects_ill_typed_integers(tmp_path, method, field, as_type):
     # true and a float both compare equal to an int, so only the reader's
     # integer check stops them before a reshape or a rewrite
@@ -490,34 +537,23 @@ def test_gsa_rejects_bad_eps_max(tmp_path, eps_max):
 
 
 def set_shapes(header, payload, shapes):
-    """Give the first block record new array shapes, and its part of the
-    payload their sizes (cut, or padded with zeros), with every later offset
-    and count moved to match; returns the new payload."""
-    blocks = header["blocks"]
-    start = blocks[0]["arrays"][0]["offset"]
-    old = sum(math.prod(a["shape"]) for a in blocks[0]["arrays"])
-    blocks[0]["arrays"] = []
-    offset = start
-    for shape in shapes:
-        blocks[0]["arrays"].append({"shape": list(shape), "offset": offset})
-        offset += math.prod(shape)
-    grown = offset - start - old
-    for block in blocks[1:]:
-        for a in block["arrays"]:
-            a["offset"] += grown
-    header["leftover"]["offset"] += grown
-    header["counts"]["block_elements"] += grown
-    header["counts"]["payload_elements"] += grown
-    record = payload[4 * start:4 * (start + old)] + bytes(4 * max(grown, 0))
-    return payload[:4 * start] + record[:4 * (offset - start)] + payload[4 * (start + old):]
+    """Give the first record new array shapes, and its part of the payload,
+    at the start, their sizes (cut, or padded with zeros), with the payload
+    element count moved to match; returns the new payload."""
+    old = sum(math.prod(shape) for shape in header["records"][0]["shapes"])
+    new = sum(math.prod(shape) for shape in shapes)
+    header["records"][0]["shapes"] = [list(shape) for shape in shapes]
+    header["payload_elements"] += new - old
+    record = payload[:4 * old] + bytes(4 * max(new - old, 0))
+    return record[:4 * new] + payload[4 * old:]
 
 
 def shapes_of(header):
-    return [list(a["shape"]) for a in header["blocks"][0]["arrays"]]
+    return [list(shape) for shape in header["records"][0]["shapes"]]
 
 
 def unknown_kind(header, payload):
-    header["blocks"][0]["kind"] = "zip"
+    header["records"][0]["kind"] = "zip"
     return payload
 
 
@@ -542,12 +578,12 @@ def tt_rank_mismatch(header, payload):
 
 
 def qtt_mode_factor_product(header, payload):
-    header["blocks"][0]["mode_factors"][0].append(2)
+    header["records"][0]["mode_factors"][0].append(2)
     return payload
 
 
 def non_object_entry(header, payload):
-    header["blocks"][0] = 1
+    header["records"][0] = 1
     return payload
 
 
@@ -573,17 +609,18 @@ def test_gsa_rejects_bad_block_record(tmp_path, method, tamper, message):
 
 
 def splits_overlap(header, payload):
-    # intervals of the right lengths, overlapping, so the last step is
-    # never written
-    (t0, t1), (_, t2) = header["splits"]
-    header["splits"] = [[t0, t1], [t1 - 1, t2 - 1]]
+    # the first rectangle's intervals of the right lengths, overlapping, so
+    # its last step is never written
+    first, second = header["records"][:2]
+    (t0, t1), (_, t2) = first["span"], second["span"]
+    second["span"] = [t1 - 1, t2 - 1]
     return payload
 
 
 def rect_over_undefined(header, payload):
     # the leftover cells stay the same: a covered cell is never one
     mask = _decode_rle(header["mask_rle"], tuple(header["dims"][:2]))
-    x0, _, y0, _ = header["blocks"][0]["rect"]
+    x0, _, y0, _ = header["records"][0]["rect"]
     mask[x0, y0] = False
     header["mask_rle"] = _encode_rle(mask)
     return payload
@@ -592,26 +629,20 @@ def rect_over_undefined(header, payload):
 def rect_at_negative_x(header, payload):
     # the same extents, so the arrays still match; a negative start would
     # slice the mask from its far end
-    rect = header["blocks"][0]["rect"]
+    rect = header["records"][0]["rect"]
     rect[0] -= header["dims"][0]
     rect[1] -= header["dims"][0]
     return payload
 
 
 def missing_record(header, payload):
-    # drop the first rectangle's interval 1 record, its arrays and their
-    # payload, with every later offset and count fixed up
-    blocks = header["blocks"]
-    assert blocks[1]["rect"] == blocks[0]["rect"] and blocks[1]["interval"] == 1
-    dropped = blocks.pop(1)
-    start = dropped["arrays"][0]["offset"]
-    size = sum(int(np.prod(a["shape"])) for a in dropped["arrays"])
-    for block in blocks[1:]:
-        for a in block["arrays"]:
-            a["offset"] -= size
-    header["leftover"]["offset"] -= size
-    header["counts"]["block_elements"] -= size
-    header["counts"]["payload_elements"] -= size
+    # drop the first rectangle's interval 1 record and its arrays' payload,
+    # with the payload element count fixed up
+    records = header["records"]
+    assert records[1]["rect"] == records[0]["rect"] and records[1]["span"][0] > 0
+    start = sum(math.prod(shape) for shape in records[0]["shapes"])
+    size = sum(math.prod(shape) for shape in records.pop(1)["shapes"])
+    header["payload_elements"] -= size
     return payload[:4 * start] + payload[4 * (start + size):]
 
 
@@ -619,7 +650,7 @@ def missing_record(header, payload):
     (splits_overlap, "do not tile"),
     (rect_over_undefined, "covers undefined cells"),
     (rect_at_negative_x, "lies outside"),
-    (missing_record, r"has records for intervals \[0\]"),
+    (missing_record, r"has records for time spans \[\(0, 6\)\], which do not tile"),
 ])
 def test_gsa_rejects_bad_layout(tmp_path, tamper, message):
     path, (magic, version, header, payload) = gsa_blob_parts(tmp_path, n_splits=2)
@@ -640,7 +671,7 @@ def test_gsa_rejects_overlapping_rectangles(tmp_path):
     inner = BlockIndex(r.x_start, r.x_start + 1, r.y_start, r.y_start + 1)
     cell = g.values[inner.x_start:inner.x_end, inner.y_start:inner.y_end]
     fac = budgeted_search(TuckerFactorization, [cell], 0.5)[0][0]
-    fields = {**vars(archive), "blocks": archive.blocks + (BlockRecord(inner, 0, fac),)}
+    fields = {**vars(archive), "blocks": archive.blocks + (BlockRecord(inner, (0, 12), fac),)}
     path = tmp_path / "arch.gsa"
     write_gsa(SimpleNamespace(**fields), str(path))
     with pytest.raises(FormatError, match="overlap"):
@@ -655,17 +686,106 @@ def test_gsa_rejects_a_record_of_another_shape(tmp_path, name):
     method, misfit = MISFIT_RECORDS[name]
     archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4)
     rec = archive.blocks[0]
-    blocks = (BlockRecord(rec.rect, rec.interval, misfit(rec.fac)),) + archive.blocks[1:]
+    blocks = (BlockRecord(rec.rect, rec.span, misfit(rec.fac)),) + archive.blocks[1:]
     path = tmp_path / "arch.gsa"
     write_gsa(SimpleNamespace(**{**vars(archive), "blocks": blocks}), str(path))
     with pytest.raises(FormatError, match="has a record of shape"):
         read_gsa(str(path))
 
 
+# archives that break one placement rule of CompressedArchive, by name: each
+# takes a method and returns a compressed archive and the records to put in
+# its place, and the rule's message for that method
+
+
+def two_interval_parts(method):
+    # a two-interval archive with a leftover: its rectangle records, rect-
+    # major and interval-minor, and the leftover's, the last
+    archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4, n_splits=2)
+    *records, leftover = archive.blocks
+    assert leftover.rect is None and records[0].rect == records[1].rect
+    return archive, records, leftover
+
+
+def no_leftover_record(method):
+    archive, records, _ = two_interval_parts(method)
+    return archive, records
+
+
+def leftover_record_over_full_cover(method):
+    # the rectangles cover every cell of an all-defined grid
+    values = np.random.default_rng(0).random((8, 8, 3, 12))
+    archive, _ = compress_dataset(GappyTensor4(values, np.ones((8, 8), dtype=bool)), method,
+                                  0.5, s_min=4, n_splits=2)
+    assert all(rec.rect is not None for rec in archive.blocks)
+    cell = RawFactorization(np.zeros((1, 3, 12), dtype=np.float32))
+    return archive, [*archive.blocks, BlockRecord(None, (0, 12), cell)]
+
+
+def raw_record_on_a_rectangle(method):
+    archive, (rec, *records), leftover = two_interval_parts(method)
+    raw = RawFactorization(np.zeros(rec.fac.dims, dtype=np.float32))
+    return archive, [BlockRecord(rec.rect, rec.span, raw), *records, leftover]
+
+
+def factorized_leftover(method):
+    archive, records, leftover = two_interval_parts(method)
+    x = leftover.fac.values.astype(np.float64)
+    fac = budgeted_search(KINDS[method], [x], 0.5)[0][0]
+    return archive, [*records, BlockRecord(None, leftover.span, fac)]
+
+
+def spans_with_a_gap(method):
+    # the first rectangle without its second interval's record
+    archive, (first, _, *records), leftover = two_interval_parts(method)
+    return archive, [first, *records, leftover]
+
+
+def spans_overlapping(method):
+    archive, (first, second, *records), leftover = two_interval_parts(method)
+    (t0, t1), (_, t2) = first.span, second.span
+    moved = dataclasses.replace(second, span=(t1 - 1, t2 - 1))
+    return archive, [first, moved, *records, leftover]
+
+
+def leftover_of_another_cell_count(method):
+    archive, records, leftover = two_interval_parts(method)
+    fewer = RawFactorization(leftover.fac.values[1:])
+    return archive, [*records, BlockRecord(None, leftover.span, fewer)]
+
+
+PLACEMENTS = {
+    no_leftover_record: "defined cells are uncovered, and there are no leftover records",
+    leftover_record_over_full_cover: "0 defined cells are uncovered, and there are leftover",
+    raw_record_on_a_rectangle: "has a record of kind 'raw' in a {m} archive, expected '{m}'",
+    factorized_leftover: "the leftover has a record of kind '{m}' in a {m} archive, "
+                         "expected 'raw'",
+    spans_with_a_gap: "has records for time spans \\[\\(0, 6\\)\\], which do not tile",
+    spans_overlapping: "has records for time spans .*, which do not tile",
+    leftover_of_another_cell_count: "the leftover span \\(0, 12\\) has a record of shape",
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", PLACEMENTS, ids=lambda f: f.__name__)
+def test_archive_and_reader_reject_a_bad_placement(tmp_path, case, method):
+    # the constructor refuses the records, and a file written from a copy
+    # of the fields, whose every array reads, is refused on reading
+    archive, records = case(method)
+    message = PLACEMENTS[case].format(m=method)
+    fields = {**vars(archive), "blocks": tuple(records)}
+    with pytest.raises(ValueError, match=message):
+        CompressedArchive(**fields)
+    path = tmp_path / "arch.gsa"
+    write_gsa(SimpleNamespace(**fields), str(path))
+    with pytest.raises(FormatError, match=message):
+        read_gsa(str(path))
+
+
 # values a fuzzed header field is replaced with: every JSON type, integers
 # of the wrong size, NaN and the kind names
 FUZZ_VALUES = [None, True, False, 0, 1, -1, 2, 3, 2**40, 1.5, float("nan"), "tucker", "tt",
-               "qtt", "", [], [0], [2, 2], [[2, 2]], [[0, 1], [1, 2]], {"shape": [1]}]
+               "qtt", "raw", "", [], [0], [2, 2], [[2, 2]], [[0, 1], [1, 2]], {"shape": [1]}]
 
 
 def header_paths(node, path=()):
@@ -680,11 +800,16 @@ def header_paths(node, path=()):
 @functools.lru_cache(maxsize=None)
 def fuzz_archive(method):
     """The header text, payload and fuzzed paths of a small two-interval
-    archive.  ``dims`` and ``mask_rle`` are left alone: the mask is
-    allocated at the grid size they claim before the payload is checked."""
+    archive, which holds a raw leftover record and two spans per rectangle.
+    ``dims`` and ``mask_rle`` are left alone: the mask is allocated at the
+    grid size they claim before the payload is checked."""
     archive, _ = compress_dataset(synth(SynthSpec(dims=(12, 10, 2, 8), seed=7)), method, 0.5,
                                   s_min=4, n_splits=2)
-    assert archive.blocks
+    spans = {}
+    for rec in archive.blocks:
+        spans.setdefault(rec.rect, []).append(rec.span)
+    assert spans.pop(None) == [(0, 8)] and archive.blocks[-1].fac.kind == "raw"
+    assert spans and all(len(s) == 2 for s in spans.values())
     with tempfile.TemporaryDirectory() as work:
         write_gsa(archive, os.path.join(work, "arch.gsa"))
         with open(os.path.join(work, "arch.gsa"), "rb") as f:
@@ -704,7 +829,7 @@ def test_gsa_reader_raises_only_format_error(method, data):
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "arch.gsa")
         with open(path, "wb") as f:
-            f.write(join_blob(GSA_MAGIC, FORMAT_VERSION, header, payload))
+            f.write(join_blob(GSA_MAGIC, GSA_VERSION, header, payload))
         try:
             read_gsa(path)
         except FormatError:

@@ -17,12 +17,13 @@ from helpers import MISFIT_RECORDS, interval_stack
 from tenblock import pipeline
 from tenblock.cli import main
 from tenblock.formats import read_gst, write_gsa
-from tenblock.partition import BlockIndex, greedy_partition, pow2_partition
+from tenblock.partition import BlockIndex, greedy_partition, pow2_partition, temporal_split
 from tenblock.pipeline import (
     KINDS,
     METHODS,
     BlockRecord,
     CompressedArchive,
+    RawFactorization,
     _quantize_f32,
     compress_dataset,
     cr_metrics,
@@ -51,6 +52,10 @@ def one_thread(monkeypatch):
 
 def defined_cheb(a, b, mask):
     return chebyshev_norm(np.nan_to_num(a - b), mask[:, :, None, None])
+
+
+def rect_records(archive):
+    return [rec for rec in archive.blocks if rec.rect is not None]
 
 
 def test_cr_metrics_reference_case():
@@ -139,15 +144,17 @@ def test_every_step_alone_still_meets_budget():
     archive, report = compress_dataset(g, "tucker", 0.5, s_min=4, n_splits=8)
     restored = decompress_dataset(archive)
     assert defined_cheb(restored.values, g.values, g.domain_mask) <= 0.5
-    assert len(archive.splits) == 8
-    assert all(t1 - t0 == 1 for t0, t1 in archive.splits)
+    spans = {rec.span for rec in rect_records(archive)}
+    assert len(spans) == 8 and all(t1 - t0 == 1 for t0, t1 in spans)
 
 
 def test_leftover_only_archive_round_trips_exactly():
-    # s_min larger than the grid leaves no blocks; all defined cells stored raw
+    # s_min larger than the grid leaves no blocks; all defined cells stored
+    # raw, in one record for all time
     g = small_field(dims=(12, 10, 2, 6))
     archive, report = compress_dataset(g, "tucker", 0.5, s_min=64)
-    assert archive.blocks == ()
+    [rec] = archive.blocks
+    assert (rec.rect, rec.span, rec.fac.kind) == (None, (0, 6), "raw")
     assert math.isnan(report.cr_sub)
     assert report.cr_all == pytest.approx(
         np.prod(g.dims) / report.leftover_count)
@@ -294,17 +301,19 @@ def test_compress_reconstructs_each_block_once(monkeypatch, method):
     # a budget so loose that the first candidate of every block is accepted
     archive, report = compress_dataset(g, method, 1e6, s_min=4, n_splits=2)
     monkeypatch.undo()
-    assert len(archive.blocks) > 2
-    assert len(calls) == len(archive.blocks)
+    records = rect_records(archive)
+    assert len(records) > 2
+    assert len(calls) == len(records)
 
     # the reported errors are those of the archived factorizations, taken
     # on the block in C order, as the search holds it
-    for rec, s in zip(archive.blocks, report.block_stats):
+    assert len(report.block_stats) == len(records)
+    for rec, s in zip(records, report.block_stats):
         r = rec.rect
-        t0, t1 = archive.splits[rec.interval]
+        t0, t1 = rec.span
         sub = np.ascontiguousarray(g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1])
         diff = rec.fac.reconstruct() - sub
-        assert (s.rect, s.interval) == (rec.rect, rec.interval)
+        assert (s.rect, temporal_split(g.dims[3], 2)[s.interval]) == (rec.rect, rec.span)
         assert s.cheb_error == chebyshev_norm(diff)
         assert s.rel_frob_error == frobenius_norm(diff) / frobenius_norm(sub)
 
@@ -352,8 +361,9 @@ def test_readme_config_ranks_pinned(readme_field, method):
     # mode bases came from full thin SVDs: a change to how bases are
     # computed that moves a rank fails here
     archive, report = compress_dataset(readme_field, method, 0.5, 8, 4)
-    got = [{"rect": list(b.rect), "interval": b.interval, "ranks": list(b.fac.ranks)}
-           for b in archive.blocks]
+    splits = temporal_split(readme_field.dims[3], 4)
+    got = [{"rect": list(b.rect), "interval": splits.index(b.span), "ranks": list(b.fac.ranks)}
+           for b in rect_records(archive)]
     assert got == README_RANKS[method]["blocks"]
     assert report.cr_all == README_RANKS[method]["cr_all"]
 
@@ -366,8 +376,8 @@ def test_compress_is_layout_independent():
     for method in METHODS:
         a, ra = compress_dataset(g, method, 0.5, n_splits=2)
         b, rb = compress_dataset(f, method, 0.5, n_splits=2)
-        assert ([(r.rect, r.interval, r.fac.ranks) for r in a.blocks]
-                == [(r.rect, r.interval, r.fac.ranks) for r in b.blocks])
+        assert ([(r.rect, r.span, r.fac.ranks) for r in rect_records(a)]
+                == [(r.rect, r.span, r.fac.ranks) for r in rect_records(b)])
         assert ra.cr_all == rb.cr_all
 
 
@@ -414,15 +424,15 @@ def test_compress_searches_same_length_intervals_as_one_stack(monkeypatch, one_t
     monkeypatch.setattr(pipeline, "budgeted_search", recording)
     archive, report = compress_dataset(g, method, 0.25, 8, 3)
     monkeypatch.undo()
-    assert archive.splits == ((0, 6), (6, 12), (12, 20))
-    rects = list(dict.fromkeys(rec.rect for rec in archive.blocks))
+    records = rect_records(archive)
+    rects = list(dict.fromkeys(rec.rect for rec in records))
     assert stacks == [2, 1] * len(rects)
-    # records rect-major, interval-minor
-    assert [(rec.rect, rec.interval) for rec in archive.blocks] == [
-        (r, iv) for r in rects for iv in range(3)]
-    for rec, s in zip(archive.blocks, report.block_stats):
+    # records rect-major, interval-minor, then the leftover's for all time
+    assert [(rec.rect, rec.span) for rec in archive.blocks] == [
+        (r, span) for r in rects for span in ((0, 6), (6, 12), (12, 20))] + [(None, (0, 20))]
+    for rec, s in zip(records, report.block_stats):
         r = rec.rect
-        t0, t1 = archive.splits[rec.interval]
+        t0, t1 = rec.span
         x = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
         alone = budgeted_search(KINDS[method], [x], 0.25, _quantize_f32)[0]
         _assert_same_search(method, x, (rec.fac, s.cheb_error, s.rel_frob_error), alone)
@@ -497,8 +507,8 @@ def test_compress_on_one_cpu_or_rectangle_starts_no_thread(monkeypatch, cpus, s_
     started, searches = _spy_threads(monkeypatch, cpus)
     archive, _ = compress_dataset(g, "tt", 0.5, s_min)
     assert not started
-    assert len(archive.blocks) == (8 if cpus == 1 else 1)
-    assert searches == ["caller"] * len(archive.blocks)
+    assert len(rect_records(archive)) == (8 if cpus == 1 else 1)
+    assert searches == ["caller"] * len(rect_records(archive))
 
 
 def test_rectangle_queue_hands_out_each_rectangle_once(monkeypatch):
@@ -568,13 +578,20 @@ def _inf_factor_entry(archive):
     arrays = [np.array(a) for a in rec.fac.arrays()]
     arrays[0].flat[0] = np.inf
     fac = type(rec.fac).from_arrays(arrays, rec.fac.header_fields())
-    return {"blocks": (BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:]}
+    return {"blocks": (BlockRecord(rec.rect, rec.span, fac),) + archive.blocks[1:]}
+
+
+def _with_leftover(archive, values):
+    # the archive's records with the last, the leftover's, holding values
+    *records, rec = archive.blocks
+    assert rec.rect is None
+    return {"blocks": (*records, BlockRecord(None, rec.span, RawFactorization(values)))}
 
 
 def _nan_leftover(archive):
-    leftover = archive.leftover_values.copy()
+    leftover = archive.blocks[-1].fac.values.copy()
     leftover[0, 0, 0] = np.nan
-    return {"leftover_values": leftover}
+    return _with_leftover(archive, leftover)
 
 
 def _missing_interval(archive):
@@ -594,15 +611,18 @@ def _rect_over_undefined(archive):
 
 def _leftover_count_mismatch(archive):
     # one cell, which an assignment would broadcast over all of them
-    assert archive.leftover_values.shape[0] > 1
-    return {"leftover_values": archive.leftover_values[:1]}
+    leftover = archive.blocks[-1].fac.values
+    assert leftover.shape[0] > 1
+    return _with_leftover(archive, leftover[:1])
 
 
 def _last_step_uncovered(archive):
-    # intervals of the right lengths, overlapping, so the last step is
-    # never written
-    (t0, t1), (_, t2) = archive.splits
-    return {"splits": ((t0, t1), (t1 - 1, t2 - 1))}
+    # the first rectangle's intervals of the right lengths, overlapping, so
+    # its last step is never written
+    first, second, *rest = archive.blocks
+    (t0, t1), (_, t2) = first.span, second.span
+    assert first.rect == second.rect and t1 - t0 == t2 - t1
+    return {"blocks": (first, dataclasses.replace(second, span=(t1 - 1, t2 - 1)), *rest)}
 
 
 def _mask_shape(archive):
@@ -632,13 +652,13 @@ def test_archive_rejects_overlapping_rectangles():
     inner = BlockIndex(r.x_start, r.x_start + 1, r.y_start, r.y_start + 1)
     cell = g.values[inner.x_start:inner.x_end, inner.y_start:inner.y_end]
     fac = budgeted_search(KINDS["tucker"], [cell], 0.5)[0][0]
-    blocks = archive.blocks + (BlockRecord(inner, 0, fac),)
+    blocks = archive.blocks + (BlockRecord(inner, archive.blocks[0].span, fac),)
     with pytest.raises(ValueError, match="overlap"):
         dataclasses.replace(archive, blocks=blocks)
 
 
 @pytest.mark.parametrize("method,field,value,message", [
-    ("tt", "method", "tucker", "block kind 'tt' in a tucker archive"),
+    ("tt", "method", "tucker", "has a record of kind 'tt' in a tucker archive"),
     ("tucker", "method", "nope", "unknown method 'nope'"),
     *[("tucker", "eps_max", v, "bad eps_max") for v in (math.nan, -1.0, 0, math.inf, 10**400)],
 ], ids=["tt_records_in_tucker", "unknown_method", "eps_max_nan", "eps_max_negative",
@@ -662,8 +682,8 @@ def test_archive_rejects_a_record_of_another_shape(name):
     archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4, n_splits=2)
     rec = archive.blocks[0]
     fac = misfit(rec.fac)
-    blocks = (BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:]
-    message = re.escape(f"interval 0 has a record of shape {fac.dims}")
+    blocks = (BlockRecord(rec.rect, rec.span, fac),) + archive.blocks[1:]
+    message = re.escape(f"span (0, 8) has a record of shape {fac.dims}")
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(archive, blocks=blocks)
 
@@ -675,7 +695,7 @@ def test_decompress_rejects_overflowing_factors():
     arrays = [a * (1e37 / np.abs(a).max()) for a in rec.fac.arrays()]
     assert len(arrays) >= 9 and all(np.isfinite(a.astype(np.float32)).all() for a in arrays)
     fac = type(rec.fac).from_arrays(arrays, rec.fac.header_fields())
-    blocks = (BlockRecord(rec.rect, rec.interval, fac),) + archive.blocks[1:]
+    blocks = (BlockRecord(rec.rect, rec.span, fac),) + archive.blocks[1:]
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         decompress_dataset(dataclasses.replace(archive, blocks=blocks))
 
@@ -693,16 +713,18 @@ def test_decompressed_field_passes_the_public_checks(method, n_splits):
 
 
 def reference_decompress(archive):
-    """The field filled with NaN, then one copy per record, then the leftover
-    store: the per-record decompress that ``decompress_dataset`` must match
-    bit for bit."""
+    """The field filled with NaN, then one copy per record, a leftover
+    record's scattered to the leftover cells: the per-record decompress that
+    ``decompress_dataset`` must match bit for bit."""
     values = np.full(archive.dims, np.nan)
+    rects = [rec.rect for rec in rect_records(archive)]
+    cells = leftover_cells(archive.domain_mask, rects)
     for rec in archive.blocks:
-        r = rec.rect
-        t0, t1 = archive.splits[rec.interval]
-        values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1] = rec.fac.reconstruct()
-    cells = leftover_cells(archive.domain_mask, [rec.rect for rec in archive.blocks])
-    values[cells[:, 0], cells[:, 1]] = archive.leftover_values
+        r, (t0, t1) = rec.rect, rec.span
+        if r is None:
+            values[cells[:, 0], cells[:, 1], :, t0:t1] = rec.fac.reconstruct()
+        else:
+            values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1] = rec.fac.reconstruct()
     return values
 
 
@@ -714,14 +736,16 @@ def hand_tiled_archive(method, splits, eps_max=0.5):
     part = (pow2_partition if cls.pow2_blocks else greedy_partition)(g.domain_mask, 4)
     records = []
     for r in part.blocks:
-        for iv, (t0, t1) in enumerate(splits):
+        for t0, t1 in splits:
             x = g.values[r.x_start:r.x_end, r.y_start:r.y_end, :, t0:t1]
             fac = budgeted_search(cls, [x], eps_max, _quantize_f32)[0][0]
-            records.append(BlockRecord(r, iv, fac))
+            records.append(BlockRecord(r, (t0, t1), fac))
+    # the leftover in the same intervals, latest first
     cells = leftover_cells(g.domain_mask, part.blocks)
-    leftover = g.values[cells[:, 0], cells[:, 1]].astype(np.float32)
-    return CompressedArchive(method, eps_max, g.dims, g.domain_mask, tuple(splits),
-                             tuple(records), leftover)
+    for t0, t1 in reversed(splits):
+        leftover = g.values[cells[:, 0], cells[:, 1], :, t0:t1].astype(np.float32)
+        records.append(BlockRecord(None, (t0, t1), RawFactorization(leftover)))
+    return CompressedArchive(method, eps_max, g.dims, g.domain_mask, tuple(records))
 
 
 DECOMPRESS_CASES = {
@@ -738,7 +762,7 @@ DECOMPRESS_CASES = {
 @pytest.mark.parametrize("method", METHODS)
 def test_decompress_matches_per_record_reference_bitwise(method, case):
     archive = DECOMPRESS_CASES[case](method)
-    assert (archive.blocks == ()) == (case == "leftover_only")
+    assert (not rect_records(archive)) == (case == "leftover_only")
     out = decompress_dataset(archive)
     assert out.values.tobytes() == reference_decompress(archive).tobytes()
 
@@ -758,7 +782,7 @@ def test_decompress_run_buffer_within_one_split_peak(method):
             peaks[n_splits] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    block = max(8 * math.prod(rec.fac.dims) for rec in archive.blocks)
+    block = max(8 * math.prod(rec.fac.dims) for rec in rect_records(archive))
     assert peaks[16] <= peaks[1] + block
     # beyond the field, one rectangle's slab and its temporaries: a buffer
     # or block of the previous rectangle still held would add a second slab

@@ -1,14 +1,20 @@
 """The scripts under benchmarks/ import private names of tenblock and of the
 tests; a refactor that renames one breaks the script only when it is run,
-so import each here.  The layering of the package is pinned here too."""
+so import each here, and run the parity table's per-case step on a small
+field.  The layering of the package is pinned here too."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from tenblock import compress_dataset, synth
+from tenblock.partition import temporal_split
+from tenblock.synth import SynthSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "benchmarks").glob("*.py"))
@@ -37,6 +43,28 @@ def test_benchmark_script_imports(script):
     proc = subprocess.run([sys.executable, "-c", IMPORT, str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("method", ["tucker", "tt", "qtt"])
+def test_parity_run_on_a_small_field(monkeypatch, tmp_path, method):
+    # the script pins the BLAS thread counts at import; monkeypatch puts
+    # back what the environment held
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "benchmarks" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    g = synth(SynthSpec(dims=(32, 24, 4, 16), seed=7))
+    cr_all, cheb, size, _, _, _, ranks = parity.run(g, method, 0.5, 2, str(tmp_path))
+    archive, report = compress_dataset(g, method, 0.5, 8, 2)
+    assert cr_all == report.cr_all and cheb <= 0.5
+    assert size == (tmp_path / "archive.gsa").stat().st_size
+    # the rectangle records only, rect-major, each labelled by its interval
+    splits = temporal_split(16, 2)
+    records = [rec for rec in archive.blocks if rec.rect is not None]
+    assert records and len(records) < len(archive.blocks)  # and a leftover record
+    assert ranks == [f"{'.'.join(map(str, rec.rect))}/{splits.index(rec.span)}:"
+                     f"{'.'.join(map(str, rec.fac.ranks))}" for rec in records]
 
 
 PACKAGE = ROOT / "src" / "tenblock"
