@@ -22,7 +22,6 @@ from .pipeline import (
     CompressedArchive,
     CompressionReport,
     compress_dataset,
-    cr_metrics,
     decompress_dataset,
     render_report,
     render_sweep,

@@ -6,9 +6,10 @@ the payload starts on an 8-byte boundary, and a payload of little-endian
 the order the field and the archive have in memory, so neither writing
 nor reading transposes.  A GSA header lists the records, each with its
 region (a rectangle, or null for the leftover), time span, kind and array
-shapes, and the payload holds their arrays in that order.  ``read_gsa``
-returns a raw record's array as a view of the file's bytes and the other
-arrays as views of one float64 copy per run of records.  Only GST version
+shapes, and the payload holds their arrays in that order.  A record
+holds its arrays as the file stores them, float32 and C-contiguous, so the
+writer casts them into one buffer and ``read_gsa`` returns every array as
+a view of the file's bytes, whatever the record's kind.  Only GST version
 2 and GSA version 3 are read.
 
 The readers only decode: every header claim that slicing the payload rests
@@ -27,12 +28,11 @@ import math
 import os
 import struct
 import tempfile
-from itertools import groupby
 
 import numpy as np
 
 from .partition import BlockIndex
-from .pipeline import KINDS, BlockRecord, CompressedArchive, RawFactorization
+from .pipeline import KINDS, BlockRecord, CompressedArchive
 from .tensor_core import GappyTensor4
 
 GST_MAGIC = b"GSTT"
@@ -48,10 +48,9 @@ class FormatError(ValueError):
 
 
 def _atomic_write(path: str, magic: bytes, version: int, header: dict,
-                  payload: list[np.ndarray]) -> None:
+                  payload: np.ndarray) -> None:
     """Write the file of ``magic``, ``header`` and the C-contiguous
-    ``payload`` arrays in turn, whose buffers are written as they are,
-    without a bytes copy or a concatenation."""
+    ``payload``, whose buffer is written as it is, without a bytes copy."""
     hb = json.dumps(header, allow_nan=False).encode()
     hb += b" " * (-(_PREFIX.size + len(hb)) % 8)  # the payload starts 8-byte aligned
     d = os.path.dirname(os.path.abspath(path)) or "."
@@ -60,8 +59,7 @@ def _atomic_write(path: str, magic: bytes, version: int, header: dict,
         with os.fdopen(fd, "wb") as f:
             f.write(_PREFIX.pack(magic, version, len(hb)))
             f.write(hb)
-            for a in payload:
-                f.write(a)
+            f.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -119,7 +117,7 @@ def write_gst(data: GappyTensor4, path: str) -> None:
         "missing": "nan",
         "order": "C",
     }
-    _atomic_write(path, GST_MAGIC, GST_VERSION, header, [payload])
+    _atomic_write(path, GST_MAGIC, GST_VERSION, header, payload)
 
 
 def read_gst(path: str) -> GappyTensor4:
@@ -167,20 +165,17 @@ def _decode_rle(runs, shape) -> np.ndarray:
 
 def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None) -> None:
     """Write ``archive`` with ``metrics`` in its header: every record's
-    arrays in turn, flattened in C order, a raw array uncopied (compress
-    makes it C-contiguous float32) and each run of the others cast into one
-    small float32 buffer.  A payload value not finite in float32 raises
+    arrays in turn, flattened in C order, cast into one float32 buffer (a
+    compressed record's arrays are float32 already; a hand-built one's may
+    be float64).  A payload value not finite in float32 raises
     ``ValueError`` before any file is made: ``decompress_dataset`` of the
     archive read back would reject it."""
-    payload = []
+    arrays = [a for rec in archive.blocks for a in rec.fac.arrays()]
     with np.errstate(over="ignore"):
-        for raw, run in groupby(archive.blocks, key=lambda r: isinstance(r.fac, RawFactorization)):
-            arrays = [a for rec in run for a in rec.fac.arrays()]
-            if raw:
-                payload += [np.ascontiguousarray(a, dtype="<f4") for a in arrays]
-            else:
-                payload.append(np.concatenate(arrays, axis=None, dtype="<f4", casting="same_kind"))
-    if not all(np.isfinite(a).all() for a in payload):
+        # an all-land grid's archive has no records, and concatenate no arrays
+        payload = (np.concatenate(arrays, axis=None, dtype="<f4", casting="same_kind")
+                   if arrays else np.empty(0, "<f4"))
+    if not np.isfinite(payload).all():
         raise ValueError("a payload value is not finite in float32")
     header = {
         "method": archive.method,
@@ -191,7 +186,7 @@ def write_gsa(archive: CompressedArchive, path: str, metrics: dict | None = None
                      "span": list(rec.span), "kind": rec.fac.kind,
                      "shapes": [list(a.shape) for a in rec.fac.arrays()],
                      **rec.fac.header_fields()} for rec in archive.blocks],
-        "payload_elements": sum(a.size for a in payload),
+        "payload_elements": payload.size,
         "metrics": metrics or {},
     }
     _atomic_write(path, GSA_MAGIC, GSA_VERSION, header, payload)
@@ -226,7 +221,8 @@ def _check_record_entry(entry):
 
 
 def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
-    """Load an archive; returns it with the manifest's metrics dict."""
+    """Load an archive; returns it with the manifest's metrics dict.  Every
+    record's arrays are float32 C views of the file's bytes, none copied."""
     header, payload = _split_file(_read_file(path), GSA_MAGIC, GSA_VERSION, "GSA")
 
     eps_max = header.get("eps_max")
@@ -250,20 +246,12 @@ def read_gsa(path: str) -> tuple[CompressedArchive, dict]:
     flat = np.frombuffer(payload, dtype="<f4")
     records = []
     try:
-        # a raw record's array is a view of the file's bytes, not copied;
-        # each run of other records takes one float64 copy, every array a
-        # C view of it
-        for raw, run in groupby(parsed, key=lambda p: p[2] is RawFactorization):
-            run = list(run)
-            size = sum(math.prod(shape) for *_, shapes, _ in run for shape in shapes)
-            section, flat = flat[:size], flat[size:]
-            section = section if raw else section.astype(np.float64)
-            for rect, span, cls, shapes, entry in run:
-                arrays = []
-                for shape in shapes:
-                    arrays.append(section[:math.prod(shape)].reshape(shape))
-                    section = section[math.prod(shape):]
-                records.append(BlockRecord(rect, span, cls.from_arrays(arrays, entry)))
+        for rect, span, cls, shapes, entry in parsed:
+            arrays = []
+            for shape in shapes:
+                arrays.append(flat[:math.prod(shape)].reshape(shape))
+                flat = flat[math.prod(shape):]
+            records.append(BlockRecord(rect, span, cls.from_arrays(arrays, entry)))
         archive = CompressedArchive(header.get("method"), eps_max, dims, mask, tuple(records))
     except ValueError as e:
         raise FormatError(str(e)) from None

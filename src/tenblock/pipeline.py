@@ -61,9 +61,9 @@ METHODS = tuple(kind for kind in KINDS if kind != RawFactorization.kind)
 
 
 def _quantize_f32(a: np.ndarray) -> np.ndarray:
-    # storage rounds payloads to float32; measuring errors after the same
-    # rounding keeps the archived budget honest
-    return a.astype(np.float32).astype(np.float64)
+    # a record holds its arrays as stored: the float32 the file writes, so
+    # the errors the search measures are those of what is archived
+    return a.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -181,25 +181,6 @@ class CompressionReport:
     @property
     def elements_after_blocks(self) -> int:
         return sum(s.elements_after for s in self.block_stats)
-
-
-def cr_metrics(
-    total_elements: int,
-    block_elements_before: int,
-    block_elements_after: int,
-    leftover_count: int,
-) -> tuple[float, float]:
-    """(CR_all, CR_sub): whole-tensor ratio with leftovers counted raw, and
-    the ratio restricted to the partitioned blocks."""
-    if min(total_elements, block_elements_before, block_elements_after, leftover_count) < 0:
-        raise ValueError("negative element count")
-    if block_elements_after == 0:
-        raise ValueError("zero compressed-block element count")
-    if block_elements_after + leftover_count == 0:
-        raise ValueError("empty archive")
-    cr_sub = block_elements_before / block_elements_after
-    cr_all = total_elements / (block_elements_after + leftover_count)
-    return cr_all, cr_sub
 
 
 def leftover_cells(domain_mask: np.ndarray, blocks: Iterable[BlockIndex]) -> np.ndarray:

@@ -128,10 +128,11 @@ def budgeted_search(cls: type[Factorization], blocks: Sequence[np.ndarray], eps_
     ``n_elements`` within ``eps_max`` in the Chebyshev norm (the earliest
     on ties), else the one of least Chebyshev error (a NaN error never
     wins), as ``(fac, cheb_error, rel_frob_error)`` in the order of
-    ``blocks``, measured after ``quantize`` (e.g. a float32 round trip) of
-    its arrays.  Blocks are fully defined, so a NaN in a reconstruction is
-    an error and fails the budget.  The Frobenius error is absolute for an
-    all-zero block, and taken only for a candidate that is kept.
+    ``blocks``, measured after ``quantize`` (e.g. a cast to float32) of
+    its arrays; the kept candidate holds ``quantize``'s arrays.  Blocks are
+    fully defined, so a NaN in a reconstruction is an error and fails the
+    budget.  The Frobenius error is absolute for an all-zero block, and
+    taken only for a candidate that is kept.
 
     The blocks are copied once into one C-contiguous stack ``(B, ..)``
     and their norms taken once; ``cls.search`` searches the stack (Tucker

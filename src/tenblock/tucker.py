@@ -63,7 +63,11 @@ class TuckerFactorization(Factorization):
         # last mode first on C-order reshapes, so each step is one matmul
         # over views: (lead, r_k, trail) -> (lead, n_k, trail)
         ranks = self.core.shape
-        x = self.core.reshape(-1, ranks[-1]) @ self.factors[-1].T
+        # in float64 from the first product on: an archived core and its
+        # factors are float32, and float32 times float32 multiplies in
+        # float32; a float32 operand of a float64 one is upcast exactly
+        core = np.asarray(self.core, dtype=np.float64)
+        x = core.reshape(-1, ranks[-1]) @ self.factors[-1].T
         for k in range(len(ranks) - 2, -1, -1):
             x = np.matmul(self.factors[k], x.reshape(math.prod(ranks[:k]), ranks[k], -1))
         return x.reshape(self.dims)

@@ -15,7 +15,6 @@ from tenblock.formats import read_gsa, read_gst, write_gsa, write_gst
 from tenblock.partition import greedy_partition
 from tenblock.pipeline import (
     compress_dataset,
-    cr_metrics,
     decompress_dataset,
     sweep_splits,
 )
@@ -40,7 +39,7 @@ def _defined_cheb(a, b, domain_mask):
 
 def test_criterion_01_tucker_storage_oracle():
     count = tucker_storage_count([15, 25, 10, 15], [62, 199, 20, 256])
-    cr_all, cr_sub = cr_metrics(63170560, 63170560, count, 0)
+    cr_all = cr_sub = 63170560 / count  # no leftover: every element in the block
     ok = count == 66195 and abs(cr_all - 954.3) <= 0.05 and abs(cr_sub - 954.3) <= 0.05
     _verdict(1, "tucker storage-count oracle", ok,
              f"count={count} cr={cr_all:.4f}")
@@ -48,7 +47,7 @@ def test_criterion_01_tucker_storage_oracle():
 
 def test_criterion_02_tt_storage_oracle():
     count = tt_storage_count([16, 53, 13], [62, 199, 20, 256])
-    cr_all, _ = cr_metrics(63170560, 63170560, count, 0)
+    cr_all = 63170560 / count
     ok = count == 186852 and abs(cr_all - 338.1) <= 0.05
     _verdict(2, "tt storage-count oracle", ok, f"count={count} cr={cr_all:.4f}")
 
@@ -224,8 +223,8 @@ def test_criterion_10_sweep_mechanics():
         ok &= r.max_cheb_error <= 0.5
         before = sum(s.elements_before for s in r.block_stats)
         after = sum(s.elements_after for s in r.block_stats)
-        cr_all, cr_sub = cr_metrics(r.total_elements, before, after,
-                                    r.leftover_count)
+        cr_all = r.total_elements / (after + r.leftover_count)
+        cr_sub = before / after
         ok &= abs(r.cr_all - cr_all) <= 1e-9 * cr_all
         ok &= abs(r.cr_sub - cr_sub) <= 1e-9 * cr_sub
         ok &= before == r.elements_before_blocks

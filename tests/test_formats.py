@@ -113,7 +113,8 @@ def nan_leftover(archive):
 
 def overflowing_core(archive):
     rec = archive.blocks[0]
-    core = rec.fac.core.copy()
+    # a float64 copy, which holds 1e39; the writer's float32 cast overflows
+    core = rec.fac.core.astype(np.float64)
     core.flat[0] = 1e39
     fac = TuckerFactorization(core, rec.fac.factors)
     return dataclasses.replace(
@@ -260,6 +261,10 @@ def test_gsa_roundtrip(tmp_path, method, splits):
     assert len(back.blocks) == len(archive.blocks)
     for a, b in zip(archive.blocks, back.blocks):
         assert a.rect == b.rect and a.span == b.span and a.fac.kind == b.fac.kind
+        # float32 on both sides, so the arrays read back are those compressed
+        for x, y in zip(a.fac.arrays(), b.fac.arrays(), strict=True):
+            assert x.dtype == y.dtype == "<f4"
+            np.testing.assert_array_equal(x, y)
     assert got_metrics == pytest.approx(metrics)
 
     # the restored archive still meets the budget
@@ -312,28 +317,46 @@ def test_gst_payload_is_c_order_and_aligned(tmp_path):
     assert payload == g.values.astype("<f4").tobytes()
 
 
+def _buffer(a):
+    # the object that holds the memory of ndarray a
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a if a.base is None else a.base
+
+
 @pytest.mark.parametrize("method", METHODS)
-def test_read_gsa_copies_only_the_factor_section(tmp_path, method):
-    # the raw leftover record is a view of the file's bytes and every factor
-    # array a C view of one float64 copy of the factor records, so a read
-    # holds the file, that copy and little else; the field leaves more
-    # leftover than the 1 MiB slack, so a copy of the raw record would show
+def test_read_gsa_copies_nothing(tmp_path, method):
+    # a record holds its arrays as the file stores them, so every array of
+    # every record, whatever its kind, is a float32 C view of the file's
+    # bytes, and a read holds the file and little else; the field leaves
+    # more leftover than the 1 MiB slack, so a copy of the raw record would
+    # show
     g = synth(SynthSpec(dims=(32, 24, 4, 256), seed=7))
     archive, _ = compress_dataset(g, method, 0.5)
     path = tmp_path / "arch.gsa"
     write_gsa(archive, str(path))
-    leftover = leftover_values(archive)
-    factor_bytes = 4 * split_blob(path.read_bytes())[2]["payload_elements"] - leftover.nbytes
-    assert leftover.nbytes > 2**20 + 2 * factor_bytes
+    assert leftover_values(archive).nbytes > 2**20
     tracemalloc.start()
     try:
         back, _ = read_gsa(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < path.stat().st_size + 2 * factor_bytes + 2**20
-    assert all(a.flags.c_contiguous for rec in back.blocks for a in rec.fac.arrays())
-    assert leftover_values(back).dtype == "<f4"  # the file's bytes, not the float64 copy
+    assert peak < path.stat().st_size + 2**20
+    arrays = [a for rec in back.blocks for a in rec.fac.arrays()]
+    assert all(a.dtype == "<f4" and a.flags.c_contiguous and not a.flags.owndata
+               for a in arrays)
+    assert len({id(_buffer(a)) for a in arrays}) == 1  # one buffer under all, the file's
+
+
+def test_gsa_of_no_records_roundtrips(tmp_path):
+    # an all-land grid leaves no rectangle and no leftover: no arrays at all
+    archive = CompressedArchive("tucker", 0.5, (2, 3, 1, 4), np.zeros((2, 3), bool), ())
+    path = tmp_path / "arch.gsa"
+    write_gsa(archive, str(path))
+    back, _ = read_gsa(str(path))
+    assert back.blocks == () and back.dims == archive.dims
+    assert split_blob(path.read_bytes())[2]["payload_elements"] == 0
 
 
 def as_version(path, version):

@@ -26,7 +26,6 @@ from tenblock.pipeline import (
     RawFactorization,
     _quantize_f32,
     compress_dataset,
-    cr_metrics,
     decompress_dataset,
     leftover_cells,
     render_report,
@@ -58,30 +57,6 @@ def rect_records(archive):
     return [rec for rec in archive.blocks if rec.rect is not None]
 
 
-def test_cr_metrics_reference_case():
-    cr_all, cr_sub = cr_metrics(63170560, 63170560, 66195, 0)
-    assert cr_all == pytest.approx(954.3101, abs=5e-4)
-    assert cr_sub == pytest.approx(954.3101, abs=5e-4)
-
-
-def test_cr_metrics_split_accounting():
-    cr_all, cr_sub = cr_metrics(1200, 1000, 200, 100)
-    assert cr_all == pytest.approx(4.0)
-    assert cr_sub == pytest.approx(5.0)
-
-
-def test_cr_metrics_no_compression():
-    cr_all, cr_sub = cr_metrics(10, 10, 10, 0)
-    assert cr_all == 1.0 and cr_sub == 1.0
-
-
-def test_cr_metrics_validation():
-    with pytest.raises(ValueError):
-        cr_metrics(10, 10, 0, 5)
-    with pytest.raises(ValueError):
-        cr_metrics(-1, 10, 5, 0)
-
-
 def test_leftover_cells_row_major():
     mask = np.ones((4, 4), dtype=bool)
     mask[0, 0] = False
@@ -102,6 +77,18 @@ def test_compress_meets_budget(method):
     assert err == pytest.approx(report.max_cheb_error, abs=1e-12)
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n_splits", [1, 4])
+def test_records_hold_their_arrays_as_stored(method, n_splits):
+    # every record, the raw leftover too, holds float32 C-contiguous arrays,
+    # the payload's dtype and order, so write and read need no kind's case
+    archive, _ = compress_dataset(small_field(), method, 0.5, s_min=4, n_splits=n_splits)
+    assert {rec.fac.kind for rec in archive.blocks} == {method, "raw"}
+    for rec in archive.blocks:
+        for a in rec.fac.arrays():
+            assert a.dtype == np.float32 and a.flags.c_contiguous, (rec.rect, rec.span)
+
+
 def test_decompress_restores_land_as_nan():
     g = small_field()
     archive, _ = compress_dataset(g, "tucker", 0.5, s_min=4)
@@ -117,10 +104,10 @@ def test_compress_report_accounting_recomputes():
     after = sum(s.elements_after for s in report.block_stats)
     assert report.elements_before_blocks == before
     assert report.elements_after_blocks == after
-    cr_all, cr_sub = cr_metrics(report.total_elements, before, after,
-                                report.leftover_count)
+    # CR_all counts the leftover raw; CR_sub is the rectangles' alone
+    cr_all = report.total_elements / (after + report.leftover_count)
     assert report.cr_all == pytest.approx(cr_all, rel=1e-9)
-    assert report.cr_sub == pytest.approx(cr_sub, rel=1e-9)
+    assert report.cr_sub == pytest.approx(before / after, rel=1e-9)
     assert report.cr_all > 1.0
 
 

@@ -107,6 +107,31 @@ def test_only_formats_calls_the_file_round_trip():
     assert calling == {"formats.py"}
 
 
+def test_formats_reaches_kinds_only_through_kinds():
+    # a record holds its arrays as stored, so the payload path moves bytes
+    # for every kind alike: formats.py names no factorization class and no
+    # kind, and finds a record's class by its header's kind in KINDS
+    modules = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    classes = {"Factorization"} | {
+        n.name for tree in modules.values() for n in ast.walk(tree)
+        if isinstance(n, ast.ClassDef)
+        and any(getattr(b, "id", None) == "Factorization" for b in n.bases)}
+    kinds = {n.value.value for tree in modules.values() for c in ast.walk(tree)
+             if isinstance(c, ast.ClassDef) and c.name in classes for n in c.body
+             if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["kind"]}
+    assert {"TuckerFactorization", "RawFactorization"} <= classes
+    assert kinds == {"tucker", "tt", "qtt", "raw"}
+    tree = modules["formats.py"]
+    imported = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    literals = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert "KINDS" in imported and "KINDS" in named
+    assert not classes & (imported | named)
+    assert not kinds & literals
+
+
 def test_the_package_reads_no_environment_variable():
     # compress takes its thread count from the process's CPUs; no variable
     # of the environment changes what the library does
